@@ -87,6 +87,7 @@ int ExitCodeFor(StatusCode code) {
     case StatusCode::kInvalidArgument:
       return 64;
     case StatusCode::kDataCorruption:
+    case StatusCode::kOutOfRange:
       return 65;
     case StatusCode::kIoError:
       return 74;

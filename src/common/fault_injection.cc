@@ -27,7 +27,7 @@ const std::vector<std::string>& RegisteredFaultPoints() {
           "csv/write",            // WriteCsvFile
           "loader/build",         // BuildDataset / LoadCsvDataset
           "threadpool/dispatch",  // ThreadPool::ParallelFor fan-out
-          "remedy/apply",         // RemedyDataset entry
+          "remedy/apply",         // RemedyDataset / streaming plan entry
           "store/spill_write",    // per shard file written by the spill mode
           "store/mmap_map",       // per shard file mapped by EnsureMapped
           "store/shard_read",     // per spilled shard header read / map

@@ -201,8 +201,8 @@ namespace remedy {
     "wall time of each incremental identify pass (full fallbacks "  \
     "not included)")                                                \
   X(remedy_backend_plan_ns, "remedy_backend/plan_ns", "ns",         \
-    "wall time of RemedyBackend::PlanDeltas (materialize, plan, "   \
-    "and diff)")
+    "wall time of RemedyBackend::PlanDeltas (for streaming, the "   \
+    "count-native plan of the leaf census)")
 
 // All pipeline instruments, registered once on first use. Call sites do
 //   PipelineMetrics::Get().ibs_nodes_visited->Increment(n);

@@ -14,6 +14,8 @@ const char* StatusCodeName(StatusCode code) {
       return "IO_ERROR";
     case StatusCode::kResourceExhausted:
       return "RESOURCE_EXHAUSTED";
+    case StatusCode::kOutOfRange:
+      return "OUT_OF_RANGE";
     case StatusCode::kInternal:
       return "INTERNAL";
   }
@@ -42,6 +44,10 @@ Status IoError(std::string message) {
 
 Status ResourceExhaustedError(std::string message) {
   return Status(StatusCode::kResourceExhausted, std::move(message));
+}
+
+Status OutOfRangeError(std::string message) {
+  return Status(StatusCode::kOutOfRange, std::move(message));
 }
 
 Status InternalError(std::string message) {

@@ -30,6 +30,7 @@ enum class StatusCode {
   kDataCorruption,     // the bytes themselves are wrong (malformed CSV)
   kIoError,            // the environment failed us (open/read/write)
   kResourceExhausted,  // a budget or capacity limit was hit
+  kOutOfRange,         // a value exceeds what the operation can represent
   kInternal,           // invariant broke in a recoverable context
 };
 
@@ -76,6 +77,7 @@ Status InvalidArgumentError(std::string message);
 Status DataCorruptionError(std::string message);
 Status IoError(std::string message);
 Status ResourceExhaustedError(std::string message);
+Status OutOfRangeError(std::string message);
 Status InternalError(std::string message);
 
 // Status + value union. Implicitly constructible from either side so

@@ -181,12 +181,20 @@ void Hierarchy::ApplyDeltas(const std::vector<LeafDelta>& deltas,
   if (deltas.empty()) return;
   PipelineMetrics::Get().lattice_delta_rows->Increment(
       static_cast<int64_t>(deltas.size()));
-  const uint32_t leaf = LeafMask();
+  // Decode each leaf key once; every node then re-packs its digits.
+  const size_t stride = static_cast<size_t>(NumProtected());
+  std::vector<int> digits(deltas.size() * stride);
+  for (size_t i = 0; i < deltas.size(); ++i) {
+    counter_.KeyDigits(deltas[i].leaf_key, LeafMask(),
+                       digits.data() + i * stride);
+  }
   for (auto& [mask, table] : node_cache_) {
     std::unordered_set<uint64_t>* touched =
         dirty_tracking_ ? &dirty_.touched[mask] : nullptr;
-    for (const LeafDelta& delta : deltas) {
-      const uint64_t key = counter_.ProjectKey(delta.leaf_key, leaf, mask);
+    for (size_t i = 0; i < deltas.size(); ++i) {
+      const LeafDelta& delta = deltas[i];
+      const uint64_t key =
+          counter_.PackDigits(digits.data() + i * stride, mask);
       if (touched != nullptr) touched->insert(key);
       if (insert_missing) {
         table.UpsertDelta(key, delta.delta_positives, delta.delta_negatives);

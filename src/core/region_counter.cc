@@ -223,24 +223,32 @@ uint64_t RegionCounter::ProjectKey(uint64_t key, uint32_t from_mask,
   REMEDY_DCHECK((to_mask & ~from_mask) == 0)
       << "projection target must drop attributes of the source node";
   if (from_mask == to_mask) return key;
-  // Peel the mixed-radix digits least-significant-first (mirroring
-  // PatternFor), then re-pack the surviving ones in KeyFor order.
   int digits[32] = {0};
+  KeyDigits(key, from_mask, digits);
+  return PackDigits(digits, to_mask);
+}
+
+void RegionCounter::KeyDigits(uint64_t key, uint32_t mask,
+                              int* digits) const {
+  // Peel the mixed-radix digits least-significant-first (mirroring
+  // PatternFor).
   for (int i = NumProtected() - 1; i >= 0; --i) {
-    if (from_mask & (1u << i)) {
+    if (mask & (1u << i)) {
       digits[i] = static_cast<int>(key % cardinalities_[i]);
       key /= cardinalities_[i];
     }
   }
   REMEDY_DCHECK(key == 0);
-  uint64_t projected = 0;
+}
+
+uint64_t RegionCounter::PackDigits(const int* digits, uint32_t mask) const {
+  uint64_t key = 0;
   for (int i = 0; i < NumProtected(); ++i) {
-    if (to_mask & (1u << i)) {
-      projected = projected * cardinalities_[i] +
-                  static_cast<uint64_t>(digits[i]);
+    if (mask & (1u << i)) {
+      key = key * cardinalities_[i] + static_cast<uint64_t>(digits[i]);
     }
   }
-  return projected;
+  return key;
 }
 
 std::unordered_map<uint64_t, std::vector<int>> RegionCounter::CollectRows(

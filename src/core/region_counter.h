@@ -130,6 +130,13 @@ class RegionCounter {
   uint64_t ProjectKey(uint64_t key, uint32_t from_mask,
                       uint32_t to_mask) const;
 
+  // ProjectKey in two halves, for projecting one key onto many nodes:
+  // KeyDigits writes the value of each position of `mask` into
+  // digits[position] (leaving the others alone); PackDigits packs the
+  // digits of the positions in `mask` into a node-`mask` key.
+  void KeyDigits(uint64_t key, uint32_t mask, int* digits) const;
+  uint64_t PackDigits(const int* digits, uint32_t mask) const;
+
   // Row indices of every region of node `mask` (used by the remedy step to
   // pick the concrete instances to duplicate / remove / relabel).
   std::unordered_map<uint64_t, std::vector<int>> CollectRows(

@@ -27,14 +27,6 @@ int64_t ClampCount(double value, int64_t lo, int64_t hi) {
   return std::clamp(rounded, lo, hi);
 }
 
-// Independent RNG stream per region, keyed by its node and region key. The
-// stream does not depend on row numbering or processing order, so both
-// engines (and any planning thread count) draw identical sequences for the
-// same region.
-uint64_t RegionSeed(uint64_t seed, uint32_t mask, uint64_t key) {
-  return SplitMix64(SplitMix64(seed ^ (uint64_t{mask} << 32)) ^ key);
-}
-
 // Ranks `rows` (instances of class `label`) most-borderline-first; the two
 // engines bind this to a fresh model evaluation or to the score cache.
 using RankFn = std::function<std::vector<int>(const std::vector<int>& rows,
@@ -254,7 +246,7 @@ Dataset RemedyRebuild(const Dataset& train, const RemedyParams& params,
         (working.Label(row) == 1 ? positive_rows : negative_rows)
             .push_back(row);
       }
-      Rng rng(RegionSeed(params.seed, mask, key));
+      Rng rng(RemedyRegionSeed(params.seed, mask, key));
       RankFn rank = [&working, &ranker](const std::vector<int>& rows,
                                         int label) {
         return ranker->RankBorderline(working, rows, label);
@@ -452,7 +444,7 @@ StatusOr<Dataset> RemedyIncremental(const Dataset& train,
                         region.counts.negatives)
           << "delta-maintained counts diverged from the row index";
       const uint64_t key = counter.KeyFor(region.pattern, mask);
-      Rng rng(RegionSeed(params.seed, mask, key));
+      Rng rng(RemedyRegionSeed(params.seed, mask, key));
       RankFn rank = [&ws](const std::vector<int>& rows, int label) {
         return BorderlineRanker::RankWithScores(ws.scores, rows, label);
       };
@@ -536,6 +528,33 @@ std::string TechniqueName(RemedyTechnique technique) {
   }
   REMEDY_CHECK(false) << "unknown technique";
   return "";
+}
+
+uint64_t RemedyRegionSeed(uint64_t seed, uint32_t mask, uint64_t key) {
+  return SplitMix64(SplitMix64(seed ^ (uint64_t{mask} << 32)) ^ key);
+}
+
+void RecordRemedyPass(RemedyTechnique technique, const RemedyStats& stats) {
+  const PipelineMetrics& metrics = PipelineMetrics::Get();
+  metrics.remedy_regions_planned->Increment(stats.regions_processed +
+                                            stats.regions_skipped);
+  switch (technique) {
+    case RemedyTechnique::kOversample:
+      metrics.remedy_oversample_rows_added->Increment(stats.instances_added);
+      break;
+    case RemedyTechnique::kUndersample:
+      metrics.remedy_undersample_rows_removed->Increment(
+          stats.instances_removed);
+      break;
+    case RemedyTechnique::kPreferentialSampling:
+      metrics.remedy_preferential_rows_added->Increment(stats.instances_added);
+      metrics.remedy_preferential_rows_removed->Increment(
+          stats.instances_removed);
+      break;
+    case RemedyTechnique::kMassaging:
+      metrics.remedy_massaging_labels_flipped->Increment(stats.labels_flipped);
+      break;
+  }
 }
 
 RegionUpdate ComputeUpdate(RemedyTechnique technique, int64_t positives,
@@ -661,29 +680,7 @@ StatusOr<Dataset> RemedyDataset(const Dataset& train,
     REMEDY_CHECK(false) << "unknown engine";
     return train;
   }();
-  if (remedied.ok()) {
-    metrics.remedy_regions_planned->Increment(stats.regions_processed +
-                                              stats.regions_skipped);
-    switch (params.technique) {
-      case RemedyTechnique::kOversample:
-        metrics.remedy_oversample_rows_added->Increment(stats.instances_added);
-        break;
-      case RemedyTechnique::kUndersample:
-        metrics.remedy_undersample_rows_removed->Increment(
-            stats.instances_removed);
-        break;
-      case RemedyTechnique::kPreferentialSampling:
-        metrics.remedy_preferential_rows_added->Increment(
-            stats.instances_added);
-        metrics.remedy_preferential_rows_removed->Increment(
-            stats.instances_removed);
-        break;
-      case RemedyTechnique::kMassaging:
-        metrics.remedy_massaging_labels_flipped->Increment(
-            stats.labels_flipped);
-        break;
-    }
-  }
+  if (remedied.ok()) RecordRemedyPass(params.technique, stats);
   if (stats_out != nullptr) *stats_out = stats;
   return remedied;
 }

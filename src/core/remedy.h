@@ -93,6 +93,16 @@ struct RegionUpdate {
 RegionUpdate ComputeUpdate(RemedyTechnique technique, int64_t positives,
                            int64_t negatives, double target_ratio);
 
+// Seed of the RNG stream of region `key` of node `mask` in a remedy pass
+// seeded with `seed`. Independent of row numbering and processing order, so
+// every engine (and the streaming backend's count planner) draws the same
+// sequence for the same region.
+uint64_t RemedyRegionSeed(uint64_t seed, uint32_t mask, uint64_t key);
+
+// Publishes a finished remedy pass to the remedy/* pipeline counters
+// (regions planned, rows added / removed / relabeled per technique).
+void RecordRemedyPass(RemedyTechnique technique, const RemedyStats& stats);
+
 // The paper notes (Sec. VI, Limitations) that one remedy pass does not
 // guarantee |ratio_r - ratio_rn| <= tau_c everywhere: adjusting one region
 // shifts the scores of regions that dominate or are dominated by it.

@@ -32,11 +32,15 @@ namespace remedy {
 //                commits through the WAL-backed group-commit path.
 //
 // The streaming backend is count-faithful, not row-faithful: the daemon
-// holds leaf counts, not rows, so it plans on the canonical materialization
-// of those counts (MaterializeLeafCounts below). Its post-commit counts are
-// byte-identical — same FNV-1a digest — to running the batch rebuild engine
-// on that same materialized dataset, for any thread count; the randomized
-// parity suite in tests/remedy_backend_test.cc pins this contract.
+// holds leaf counts, not rows, so its remedy is defined as the row engine's
+// remedy of the canonical materialization of those counts
+// (MaterializeLeafCounts below). A count-native planner computes it without
+// materializing: each (leaf, label) class is a list of canonical row-index
+// runs, borderline picks order runs by (ranker score, canonical row index),
+// and random picks replay the row engine's per-region draws on index-ordered
+// positions. Its deltas and RemedyStats equal the batch rebuild engine's on
+// the materialized dataset, for any thread count; the randomized parity
+// suite in tests/remedy_backend_test.cc pins this contract.
 enum class RemedyBackendKind {
   kRebuild,
   kIncremental,
@@ -75,27 +79,40 @@ class RemedyBackend {
   const char* name() const { return RemedyBackendName(kind()); }
 
   // Row form: the remedied dataset. The batch backends are row-faithful
-  // when given a dataset; the streaming backend always returns the
-  // canonical materialization of the remedied counts. Fails like
-  // RemedyDataset (kInvalidArgument on an empty source, etc.).
+  // when given a dataset; the streaming backend plans, applies the plan to
+  // the census and returns its canonical materialization. Fails like
+  // RemedyDataset (kInvalidArgument on an empty source, etc.); the
+  // streaming backend also fails kOutOfRange when an undersampling or
+  // oversampling region's class exceeds the int range of Rng's samplers.
   virtual StatusOr<Dataset> Remedy(const RemedySource& source,
                                    const RemedyParams& params,
                                    RemedyStats* stats = nullptr) const = 0;
 
-  // Delta form (shared across backends): runs Remedy and diffs the leaf
-  // counts. An empty source yields an empty plan (a no-op, not an error) —
-  // the daemon may ask for a remedy before any data arrived.
+  // Delta form: the net signed leaf deltas that take the source's leaf
+  // census to the remedied one, timed into remedy_backend/plan_ns. An empty
+  // source yields an empty plan (a no-op, not an error) — the daemon may ask
+  // for a remedy before any data arrived.
   StatusOr<RemedyDeltaPlan> PlanDeltas(const RemedySource& source,
                                        const RemedyParams& params) const;
 
   static std::unique_ptr<RemedyBackend> Create(RemedyBackendKind kind);
+
+ protected:
+  // PlanDeltas over a validated source whose leaf census `census` is
+  // non-empty. The default runs Remedy and diffs the census of its rows
+  // against `census`; the streaming backend plans on the counts directly.
+  virtual StatusOr<RemedyDeltaPlan> PlanCensus(
+      const RemedySource& source, const NodeTable& census,
+      const RemedyParams& params) const;
 };
 
-// The canonical count→row materialization shared by the streaming backend
-// and its parity oracle: leaf keys ascending; per key, `positives` rows of
-// label 1 then `negatives` rows of label 0; protected values decoded from
-// the key; every non-protected attribute pinned to code 0. Deterministic in
-// the counts alone — independent of how the counts were produced.
+// The canonical count→row materialization that defines the streaming
+// backend's remedy, and the count source of the batch backends (hence the
+// streaming planner's parity oracle): leaf keys ascending; per key,
+// `positives` rows of label 1 then `negatives` rows of label 0; protected
+// values decoded from the key; every non-protected attribute pinned to code
+// 0. Deterministic in the counts alone — independent of how the counts were
+// produced.
 // kInvalidArgument when the schema has no protected attributes or a count
 // is negative.
 StatusOr<Dataset> MaterializeLeafCounts(const DataSchema& schema,

@@ -239,6 +239,39 @@ TEST(NaiveBayesTest, SmoothingHandlesUnseenValues) {
   EXPECT_LT(p, 1.0);
 }
 
+TEST(NaiveBayesTest, CountFitIsBitIdenticalToRowFit) {
+  // The streaming remedy ranks borderline rows with a naive Bayes fitted on
+  // counts alone; it must score every row exactly as the row fit does.
+  Rng rng(11);
+  Dataset data(SmallSchema());
+  int64_t class_counts[2] = {0, 0};
+  std::vector<std::vector<std::vector<int64_t>>> value_counts(2);
+  for (auto& columns : value_counts) {
+    for (int c = 0; c < data.NumColumns(); ++c) {
+      columns.emplace_back(data.schema().attribute(c).Cardinality(), 0);
+    }
+  }
+  for (int i = 0; i < 2000; ++i) {
+    const std::vector<int> row = {rng.UniformInt(3), rng.UniformInt(2),
+                                  rng.UniformInt(2)};
+    const int label = rng.Bernoulli(row[0] == 2 ? 0.8 : 0.3) ? 1 : 0;
+    data.AddRow(row, label);
+    ++class_counts[label];
+    for (int c = 0; c < data.NumColumns(); ++c) {
+      ++value_counts[label][c][row[c]];
+    }
+  }
+  NaiveBayes by_rows;
+  by_rows.Fit(data);
+  NaiveBayes by_counts;
+  by_counts.FitCounts(data.schema(), class_counts, value_counts);
+  for (int r = 0; r < data.NumRows(); ++r) {
+    ASSERT_EQ(by_counts.PredictProbaCodes(data.Row(r)),
+              by_rows.PredictProba(data, r))
+        << "row " << r;
+  }
+}
+
 TEST(CostSensitiveTest, ThresholdFromCosts) {
   CostMatrix costs;
   costs.false_positive_cost = 3.0;
