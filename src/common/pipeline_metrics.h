@@ -197,6 +197,9 @@ namespace remedy {
   X(serve_apply_ns, "serve/apply_ns", "ns",                         \
     "per-batch wall time from dequeue through WAL commit, lattice " \
     "apply, and snapshot publish")                                  \
+  X(serve_publish_ns, "serve/publish_ns", "ns",                     \
+    "per-epoch wall time of snapshot publish: identify, counts "    \
+    "digest and snapshot build")                                    \
   X(ibs_incr_identify_ns, "ibs_incr/identify_ns", "ns",             \
     "wall time of each incremental identify pass (full fallbacks "  \
     "not included)")                                                \

@@ -9,6 +9,39 @@
 #include "common/trace.h"
 
 namespace remedy {
+namespace {
+
+// splitmix64's finalizer: a bijection in which every input bit flips each
+// output bit with probability ~1/2.
+uint64_t Mix64(uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ull;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebull;
+  x ^= x >> 31;
+  return x;
+}
+
+constexpr uint64_t kGolden = 0x9e3779b97f4a7c15ull;
+
+// One lattice entry's term of the counts digest. Chaining the fields
+// through Mix64 makes the term depend on which key holds which counts, so
+// swapping two keys' counts changes the sum; the constant offsets keep a
+// zero-count entry's term non-zero.
+uint64_t EntryHash(uint32_t mask, uint64_t key, const RegionCounts& counts) {
+  uint64_t h = Mix64(uint64_t{mask} + kGolden);
+  h = Mix64((h ^ key) + kGolden);
+  h = Mix64((h ^ static_cast<uint64_t>(counts.positives)) + kGolden);
+  return Mix64((h ^ static_cast<uint64_t>(counts.negatives)) + kGolden);
+}
+
+uint64_t FinalizeDigest(uint64_t sum, const RegionCounts& totals) {
+  uint64_t h = Mix64(sum + kGolden);
+  h = Mix64((h ^ static_cast<uint64_t>(totals.positives)) + kGolden);
+  return Mix64((h ^ static_cast<uint64_t>(totals.negatives)) + kGolden);
+}
+
+}  // namespace
 
 Hierarchy::Hierarchy(const Dataset& data)
     : data_(&data),
@@ -117,6 +150,7 @@ constexpr size_t kMinNodesForParallelLevel = 8;
 
 Status Hierarchy::EagerBuild(int threads) {
   REMEDY_TRACE_SPAN("hierarchy/eager_build");
+  digest_fresh_ = false;
   RETURN_IF_ERROR(PrepareCounting());
   if (threads <= 0) threads = ThreadPool::DefaultThreads();
   {
@@ -188,6 +222,13 @@ void Hierarchy::ApplyDeltas(const std::vector<LeafDelta>& deltas,
     counter_.KeyDigits(deltas[i].leaf_key, LeafMask(),
                        digits.data() + i * stride);
   }
+  // Keep the digest sum current only while that is cheaper than the one
+  // refold a stale sum costs at its next read.
+  if (digest_fresh_) {
+    size_t entries = 0;
+    for (const auto& [mask, table] : node_cache_) entries += table.size();
+    digest_fresh_ = deltas.size() * node_cache_.size() <= entries;
+  }
   for (auto& [mask, table] : node_cache_) {
     std::unordered_set<uint64_t>* touched =
         dirty_tracking_ ? &dirty_.touched[mask] : nullptr;
@@ -196,11 +237,21 @@ void Hierarchy::ApplyDeltas(const std::vector<LeafDelta>& deltas,
       const uint64_t key =
           counter_.PackDigits(digits.data() + i * stride, mask);
       if (touched != nullptr) touched->insert(key);
-      if (insert_missing) {
-        table.UpsertDelta(key, delta.delta_positives, delta.delta_negatives);
-      } else {
-        table.ApplyDelta(key, delta.delta_positives, delta.delta_negatives);
+      bool inserted = false;
+      const RegionCounts after =
+          insert_missing
+              ? table.UpsertDelta(key, delta.delta_positives,
+                                  delta.delta_negatives, &inserted)
+              : table.ApplyDelta(key, delta.delta_positives,
+                                 delta.delta_negatives);
+      if (!digest_fresh_) continue;
+      if (!inserted) {
+        digest_sum_ -= EntryHash(
+            mask, key,
+            {after.positives - delta.delta_positives,
+             after.negatives - delta.delta_negatives});
       }
+      digest_sum_ += EntryHash(mask, key, after);
     }
   }
   for (const LeafDelta& delta : deltas) {
@@ -225,32 +276,30 @@ void Hierarchy::ApplyDelta(const LeafDelta& delta) {
   ApplyDeltas(std::vector<LeafDelta>{delta});
 }
 
+uint64_t Hierarchy::FoldEntryHashes() const {
+  // A wrapping sum is order-free, so the hash-ordered node map is fine.
+  uint64_t sum = 0;
+  for (const auto& [mask, table] : node_cache_) {
+    for (const auto& [key, counts] : table) sum += EntryHash(mask, key, counts);
+  }
+  return sum;
+}
+
 uint64_t Hierarchy::CountsDigest() {
   REMEDY_CHECK(fully_built_ && total_valid_)
       << "CountsDigest requires a fully built hierarchy (call EagerBuild)";
-  uint64_t digest = 14695981039346656037ull;
-  auto mix = [&digest](uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-      digest ^= (value >> (8 * i)) & 0xff;
-      digest *= 1099511628211ull;
-    }
-  };
-  // node_cache_ is hash-ordered; walk the masks in the deterministic
-  // bottom-up order instead so equal lattices always digest equal.
-  for (uint32_t mask : BottomUpMasks()) {
-    const auto it = node_cache_.find(mask);
-    REMEDY_CHECK(it != node_cache_.end());
-    mix(mask);
-    mix(it->second.size());
-    for (const auto& [key, counts] : it->second) {
-      mix(key);
-      mix(static_cast<uint64_t>(counts.positives));
-      mix(static_cast<uint64_t>(counts.negatives));
-    }
+  return FinalizeDigest(FoldEntryHashes(), total_counts_);
+}
+
+uint64_t Hierarchy::MaintainedCountsDigest() {
+  REMEDY_CHECK(fully_built_ && total_valid_)
+      << "MaintainedCountsDigest requires a fully built hierarchy (call "
+         "EagerBuild)";
+  if (!digest_fresh_) {
+    digest_sum_ = FoldEntryHashes();
+    digest_fresh_ = true;
   }
-  mix(static_cast<uint64_t>(total_counts_.positives));
-  mix(static_cast<uint64_t>(total_counts_.negatives));
-  return digest;
+  return FinalizeDigest(digest_sum_, total_counts_);
 }
 
 const RegionCounts& Hierarchy::TotalCounts() {
@@ -312,6 +361,7 @@ void Hierarchy::Invalidate() {
   owned_store_.reset();
   total_valid_ = false;
   fully_built_ = false;
+  digest_fresh_ = false;
   // The rebuilt counts will not be described by the dirty set.
   dirty_.Clear();
   ++generation_;

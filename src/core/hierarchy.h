@@ -150,16 +150,31 @@ class Hierarchy {
   // With `insert_missing` (the streaming-ingest form) a delta whose key no
   // node has seen yet inserts the entry instead of dying — new subgroups
   // can appear mid-stream, which a batch-counted lattice never allows.
+  // Also keeps the maintained counts digest current (see below).
   void ApplyDeltas(const std::vector<LeafDelta>& deltas,
                    bool insert_missing = false);
   void ApplyDelta(const LeafDelta& delta);
 
-  // Order-stable FNV-1a digest over every materialized node's entries plus
-  // the level-0 totals. Two fully built hierarchies agree iff their counts
-  // are byte-identical node for node — the recovery acceptance check of
-  // the streaming service (a WAL replay must land on the digest of the
-  // uninterrupted run). Requires a fully built hierarchy.
+  // The counts digest: a wrapping 64-bit sum, over every entry of every
+  // lattice node, of a full-avalanche hash of (node mask, region key,
+  // positives, negatives), finalized with the level-0 totals. Two fully
+  // built hierarchies digest equal iff they hold the same entries node for
+  // node — the recovery acceptance check of the streaming service (a WAL
+  // replay must land on the digest of the uninterrupted run). A zero-count
+  // entry still hashes, so a kept zero entry and an absent one differ.
+  //
+  // Being a sum, the digest has two readings of one definition:
+  //  * CountsDigest() folds it from scratch over every entry — O(lattice),
+  //    the independent oracle for lattices a caller built itself;
+  //  * MaintainedCountsDigest() returns the sum ApplyDeltas keeps current:
+  //    per touched entry it subtracts the old hash and adds the new one
+  //    (an inserted entry has no old term). A batch whose deltas x nodes
+  //    exceeds the lattice's entry count, EagerBuild and Invalidate mark
+  //    the sum stale instead, and the next read refolds it once. Steady
+  //    narrow batches thus cost O(deltas x nodes) per read, not O(lattice).
+  // Both require a fully built hierarchy.
   uint64_t CountsDigest();
+  uint64_t MaintainedCountsDigest();
 
   // Counts of the whole dataset (level-0 node).
   const RegionCounts& TotalCounts();
@@ -205,6 +220,9 @@ class Hierarchy {
   // an owned columnar store the first time a columnar backend needs one.
   CountingSource SourceForCounting();
 
+  // The unfinalized counts digest: the hash sum over every entry.
+  uint64_t FoldEntryHashes() const;
+
   const Dataset* data_ = nullptr;
   const ColumnarShardStore* store_ = nullptr;
   std::unique_ptr<ColumnarShardStore> owned_store_;
@@ -220,6 +238,8 @@ class Hierarchy {
   bool dirty_tracking_ = false;
   DirtySet dirty_;
   uint64_t generation_ = 0;
+  uint64_t digest_sum_ = 0;     // FoldEntryHashes(), kept by ApplyDeltas
+  bool digest_fresh_ = false;   // false: digest_sum_ must be refolded
 };
 
 }  // namespace remedy

@@ -27,22 +27,17 @@ std::vector<uint32_t> ScopeMasks(const Hierarchy& hierarchy, IbsScope scope) {
   return {};
 }
 
-RegionVerdict ScoreRegion(Hierarchy& hierarchy,
-                          NeighborhoodCalculator& neighborhood,
-                          bool use_optimized, uint32_t mask, uint64_t key,
-                          const RegionCounts& counts, const IbsParams& params,
-                          BiasedRegion* out) {
-  if (counts.Total() <= params.min_region_size) return RegionVerdict::kSkipped;
-  Pattern pattern = hierarchy.counter().PatternFor(key, mask);
-  RegionCounts neighbor_counts =
-      use_optimized ? neighborhood.OptimizedNeighborCounts(pattern, counts)
-                    : neighborhood.NaiveNeighborCounts(pattern);
+RegionVerdict JudgeRegion(const RegionCounter& counter, uint32_t mask,
+                          uint64_t key, const RegionCounts& counts,
+                          const RegionCounts& neighbor_counts,
+                          const IbsParams& params, BiasedRegion* out) {
   double ratio = ImbalanceScore(counts);
   double neighbor_ratio = ImbalanceScore(neighbor_counts);
   if (std::abs(ratio - neighbor_ratio) <= params.imbalance_threshold) {
     return RegionVerdict::kUnbiased;
   }
-  *out = {std::move(pattern), counts, neighbor_counts, ratio, neighbor_ratio};
+  *out = {counter.PatternFor(key, mask), counts, neighbor_counts, ratio,
+          neighbor_ratio};
   return RegionVerdict::kBiased;
 }
 
@@ -58,6 +53,7 @@ std::vector<BiasedRegion> IdentifyIbsInNode(Hierarchy& hierarchy,
   // deterministic without re-sorting, and each entry carries its counts —
   // no second lookup per region.
   const NodeTable& node = hierarchy.NodeCounts(mask);
+  NodeTableParents parents(hierarchy, mask);
   std::vector<BiasedRegion> biased;
   // Batch the per-region tallies locally and publish once per node, so the
   // inner sweep costs no atomics.
@@ -65,9 +61,9 @@ std::vector<BiasedRegion> IdentifyIbsInNode(Hierarchy& hierarchy,
   int64_t naive = 0;
   for (const auto& [key, counts] : node) {
     BiasedRegion region;
-    const RegionVerdict verdict = ScoreRegion(
-        hierarchy, neighborhood, use_optimized, mask, key, counts, params,
-        &region);
+    const RegionVerdict verdict =
+        ScoreRegion(hierarchy, neighborhood, use_optimized, mask, key, counts,
+                    params, parents, &region);
     if (verdict == RegionVerdict::kSkipped) continue;
     use_optimized ? ++reuse : ++naive;
     if (verdict == RegionVerdict::kBiased) {

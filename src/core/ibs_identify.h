@@ -73,18 +73,38 @@ std::vector<BiasedRegion> IdentifyIbsInNode(Hierarchy& hierarchy,
 // judged biased (out filled).
 enum class RegionVerdict { kSkipped, kUnbiased, kBiased };
 
+// Judges a region against its neighboring region (Def. 4): biased when
+// their imbalance scores differ by more than tau_c. Decodes the region's
+// Pattern into `out` only for a biased verdict.
+RegionVerdict JudgeRegion(const RegionCounter& counter, uint32_t mask,
+                          uint64_t key, const RegionCounts& counts,
+                          const RegionCounts& neighbor_counts,
+                          const IbsParams& params, BiasedRegion* out);
+
 // Scores the region at `key` of node `mask` exactly as the full
 // IdentifyIbsInNode sweep does — the one scoring implementation both the
 // full and the incremental identify paths run, which is what makes their
 // outputs bit-identical by construction (same inputs, same float ops).
 // `use_optimized` must be `params.algorithm == kOptimized &&
 // neighborhood.SupportsOptimized(mask)`, i.e. the caller resolves the
-// strategy once per node.
+// strategy once per node. `parent_counts` is the dominating-region source
+// of NeighborhoodCalculator::OptimizedNeighborCounts (unused by naive).
+template <typename ParentCounts>
 RegionVerdict ScoreRegion(Hierarchy& hierarchy,
                           NeighborhoodCalculator& neighborhood,
                           bool use_optimized, uint32_t mask, uint64_t key,
                           const RegionCounts& counts, const IbsParams& params,
-                          BiasedRegion* out);
+                          ParentCounts&& parent_counts, BiasedRegion* out) {
+  if (counts.Total() <= params.min_region_size) return RegionVerdict::kSkipped;
+  const RegionCounts neighbor_counts =
+      use_optimized
+          ? neighborhood.OptimizedNeighborCounts(mask, key, counts,
+                                                 parent_counts)
+          : neighborhood.NaiveNeighborCounts(
+                hierarchy.counter().PatternFor(key, mask));
+  return JudgeRegion(hierarchy.counter(), mask, key, counts, neighbor_counts,
+                     params, out);
+}
 
 // Node masks visited under `scope`, in traversal order.
 std::vector<uint32_t> ScopeMasks(const Hierarchy& hierarchy, IbsScope scope);

@@ -1,6 +1,7 @@
 #include "core/ibs_incremental.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <iterator>
 
@@ -21,6 +22,90 @@ bool SameParams(const IbsParams& a, const IbsParams& b) {
          a.min_region_size == b.min_region_size && a.scope == b.scope &&
          a.algorithm == b.algorithm;
 }
+
+// Phase-1 result for one scoped node.
+struct NodeWork {
+  enum class Kind {
+    kClean,  // no verdict input moved: every cached verdict is exact
+    kWhole,  // the re-evaluation set covers the node: score its NodeTable
+    kKeys,   // score `gathered`, keep the cached verdicts elsewhere
+  };
+  uint32_t mask = 0;
+  Kind kind = Kind::kClean;
+  // kKeys: the re-evaluation keys that have a table entry, ascending, with
+  // their counts.
+  std::vector<NodeTable::Entry> gathered;
+};
+
+// The last of the `n` (>= 1) ascending entries at `first` whose key is <=
+// `key`, or `first` when none is. Branch-free: the loop count depends only
+// on `n`, so no comparison mispredicts — on the small, cache-resident
+// gathered runs of phase 2 that halves the cost of a lookup. (On a large
+// NodeTable the branchy std::lower_bound wins: its speculated loads
+// overlap the cache misses that these dependent ones serialize.)
+const NodeTable::Entry* FloorEntry(const NodeTable::Entry* first, size_t n,
+                                   uint64_t key) {
+  for (; n > 1; n -= n / 2) {
+    first = first[n / 2].first <= key ? first + n / 2 : first;
+  }
+  return first;
+}
+
+// The entries of `node` at `keys` (ascending, unique); keys without an
+// entry are regions the full sweep never visits, so they are dropped.
+std::vector<NodeTable::Entry> GatherEntries(const NodeTable& node,
+                                            const std::vector<uint64_t>& keys) {
+  std::vector<NodeTable::Entry> gathered;
+  gathered.reserve(keys.size());
+  auto it = node.begin();
+  for (uint64_t key : keys) {
+    // Keys ascend, so each search starts where the previous one ended.
+    it = std::lower_bound(it, node.end(), key,
+                          [](const NodeTable::Entry& entry, uint64_t k) {
+                            return entry.first < k;
+                          });
+    if (it == node.end()) break;
+    if (it->first == key) gathered.push_back(*it);
+  }
+  return gathered;
+}
+
+// Parent-count source of phase 2: a dominating region's counts from the
+// parent node's gathered set when it is there — under T = 1 on nominal
+// attributes every parent of a re-scored region is dirty or on the
+// frontier — else from the parent's NodeTable (Leaf/Top scopes, whole-node
+// parents under steady totals). Both hold the same counts.
+class GatheredParents {
+ public:
+  GatheredParents(Hierarchy& hierarchy, uint32_t mask,
+                  const std::unordered_map<uint32_t, const NodeWork*>& work)
+      : tables_(hierarchy, mask), mask_(mask) {
+    for (uint32_t bits = mask; bits != 0; bits &= bits - 1) {
+      const uint32_t parent_mask = mask & ~(bits & (~bits + 1));
+      auto it = work.find(parent_mask);
+      if (it != work.end() && it->second->kind == NodeWork::Kind::kKeys) {
+        gathered_[std::countr_zero(mask ^ parent_mask)] =
+            &it->second->gathered;
+      }
+    }
+  }
+
+  const RegionCounts& operator()(uint32_t parent_mask, uint64_t parent_key) {
+    const std::vector<NodeTable::Entry>* gathered =
+        gathered_[std::countr_zero(mask_ ^ parent_mask)];
+    if (gathered != nullptr && !gathered->empty()) {
+      const NodeTable::Entry* entry =
+          FloorEntry(gathered->data(), gathered->size(), parent_key);
+      if (entry->first == parent_key) return entry->second;
+    }
+    return tables_(parent_mask, parent_key);
+  }
+
+ private:
+  NodeTableParents tables_;
+  uint32_t mask_;
+  const std::vector<NodeTable::Entry>* gathered_[32] = {};
+};
 
 }  // namespace
 
@@ -89,67 +174,50 @@ std::vector<BiasedRegion> IncrementalIbsState::Identify(
   }
 
   NeighborhoodCalculator neighborhood(hierarchy, params.distance_threshold);
-  std::vector<BiasedRegion> out;
-  int64_t reuse = 0;
-  int64_t naive = 0;
-  for (uint32_t mask : ScopeMasks(hierarchy, params.scope)) {
-    NodeCache& cached = cache_[mask];
+  const std::vector<uint32_t> masks = ScopeMasks(hierarchy, params.scope);
+
+  // Phase 1: each scoped node's re-evaluation set — the dirty keys (own
+  // counts changed), plus, when a neighborhood is a proper subset of the
+  // node, every key within distance T of a dirty key (its neighbor sum
+  // includes the change; the metric is symmetric) — gathered with counts.
+  // In the whole-node regime (r_n = totals - r) a totals drift moves every
+  // region, so the whole node re-scores; with steady totals clean regions
+  // keep r_n unchanged and only the dirty keys re-score.
+  std::vector<NodeWork> work(masks.size());
+  std::unordered_map<uint32_t, const NodeWork*> work_by_mask;
+  for (size_t n = 0; n < masks.size(); ++n) {
+    NodeWork& node_work = work[n];
+    const uint32_t mask = masks[n];
+    node_work.mask = mask;
+    work_by_mask.emplace(mask, &node_work);
     auto dirty_it = dirty.touched.find(mask);
     const bool node_dirty =
         dirty_it != dirty.touched.end() && !dirty_it->second.empty();
     const bool whole_node = neighborhood.WholeNodeNeighborhood(mask);
-
-    // Untouched node outside the totals-dependent regime: every region's
-    // own counts and neighborhood counts are unchanged, so every cached
-    // verdict is exact.
-    if (!node_dirty && !(whole_node && totals_drifted)) {
-      stats_.cached_regions += static_cast<int64_t>(cached.biased.size());
-      for (const auto& [key, region] : cached.biased) out.push_back(region);
-      continue;
-    }
+    if (!node_dirty && !(whole_node && totals_drifted)) continue;  // kClean
 
     const NodeTable& node = hierarchy.NodeCounts(mask);
-    const bool use_optimized = params.algorithm == IbsAlgorithm::kOptimized &&
-                               neighborhood.SupportsOptimized(mask);
     if (node_dirty) {
       stats_.dirty_regions += static_cast<int64_t>(dirty_it->second.size());
     }
-
-    // T >= node diameter: r_n = totals - r for every region, so a totals
-    // drift moves every neighborhood at once — re-sweep the whole node
-    // (these nodes are the coarse, small ones).
     if (whole_node && totals_drifted) {
       ++stats_.full_node_rescores;
-      std::vector<std::pair<uint64_t, BiasedRegion>> fresh;
-      for (const auto& [key, counts] : node) {
-        BiasedRegion region;
-        const RegionVerdict verdict =
-            ScoreRegion(hierarchy, neighborhood, use_optimized, mask, key,
-                        counts, params, &region);
-        if (verdict == RegionVerdict::kSkipped) continue;
-        ++stats_.rescored_regions;
-        use_optimized ? ++reuse : ++naive;
-        if (verdict == RegionVerdict::kBiased) {
-          fresh.emplace_back(key, std::move(region));
-        }
-      }
-      cached.biased = std::move(fresh);
-      for (const auto& [key, region] : cached.biased) out.push_back(region);
+      node_work.kind = NodeWork::Kind::kWhole;
       continue;
     }
-
-    // Re-evaluation set: the dirty keys (own counts changed), plus — when
-    // a neighborhood is a proper subset of the node — every region within
-    // distance T of a dirty key (its neighbor sum includes the change; the
-    // metric is symmetric). In the whole-node regime with steady totals,
-    // clean regions keep r_n = totals - r unchanged, so no expansion.
+    // Dirty keys always name entries (ApplyDeltas inserts or finds them),
+    // so as many dirty keys as entries means every region is dirty — the
+    // seed batch; skip expanding a frontier that adds nothing.
+    if (dirty_it->second.size() == node.size()) {
+      node_work.kind = NodeWork::Kind::kWhole;
+      continue;
+    }
     std::vector<uint64_t> reeval(dirty_it->second.begin(),
                                  dirty_it->second.end());
     const int64_t num_dirty = static_cast<int64_t>(reeval.size());
     if (!whole_node) {
       for (int64_t i = 0; i < num_dirty; ++i) {
-        Pattern pattern = hierarchy.counter().PatternFor(reeval[i], mask);
-        neighborhood.AppendNeighborKeys(pattern, &reeval);
+        neighborhood.AppendNeighborKeys(mask, reeval[i], &reeval);
       }
     }
     std::sort(reeval.begin(), reeval.end());
@@ -158,42 +226,79 @@ std::vector<BiasedRegion> IncrementalIbsState::Identify(
       stats_.expanded_regions +=
           static_cast<int64_t>(reeval.size()) - num_dirty;
     }
+    node_work.gathered = GatherEntries(node, reeval);
+    if (node_work.gathered.size() == node.size()) {
+      // Covers the node: score the table itself, holding no copy of it.
+      node_work.gathered = {};
+      node_work.kind = NodeWork::Kind::kWhole;
+    } else {
+      node_work.kind = NodeWork::Kind::kKeys;
+    }
+  }
 
-    // Merge: walk the cached biased verdicts and the re-evaluation keys in
-    // one ascending-key sweep — the NodeTable iteration order of the full
-    // sweep — keeping untouched verdicts and re-scoring the rest.
+  // Phase 2: score each node's re-evaluation set with key arithmetic,
+  // merged with its cached verdicts in one ascending-key walk — the
+  // NodeTable iteration order of the full sweep.
+  int64_t reuse = 0;
+  int64_t naive = 0;
+  size_t out_size = 0;
+  for (const NodeWork& node_work : work) {
+    const uint32_t mask = node_work.mask;
+    NodeCache& cached = cache_[mask];
+    if (node_work.kind == NodeWork::Kind::kClean) {
+      stats_.cached_regions += static_cast<int64_t>(cached.biased.size());
+      out_size += cached.biased.size();
+      continue;
+    }
+    const bool use_optimized = params.algorithm == IbsAlgorithm::kOptimized &&
+                               neighborhood.SupportsOptimized(mask);
+    GatheredParents parents(hierarchy, mask, work_by_mask);
     std::vector<std::pair<uint64_t, BiasedRegion>> fresh;
-    size_t ci = 0;
-    size_t ri = 0;
-    while (ci < cached.biased.size() || ri < reeval.size()) {
-      if (ri == reeval.size() ||
-          (ci < cached.biased.size() && cached.biased[ci].first < reeval[ri])) {
-        fresh.push_back(cached.biased[ci]);
-        ++stats_.cached_regions;
-        ++ci;
-        continue;
-      }
-      const uint64_t key = reeval[ri++];
-      if (ci < cached.biased.size() && cached.biased[ci].first == key) {
-        ++ci;  // superseded by the re-score below
-      }
-      auto it = node.find(key);
-      // A frontier key with no table entry is a region the full sweep never
-      // visits (it iterates entries only) — nothing to score.
-      if (it == node.end()) continue;
+    auto score = [&](uint64_t key, const RegionCounts& counts) {
       BiasedRegion region;
       const RegionVerdict verdict =
           ScoreRegion(hierarchy, neighborhood, use_optimized, mask, key,
-                      it->second, params, &region);
-      if (verdict == RegionVerdict::kSkipped) continue;
+                      counts, params, parents, &region);
+      if (verdict == RegionVerdict::kSkipped) return;
       ++stats_.rescored_regions;
       use_optimized ? ++reuse : ++naive;
       if (verdict == RegionVerdict::kBiased) {
         fresh.emplace_back(key, std::move(region));
       }
+    };
+    if (node_work.kind == NodeWork::Kind::kWhole) {
+      for (const auto& [key, counts] : hierarchy.NodeCounts(mask)) {
+        score(key, counts);
+      }
+    } else {
+      fresh.reserve(cached.biased.size());
+      size_t ci = 0;
+      for (const auto& [key, counts] : node_work.gathered) {
+        for (; ci < cached.biased.size() && cached.biased[ci].first < key;
+             ++ci) {
+          fresh.push_back(std::move(cached.biased[ci]));
+          ++stats_.cached_regions;
+        }
+        if (ci < cached.biased.size() && cached.biased[ci].first == key) {
+          ++ci;  // superseded by the re-score below
+        }
+        score(key, counts);
+      }
+      for (; ci < cached.biased.size(); ++ci) {
+        fresh.push_back(std::move(cached.biased[ci]));
+        ++stats_.cached_regions;
+      }
     }
     cached.biased = std::move(fresh);
-    for (const auto& [key, region] : cached.biased) out.push_back(region);
+    out_size += cached.biased.size();
+  }
+  // The pass's one copy of the verdicts: the caller owns its output.
+  std::vector<BiasedRegion> out;
+  out.reserve(out_size);
+  for (uint32_t mask : masks) {
+    for (const auto& [key, region] : cache_[mask].biased) {
+      out.push_back(region);
+    }
   }
   hierarchy.ClearDirtySet();
   cached_generation_ = hierarchy.mutation_generation();

@@ -27,12 +27,30 @@ struct IncrementalIdentifyStats {
 // pass's per-node biased verdicts and, on the next pass, re-scores only the
 // regions the interim ApplyDeltas batches touched (Hierarchy::dirty_set())
 // plus their comparison neighborhoods, merging with the cached verdicts
-// elsewhere. The output is bit-identical to a from-scratch sweep of
-// IdentifyIbsInNode over ScopeMasks — same regions, same floats, same
-// order — because:
+// elsewhere. A pass runs in two phases:
+//
+//  1. Gather: for every scoped node, the sorted re-evaluation keys — dirty
+//     keys plus their distance-T frontier, enumerated on key digits — with
+//     their counts, one binary search each into the node's table. A node
+//     whose set covers it (the seed batch) keeps no copy: phase 2 reads its
+//     NodeTable directly, so no lattice-sized transient is ever held.
+//  2. Score: each gathered region runs ScoreRegion with parent keys
+//     re-packed from its digits (KeyDigits/PackDigits); a dominating
+//     region's counts come from the parent node's gathered set — under T = 1
+//     on nominal attributes every parent of a re-scored region is itself
+//     dirty or on the frontier — else from the parent's NodeTable (Leaf/Top
+//     scopes, whole-node parents under steady totals). A Pattern is decoded
+//     only for a biased verdict, and untouched cached verdicts are moved,
+//     not copied, through the per-node merge.
+//
+// So a pass costs O(re-evaluated regions x (|X| small-run searches)) plus
+// one copy of the verdicts into the output — the caller owns that copy
+// (the daemon moves it into its epoch snapshot). The output is
+// bit-identical to a from-scratch sweep of IdentifyIbsInNode over
+// ScopeMasks — same regions, same floats, same order — because:
 //
 //  * every re-scored region runs the exact ScoreRegion the full sweep runs,
-//    on the same NodeTable counts;
+//    on the same counts (a gathered set holds copies of table entries);
 //  * a region is re-scored iff its verdict's inputs could have changed: its
 //    own counts changed (it is dirty), or a region within distance T of it
 //    changed (the dirty frontier expanded one neighborhood hop — the metric

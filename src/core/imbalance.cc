@@ -1,5 +1,6 @@
 #include "core/imbalance.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -19,6 +20,20 @@ NeighborhoodCalculator::NeighborhoodCalculator(Hierarchy& hierarchy,
                                                double distance_threshold)
     : hierarchy_(hierarchy), distance_threshold_(distance_threshold) {
   REMEDY_CHECK(distance_threshold_ > 0.0);
+  const DataSchema& schema = hierarchy_.schema();
+  for (int i = 0; i < schema.NumProtected(); ++i) {
+    const AttributeSchema& attr =
+        schema.attribute(schema.protected_indices()[i]);
+    const double max_d = attr.ordinal() ? attr.Cardinality() - 1 : 1.0;
+    max_squared_distance_.push_back(max_d * max_d);
+    ordinal_.push_back(attr.ordinal());
+    for (int a = 0; a < attr.Cardinality(); ++a) {
+      for (int b = 0; b < attr.Cardinality(); ++b) {
+        const double d = attr.Distance(a, b);
+        if (a != b) min_squared_step_ = std::min(min_squared_step_, d * d);
+      }
+    }
+  }
 }
 
 RegionCounts NeighborhoodCalculator::NaiveNeighborCounts(
@@ -71,14 +86,9 @@ void NeighborhoodCalculator::AccumulateNeighbors(
 }
 
 double NeighborhoodCalculator::SquaredDiameter(uint32_t mask) const {
-  const DataSchema& schema = hierarchy_.schema();
   double squared_diameter = 0.0;
-  for (int i = 0; i < schema.NumProtected(); ++i) {
-    if (!(mask & (1u << i))) continue;
-    const AttributeSchema& attr =
-        schema.attribute(schema.protected_indices()[i]);
-    double max_d = attr.ordinal() ? attr.Cardinality() - 1 : 1.0;
-    squared_diameter += max_d * max_d;
+  for (size_t i = 0; i < max_squared_distance_.size(); ++i) {
+    if (mask & (1u << i)) squared_diameter += max_squared_distance_[i];
   }
   return squared_diameter;
 }
@@ -88,26 +98,37 @@ bool NeighborhoodCalculator::WholeNodeNeighborhood(uint32_t mask) const {
   return squared_t + 1e-9 >= SquaredDiameter(mask);
 }
 
-void NeighborhoodCalculator::AppendNeighborKeys(const Pattern& pattern,
+void NeighborhoodCalculator::AppendNeighborKeys(uint32_t mask, uint64_t key,
                                                 std::vector<uint64_t>* keys) {
-  std::vector<int> det_positions;
-  for (int i = 0; i < pattern.Arity(); ++i) {
-    if (pattern.IsDeterministic(i)) det_positions.push_back(i);
+  REMEDY_CHECK(mask != 0) << "the level-0 region has no neighboring region";
+  const RegionCounter& counter = hierarchy_.counter();
+  int digits[32];
+  uint64_t weights[32];
+  counter.KeyDigits(key, mask, digits);
+  int det_positions[32];
+  int num_positions = 0;
+  uint64_t weight = 1;
+  for (int i = counter.NumProtected() - 1; i >= 0; --i) {
+    if (!(mask & (1u << i))) continue;
+    weights[i] = weight;
+    weight *= static_cast<uint64_t>(counter.Cardinality(i));
+    det_positions[num_positions++] = i;
   }
-  REMEDY_CHECK(!det_positions.empty())
-      << "the level-0 region has no neighboring region";
-  Pattern current = pattern;
-  CollectNeighborKeys(pattern, current, det_positions, 0, 0.0, keys);
+  CollectNeighborKeys(digits, weights, det_positions, num_positions, 0, 0.0,
+                      key, keys);
 }
 
 void NeighborhoodCalculator::CollectNeighborKeys(
-    const Pattern& original, Pattern& current,
-    const std::vector<int>& det_positions, size_t next_position,
-    double squared_distance, std::vector<uint64_t>* keys) {
-  if (next_position == det_positions.size()) {
+    const int* digits, const uint64_t* weights, const int* det_positions,
+    int num_positions, int next_position, double squared_distance,
+    uint64_t key, std::vector<uint64_t>* keys) {
+  const double budget = distance_threshold_ * distance_threshold_ + 1e-9;
+  // Once no further value change fits the budget, every remaining position
+  // keeps its value: the key is complete.
+  if (next_position == num_positions ||
+      squared_distance + min_squared_step_ > budget) {
     if (squared_distance <= 0.0) return;  // the region itself is not in r_n
-    keys->push_back(hierarchy_.counter().KeyFor(
-        current, original.DeterministicMask()));
+    keys->push_back(key);
     return;
   }
 
@@ -115,31 +136,29 @@ void NeighborhoodCalculator::CollectNeighborKeys(
   const int position = det_positions[next_position];
   const AttributeSchema& attr =
       schema.attribute(schema.protected_indices()[position]);
-  const int original_value = original.Value(position);
-  const double budget = distance_threshold_ * distance_threshold_ + 1e-9;
+  const int original_value = digits[position];
+  // The key with this position's digit zeroed; each value adds its stride.
+  const uint64_t base =
+      key - static_cast<uint64_t>(original_value) * weights[position];
   for (int value = 0; value < attr.Cardinality(); ++value) {
     double d = attr.Distance(original_value, value);
     double next_squared = squared_distance + d * d;
     if (next_squared > budget) continue;
-    current.SetValue(position, value);
-    CollectNeighborKeys(original, current, det_positions, next_position + 1,
-                        next_squared, keys);
+    CollectNeighborKeys(
+        digits, weights, det_positions, num_positions, next_position + 1,
+        next_squared, base + static_cast<uint64_t>(value) * weights[position],
+        keys);
   }
-  current.SetValue(position, original_value);
 }
 
 bool NeighborhoodCalculator::SupportsOptimized(uint32_t mask) const {
-  const DataSchema& schema = hierarchy_.schema();
   if (WholeNodeNeighborhood(mask)) return true;  // T = |X| regime
   // The dominating-region identity holds for T = 1 in the unit-distance
   // setting: the distance-1 neighbors are exactly the regions that change
   // one attribute, which is what R_d sums (minus the over-counted r).
   if (std::abs(distance_threshold_ - 1.0) > 1e-9) return false;
-  for (int i = 0; i < schema.NumProtected(); ++i) {
-    if ((mask & (1u << i)) &&
-        schema.attribute(schema.protected_indices()[i]).ordinal()) {
-      return false;
-    }
+  for (size_t i = 0; i < ordinal_.size(); ++i) {
+    if ((mask & (1u << i)) && ordinal_[i]) return false;
   }
   return true;
 }
@@ -151,41 +170,10 @@ RegionCounts NeighborhoodCalculator::OptimizedNeighborCounts(
   REMEDY_CHECK(SupportsOptimized(mask))
       << "optimized neighbor counts require T = 1 on nominal attributes or "
          "the T = |X| regime";
-
-  const DataSchema& schema = hierarchy_.schema();
-  if (WholeNodeNeighborhood(mask)) {
-    // T = |X|: the neighboring region is every other region of the node,
-    // whose union is the entire dataset minus r.
-    const RegionCounts& total = hierarchy_.TotalCounts();
-    return {total.positives - region_counts.positives,
-            total.negatives - region_counts.negatives};
-  }
-
-  // T = 1: sum the dominating regions R_d (one deterministic element
-  // removed) and subtract the |R_d|-fold over-count of r itself.
-  RegionCounts sum;
-  int64_t num_dominating = 0;
-  for (int i = 0; i < schema.NumProtected(); ++i) {
-    if (!(mask & (1u << i))) continue;
-    const uint32_t parent_mask = mask & ~(1u << i);
-    ++num_dominating;
-    if (parent_mask == 0) {
-      const RegionCounts& total = hierarchy_.TotalCounts();
-      sum.positives += total.positives;
-      sum.negatives += total.negatives;
-      continue;
-    }
-    Pattern parent = pattern;
-    parent.SetValue(i, Pattern::kWildcard);
-    const auto& node = hierarchy_.NodeCounts(parent_mask);
-    auto it = node.find(hierarchy_.counter().KeyFor(parent, parent_mask));
-    // The parent region contains r, so it must exist whenever r does.
-    REMEDY_CHECK(it != node.end()) << "dominating region missing from node";
-    sum.positives += it->second.positives;
-    sum.negatives += it->second.negatives;
-  }
-  return {sum.positives - num_dominating * region_counts.positives,
-          sum.negatives - num_dominating * region_counts.negatives};
+  return OptimizedNeighborCounts(mask,
+                                 hierarchy_.counter().KeyFor(pattern, mask),
+                                 region_counts,
+                                 NodeTableParents(hierarchy_, mask));
 }
 
 }  // namespace remedy

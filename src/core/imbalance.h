@@ -1,8 +1,12 @@
 #ifndef REMEDY_CORE_IMBALANCE_H_
 #define REMEDY_CORE_IMBALANCE_H_
 
+#include <bit>
 #include <cstdint>
+#include <limits>
+#include <vector>
 
+#include "common/check.h"
 #include "core/hierarchy.h"
 #include "core/pattern.h"
 #include "core/region_counter.h"
@@ -41,8 +45,22 @@ class NeighborhoodCalculator {
   // Naive neighbor counts of region `pattern` (mask = its node).
   RegionCounts NaiveNeighborCounts(const Pattern& pattern);
 
-  // Optimized neighbor counts via dominating regions. Requires T == 1 or
-  // T >= the node diameter (the T = |X| regime); dies otherwise.
+  // Optimized neighbor counts of region `key` of node `mask` — the one
+  // implementation of the dominating-region sum. `parent_counts(parent_mask,
+  // parent_key)` returns the counts of one dominating region one level up
+  // (never called for level 0, whose counts are TotalCounts()); the full
+  // sweep reads them from the parents' NodeTables (NodeTableParents), the
+  // incremental pass from the parent node's gathered re-evaluation set.
+  // Each parent key is re-packed from the region's digits, no Pattern
+  // involved. Requires SupportsOptimized(mask).
+  template <typename ParentCounts>
+  RegionCounts OptimizedNeighborCounts(uint32_t mask, uint64_t key,
+                                       const RegionCounts& region_counts,
+                                       ParentCounts&& parent_counts);
+
+  // Pattern form of the above, reading parents from the hierarchy's node
+  // tables. Requires T == 1 or T >= the node diameter (the T = |X|
+  // regime); dies otherwise.
   RegionCounts OptimizedNeighborCounts(const Pattern& pattern,
                                        const RegionCounts& region_counts);
 
@@ -57,15 +75,16 @@ class NeighborhoodCalculator {
   // re-evaluation rule on this predicate.
   bool WholeNodeNeighborhood(uint32_t mask) const;
 
-  // Appends the region key of every candidate neighbor pattern of
-  // `pattern` (the same-node patterns within distance T, excluding the
-  // region itself) to `keys`, whether or not the node's table holds an
-  // entry for it. Mirrors NaiveNeighborCounts' enumeration exactly —
-  // same budget, same per-attribute metrics — so "the keys this returns"
-  // is precisely "the regions whose neighborhood contains `pattern`"
-  // (the metric is symmetric). This is the dirty-frontier expansion of
-  // the incremental identify path.
-  void AppendNeighborKeys(const Pattern& pattern, std::vector<uint64_t>* keys);
+  // Appends the key of every candidate neighbor of region `key` of node
+  // `mask` (the same-node regions within distance T, excluding the region
+  // itself) to `keys`, whether or not the node's table holds an entry for
+  // it. Mirrors NaiveNeighborCounts' enumeration exactly — same budget,
+  // same per-attribute metrics — but on key digits, so "the keys this
+  // returns" is precisely "the regions whose neighborhood contains `key`"
+  // (the metric is symmetric). This is the dirty-frontier expansion of the
+  // incremental identify path.
+  void AppendNeighborKeys(uint32_t mask, uint64_t key,
+                          std::vector<uint64_t>* keys);
 
  private:
   // Recursively enumerates neighbor patterns by substituting deterministic
@@ -75,11 +94,12 @@ class NeighborhoodCalculator {
                            size_t next_position, double squared_distance,
                            RegionCounts* total);
 
-  // Same enumeration, collecting keys instead of summing counts.
-  void CollectNeighborKeys(const Pattern& original, Pattern& current,
-                           const std::vector<int>& det_positions,
-                           size_t next_position, double squared_distance,
-                           std::vector<uint64_t>* keys);
+  // Same enumeration on key digits: `weights[p]` is the key stride of
+  // position p, `key` the neighbor built so far.
+  void CollectNeighborKeys(const int* digits, const uint64_t* weights,
+                           const int* det_positions, int num_positions,
+                           int next_position, double squared_distance,
+                           uint64_t key, std::vector<uint64_t>* keys);
 
   // Largest possible squared distance between two regions of node `mask`
   // under the per-attribute metrics.
@@ -87,7 +107,72 @@ class NeighborhoodCalculator {
 
   Hierarchy& hierarchy_;
   double distance_threshold_;
+  // Per protected position: the largest squared distance between two of
+  // its values, and whether its metric is ordinal.
+  std::vector<double> max_squared_distance_;
+  std::vector<bool> ordinal_;
+  // The smallest squared distance any value change costs, at any position.
+  double min_squared_step_ = std::numeric_limits<double>::infinity();
 };
+
+// Parent-count source of the dominating-region sum that reads the parents'
+// NodeTables, resolving each parent node once, on first use (so a sweep
+// builds lazily exactly the parents it reads). Dies on a missing parent
+// region: a parent contains its child, so it exists whenever the child does.
+class NodeTableParents {
+ public:
+  NodeTableParents(Hierarchy& hierarchy, uint32_t mask)
+      : hierarchy_(hierarchy), mask_(mask) {}
+
+  const RegionCounts& operator()(uint32_t parent_mask, uint64_t parent_key) {
+    const NodeTable*& table =
+        tables_[std::countr_zero(mask_ ^ parent_mask)];
+    if (table == nullptr) table = &hierarchy_.NodeCounts(parent_mask);
+    const auto it = table->find(parent_key);
+    REMEDY_CHECK(it != table->end()) << "dominating region missing from node";
+    return it->second;
+  }
+
+ private:
+  Hierarchy& hierarchy_;
+  uint32_t mask_;
+  const NodeTable* tables_[32] = {};  // by the position the parent drops
+};
+
+template <typename ParentCounts>
+RegionCounts NeighborhoodCalculator::OptimizedNeighborCounts(
+    uint32_t mask, uint64_t key, const RegionCounts& region_counts,
+    ParentCounts&& parent_counts) {
+  REMEDY_DCHECK(mask != 0 && SupportsOptimized(mask));
+  const RegionCounts& total = hierarchy_.TotalCounts();
+  if (WholeNodeNeighborhood(mask)) {
+    // T = |X|: the neighboring region is every other region of the node,
+    // whose union is the entire dataset minus r.
+    return {total.positives - region_counts.positives,
+            total.negatives - region_counts.negatives};
+  }
+
+  // T = 1: sum the dominating regions R_d (one deterministic element
+  // removed) and subtract the |R_d|-fold over-count of r itself.
+  const RegionCounter& counter = hierarchy_.counter();
+  int digits[32];
+  counter.KeyDigits(key, mask, digits);
+  RegionCounts sum;
+  int64_t num_dominating = 0;
+  for (uint32_t bits = mask; bits != 0; bits &= bits - 1) {
+    const uint32_t parent_mask = mask & ~(bits & (~bits + 1));
+    ++num_dominating;
+    const RegionCounts& parent =
+        parent_mask == 0
+            ? total
+            : parent_counts(parent_mask,
+                            counter.PackDigits(digits, parent_mask));
+    sum.positives += parent.positives;
+    sum.negatives += parent.negatives;
+  }
+  return {sum.positives - num_dominating * region_counts.positives,
+          sum.negatives - num_dominating * region_counts.negatives};
+}
 
 }  // namespace remedy
 

@@ -64,8 +64,8 @@ const RegionCounts& NodeTable::at(uint64_t key) const {
   return it->second;
 }
 
-void NodeTable::ApplyDelta(uint64_t key, int64_t delta_positives,
-                           int64_t delta_negatives) {
+RegionCounts NodeTable::ApplyDelta(uint64_t key, int64_t delta_positives,
+                                   int64_t delta_negatives) {
   auto it = std::lower_bound(
       entries_.begin(), entries_.end(), key,
       [](const Entry& entry, uint64_t k) { return entry.first < k; });
@@ -75,16 +75,17 @@ void NodeTable::ApplyDelta(uint64_t key, int64_t delta_positives,
   it->second.negatives += delta_negatives;
   REMEDY_DCHECK(it->second.positives >= 0 && it->second.negatives >= 0)
       << "delta drove region key " << key << " negative";
+  return it->second;
 }
 
-void NodeTable::UpsertDelta(uint64_t key, int64_t delta_positives,
-                            int64_t delta_negatives) {
+RegionCounts NodeTable::UpsertDelta(uint64_t key, int64_t delta_positives,
+                                    int64_t delta_negatives, bool* inserted) {
   auto it = std::lower_bound(
       entries_.begin(), entries_.end(), key,
       [](const Entry& entry, uint64_t k) { return entry.first < k; });
-  if (it == entries_.end() || it->first != key) {
-    it = entries_.insert(it, {key, RegionCounts{}});
-  }
+  const bool absent = it == entries_.end() || it->first != key;
+  if (absent) it = entries_.insert(it, {key, RegionCounts{}});
+  if (inserted != nullptr) *inserted = absent;
   it->second.positives += delta_positives;
   it->second.negatives += delta_negatives;
   // Full CHECK (not DCHECK) to match ApplyDelta: this is the streaming
@@ -92,6 +93,7 @@ void NodeTable::UpsertDelta(uint64_t key, int64_t delta_positives,
   // diverged — release builds must not silently accept it.
   REMEDY_CHECK(it->second.positives >= 0 && it->second.negatives >= 0)
       << "delta drove region key " << key << " negative";
+  return it->second;
 }
 
 RegionCounter::RegionCounter(const DataSchema& schema)

@@ -61,17 +61,20 @@ class NodeTable {
 
   // Adds (delta_positives, delta_negatives) to the entry at `key`, which
   // must already exist (the remedy deltas only ever touch populated
-  // regions). A count may reach zero but never goes negative; the entry is
-  // kept, so consumers must treat Total() == 0 entries as empty regions.
-  void ApplyDelta(uint64_t key, int64_t delta_positives,
-                  int64_t delta_negatives);
+  // regions), and returns the entry's new counts. A count may reach zero
+  // but never goes negative; the entry is kept, so consumers must treat
+  // Total() == 0 entries as empty regions.
+  RegionCounts ApplyDelta(uint64_t key, int64_t delta_positives,
+                          int64_t delta_negatives);
 
   // ApplyDelta that inserts the entry (in key order) when `key` is absent —
   // the streaming-ingest form, where a delta may describe a region no
-  // batch-counted row ever populated. O(n) on insert; amortized fine for
-  // the daemon's batched deltas, which mostly touch existing regions.
-  void UpsertDelta(uint64_t key, int64_t delta_positives,
-                   int64_t delta_negatives);
+  // batch-counted row ever populated. Sets `*inserted` (when non-null) to
+  // whether the entry was created, so a caller keeping a sum over entries
+  // knows there was no old term. O(n) on insert; amortized fine for the
+  // daemon's batched deltas, which mostly touch existing regions.
+  RegionCounts UpsertDelta(uint64_t key, int64_t delta_positives,
+                           int64_t delta_negatives, bool* inserted = nullptr);
 
   const std::vector<Entry>& entries() const { return entries_; }
 

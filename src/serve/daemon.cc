@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <unordered_map>
 #include <utility>
 
@@ -15,6 +16,7 @@
 #include "common/fault_injection.h"
 #include "common/metrics.h"
 #include "common/pipeline_metrics.h"
+#include "common/trace.h"
 #include "data/shard_file.h"
 
 namespace remedy {
@@ -429,6 +431,7 @@ void ServeDaemon::RemedyLoop() {
 Status ServeDaemon::CommitGroup(
     const std::vector<Batch>& batches, int64_t* applied,
     std::vector<std::pair<uint64_t, Status>>* remedy_outcomes) {
+  REMEDY_TRACE_SPAN("serve/commit_group");
   const PipelineMetrics& metrics = PipelineMetrics::Get();
   const uint32_t leaf_mask = hierarchy_->LeafMask();
   const NodeTable& leaf = hierarchy_->NodeCounts(leaf_mask);
@@ -557,12 +560,15 @@ Status ServeDaemon::CommitGroup(
 }
 
 void ServeDaemon::PublishSnapshot() {
+  REMEDY_TRACE_SPAN("serve/publish");
+  const int64_t start_ns = NowNanos();
   const PipelineMetrics& metrics = PipelineMetrics::Get();
   ++epoch_;
   const bool identify =
       options_.identify_every_epochs > 0 &&
       (last_ibs_epoch_ == 0 ||
        epoch_ % static_cast<uint64_t>(options_.identify_every_epochs) == 0);
+  auto snapshot = std::make_shared<EpochSnapshot>();
   if (identify) {
     std::vector<BiasedRegion> ibs;
     if (options_.identify_mode == IdentifyMode::kIncremental) {
@@ -581,7 +587,8 @@ void ServeDaemon::PublishSnapshot() {
       for (uint32_t mask : ScopeMasks(*hierarchy_, options_.ibs.scope)) {
         std::vector<BiasedRegion> in_node =
             IdentifyIbsInNode(*hierarchy_, mask, options_.ibs);
-        ibs.insert(ibs.end(), in_node.begin(), in_node.end());
+        ibs.insert(ibs.end(), std::make_move_iterator(in_node.begin()),
+                   std::make_move_iterator(in_node.end()));
       }
     }
     // The online monitor: digest the identified subgroup set (node mask +
@@ -599,17 +606,19 @@ void ServeDaemon::PublishSnapshot() {
       monitor_alerts_.fetch_add(1, std::memory_order_relaxed);
       metrics.serve_monitor_alerts->Increment();
     }
-    last_ibs_ = std::move(ibs);
+    snapshot->ibs = std::move(ibs);  // the epoch's one IBS copy is identify's
     last_ibs_digest_ = digest;
     last_ibs_epoch_ = epoch_;
+  } else if (const std::shared_ptr<const EpochSnapshot> previous =
+                 Snapshot()) {
+    snapshot->ibs = previous->ibs;  // carried forward to the next identify
   }
 
-  auto snapshot = std::make_shared<EpochSnapshot>();
   snapshot->epoch = epoch_;
   snapshot->wal_sequence = last_committed_sequence_;
   snapshot->totals = hierarchy_->TotalCounts();
-  snapshot->counts_digest = hierarchy_->CountsDigest();
-  snapshot->ibs = last_ibs_;
+  // Maintained by ApplyDeltas: O(this epoch's deltas), not O(lattice).
+  snapshot->counts_digest = hierarchy_->MaintainedCountsDigest();
   snapshot->ibs_epoch = last_ibs_epoch_;
   if (RemedyEnabled()) {
     // Copy-on-write census: a publish with no committed leaf change (e.g. a
@@ -633,6 +642,7 @@ void ServeDaemon::PublishSnapshot() {
     ring_.push_back(snapshot);
     while (ring_.size() > kSnapshotRing) ring_.pop_front();
   }
+  metrics.serve_publish_ns->Observe(NowNanos() - start_ns);
 
   // The monitor policy hook: a freshly identified non-empty subgroup set
   // wakes the auto-remedy thread, bounded by a per-quiet-period round
@@ -642,7 +652,7 @@ void ServeDaemon::PublishSnapshot() {
   // IBS that fired. A round that commits publishes a new epoch, which
   // re-identifies and may trigger the next round; a round that plans
   // nothing publishes nothing, so the loop converges.
-  if (options_.auto_remedy && identify && !last_ibs_.empty()) {
+  if (options_.auto_remedy && identify && !snapshot->ibs.empty()) {
     bool trigger = false;
     {
       std::lock_guard<std::mutex> lock(mu_);

@@ -114,7 +114,7 @@ struct EpochSnapshot {
   uint64_t epoch = 0;
   uint64_t wal_sequence = 0;  // last committed record this cut includes
   RegionCounts totals;
-  uint64_t counts_digest = 0;  // Hierarchy::CountsDigest at this cut
+  uint64_t counts_digest = 0;  // Hierarchy::MaintainedCountsDigest at this cut
   std::vector<BiasedRegion> ibs;
   uint64_t ibs_epoch = 0;  // epoch the ibs field was identified at
   bool read_only = false;
@@ -294,7 +294,6 @@ class ServeDaemon {
   uint64_t epoch_ = 0;
   uint64_t last_committed_sequence_ = 0;
   int64_t batches_since_checkpoint_ = 0;
-  std::vector<BiasedRegion> last_ibs_;
   uint64_t last_ibs_epoch_ = 0;
   uint64_t last_ibs_digest_ = 0;  // of the identified subgroup set
   std::atomic<int64_t> monitor_alerts_{0};

@@ -27,9 +27,14 @@ namespace remedy {
 // after the sync does the batch touch the in-memory lattice, so a crash at
 // any instant loses at most un-acked batches — never acknowledged ones —
 // and replaying the log tail over the last checkpoint reconstructs the
-// lattice byte-identically (Hierarchy::CountsDigest equality is the
-// acceptance check; serve_chaos_test proves it for truncation at every
-// byte offset).
+// lattice byte-identically. The acceptance check is counts-digest
+// equality (Hierarchy::CountsDigest: a sum of per-entry hashes over every
+// lattice entry, zero-count entries included, finalized with the totals).
+// The daemon publishes the sum ApplyDeltas maintains, refolded from
+// scratch only after a wide batch, a rebuild or a restart.
+// serve_chaos_test proves recovery for truncation at every byte offset and
+// checks the published digest against the fold of an independently
+// counted lattice.
 //
 // Checkpoints are written tmp + rename + fsync, then the log is reset. The
 // checkpoint remembers the sequence of the last record it covers; replay

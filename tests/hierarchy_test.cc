@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/hierarchy.h"
+#include "data/columnar.h"
 #include "test_util.h"
 
 namespace remedy {
@@ -293,6 +294,215 @@ TEST(HierarchyTest, EagerBuildSingleProtectedAttribute) {
   ASSERT_TRUE(hierarchy.EagerBuild(4).ok());
   EXPECT_EQ(hierarchy.NodeCounts(0b1).size(), 2u);
   EXPECT_EQ(hierarchy.TotalCounts(), (RegionCounts{2, 1}));
+}
+
+// ---------------------------------------------------------------------------
+// Counts digest: the sum ApplyDeltas maintains vs the from-scratch fold
+// ---------------------------------------------------------------------------
+
+// One random batch against the hierarchy's current leaf table, applied in
+// order: ingest into existing leaves, retractions that drive a leaf to
+// exactly zero, label flips, repeats of a key already in the batch, and —
+// with `insert_missing` — leaf keys the lattice may never have seen. Each
+// delta is bounded by the counts left after the batch's earlier deltas, so
+// no count dips below zero mid-batch. `max_ops` bounds the batch length.
+std::vector<Hierarchy::LeafDelta> RandomDigestBatch(Hierarchy& hierarchy,
+                                                    Rng& rng,
+                                                    bool insert_missing,
+                                                    int max_ops) {
+  const NodeTable& leaves = hierarchy.NodeCounts(hierarchy.LeafMask());
+  const uint64_t key_space = hierarchy.counter().KeySpace(hierarchy.LeafMask());
+  std::unordered_map<uint64_t, RegionCounts> running;
+  auto current = [&](uint64_t key) -> RegionCounts& {
+    auto it = running.find(key);
+    if (it != running.end()) return it->second;
+    RegionCounts counts;
+    auto leaf = leaves.find(key);
+    if (leaf != leaves.end()) counts = leaf->second;
+    return running.emplace(key, counts).first->second;
+  };
+  std::vector<Hierarchy::LeafDelta> batch;
+  const int ops = rng.UniformRange(1, max_ops);
+  for (int op = 0; op < ops; ++op) {
+    Hierarchy::LeafDelta delta;
+    const int kind = rng.UniformInt(5);
+    if (kind == 4 && !batch.empty()) {
+      // A repeat of a key this batch already touched.
+      delta.leaf_key = batch[rng.UniformInt(static_cast<int>(batch.size()))]
+                           .leaf_key;
+    } else if ((kind == 3 && insert_missing) || leaves.empty()) {
+      delta.leaf_key = static_cast<uint64_t>(
+          rng.UniformInt(static_cast<int>(key_space)));
+    } else if (!leaves.empty()) {
+      delta.leaf_key =
+          std::next(leaves.begin(),
+                    rng.UniformInt(static_cast<int>(leaves.size())))
+              ->first;
+    }
+    if (!insert_missing && leaves.find(delta.leaf_key) == leaves.end()) {
+      continue;
+    }
+    RegionCounts& counts = current(delta.leaf_key);
+    switch (rng.UniformInt(3)) {
+      case 0:  // ingest
+        delta.delta_positives = rng.UniformInt(4);
+        delta.delta_negatives = rng.UniformInt(4);
+        break;
+      case 1:  // retraction to zero
+        delta.delta_positives = -counts.positives;
+        delta.delta_negatives = -counts.negatives;
+        break;
+      default:  // one label flip, when there is a label to flip
+        if (counts.positives > 0) {
+          delta.delta_positives = -1;
+          delta.delta_negatives = 1;
+        } else if (counts.negatives > 0) {
+          delta.delta_positives = 1;
+          delta.delta_negatives = -1;
+        }
+    }
+    counts.positives += delta.delta_positives;
+    counts.negatives += delta.delta_negatives;
+    batch.push_back(delta);
+  }
+  return batch;
+}
+
+// The digest a count-seeded lattice of the same leaf table and totals
+// folds from scratch — an oracle independent of the delta history.
+uint64_t ReseededDigest(Hierarchy& hierarchy) {
+  Hierarchy reseeded(hierarchy.schema(),
+                     hierarchy.NodeCounts(hierarchy.LeafMask()),
+                     hierarchy.TotalCounts());
+  EXPECT_TRUE(reseeded.EagerBuild(1).ok());
+  return reseeded.CountsDigest();
+}
+
+// Runs `batches` random batches, alternating the insert and no-insert
+// forms (plus the single-delta ApplyDelta form), and checks the maintained
+// digest after each against the fold and against a reseeded lattice.
+void RunDigestStream(Hierarchy& hierarchy, uint64_t seed, int batches,
+                     const std::string& where) {
+  Rng rng(seed);
+  for (int b = 0; b < batches; ++b) {
+    const bool insert_missing = b % 2 == 0;
+    std::vector<Hierarchy::LeafDelta> batch =
+        RandomDigestBatch(hierarchy, rng, insert_missing, 6);
+    if (b % 5 == 4 && !batch.empty()) {
+      hierarchy.ApplyDelta(batch.front());
+    } else {
+      hierarchy.ApplyDeltas(batch, insert_missing);
+    }
+    const uint64_t maintained = hierarchy.MaintainedCountsDigest();
+    ASSERT_EQ(maintained, hierarchy.CountsDigest())
+        << where << " batch " << b;
+    ASSERT_EQ(maintained, ReseededDigest(hierarchy)) << where << " batch " << b;
+  }
+}
+
+TEST(HierarchyDigestTest, MaintainedDigestTracksEveryBackingForm) {
+  Dataset data = RandomFourAttrDataset(5, 300);
+  {
+    Hierarchy from_rows(data);
+    ASSERT_TRUE(from_rows.EagerBuild(1).ok());
+    RunDigestStream(from_rows, 1, 60, "dataset-backed");
+  }
+  {
+    const ColumnarShardStore store = ColumnarShardStore::FromDataset(data);
+    Hierarchy from_store(store);
+    ASSERT_TRUE(from_store.EagerBuild(1).ok());
+    RunDigestStream(from_store, 2, 60, "store-backed");
+  }
+  {
+    Hierarchy from_rows(data);
+    Hierarchy seeded(data.schema(), from_rows.NodeCounts(from_rows.LeafMask()),
+                     from_rows.TotalCounts());
+    ASSERT_TRUE(seeded.EagerBuild(1).ok());
+    RunDigestStream(seeded, 3, 60, "count-seeded");
+  }
+}
+
+TEST(HierarchyDigestTest, EqualAcrossBackingsAndEmptyStart) {
+  // The three backings of one dataset digest alike, and a lattice grown
+  // from nothing by insert_missing deltas digests like one counted at once.
+  Dataset data = RandomFourAttrDataset(8, 250);
+  Hierarchy from_rows(data);
+  const ColumnarShardStore store = ColumnarShardStore::FromDataset(data);
+  Hierarchy from_store(store);
+  ASSERT_TRUE(from_rows.EagerBuild(1).ok());
+  ASSERT_TRUE(from_store.EagerBuild(2).ok());
+  EXPECT_EQ(from_rows.MaintainedCountsDigest(),
+            from_store.MaintainedCountsDigest());
+
+  Hierarchy grown(data.schema(), NodeTable(), RegionCounts{});
+  ASSERT_TRUE(grown.EagerBuild(1).ok());
+  // Reading after every insert refolds while the lattice is smaller than
+  // a batch's deltas x nodes, and maintains the sum once it is larger.
+  for (const auto& [key, counts] : from_rows.NodeCounts(from_rows.LeafMask())) {
+    grown.ApplyDeltas({{key, counts.positives, counts.negatives}},
+                      /*insert_missing=*/true);
+    ASSERT_EQ(grown.MaintainedCountsDigest(), grown.CountsDigest())
+        << "after inserting leaf " << key;
+  }
+  EXPECT_EQ(grown.MaintainedCountsDigest(), from_rows.CountsDigest());
+}
+
+TEST(HierarchyDigestTest, LargeBatchGoesStaleAndRefoldsOnce) {
+  // A batch touching every leaf has deltas x nodes above the lattice's
+  // entry count, so ApplyDeltas drops the sum and the next read refolds;
+  // small batches after it are maintained again.
+  Dataset data = RandomFourAttrDataset(13, 400);
+  Hierarchy hierarchy(data);
+  ASSERT_TRUE(hierarchy.EagerBuild(1).ok());
+  (void)hierarchy.MaintainedCountsDigest();
+  std::vector<Hierarchy::LeafDelta> every_leaf;
+  for (uint64_t key = 0;
+       key < hierarchy.counter().KeySpace(hierarchy.LeafMask()); ++key) {
+    every_leaf.push_back({key, 2, 1});
+  }
+  hierarchy.ApplyDeltas(every_leaf, /*insert_missing=*/true);
+  EXPECT_EQ(hierarchy.MaintainedCountsDigest(), hierarchy.CountsDigest());
+  EXPECT_EQ(hierarchy.MaintainedCountsDigest(), ReseededDigest(hierarchy));
+  RunDigestStream(hierarchy, 17, 20, "after the refold");
+}
+
+TEST(HierarchyDigestTest, InvalidateAndRebuildAcrossThreadCounts) {
+  Dataset data = RandomFourAttrDataset(21, 350);
+  std::vector<uint64_t> digests;
+  for (int threads : {1, 2, 4, 0}) {
+    Hierarchy hierarchy(data);
+    ASSERT_TRUE(hierarchy.EagerBuild(threads).ok());
+    const uint64_t built = hierarchy.MaintainedCountsDigest();
+    RunDigestStream(hierarchy, 23, 25, "before rebuild");
+    // The rebuild recounts the unchanged dataset: the deltas are gone.
+    hierarchy.Invalidate();
+    ASSERT_TRUE(hierarchy.EagerBuild(threads).ok());
+    EXPECT_EQ(hierarchy.MaintainedCountsDigest(), built)
+        << "threads " << threads;
+    EXPECT_EQ(hierarchy.CountsDigest(), built) << "threads " << threads;
+    RunDigestStream(hierarchy, 29, 25, "after rebuild");
+    digests.push_back(hierarchy.MaintainedCountsDigest());
+  }
+  for (size_t i = 1; i < digests.size(); ++i) {
+    EXPECT_EQ(digests[i], digests[0]) << "thread-count variant " << i;
+  }
+}
+
+TEST(HierarchyDigestTest, SwappedCountsAndDroppedZeroEntryDigestApart) {
+  const DataSchema schema = remedy::testing::SmallSchema();
+  const RegionCounts totals{7, 5};
+  auto digest = [&](std::vector<NodeTable::Entry> leaves) {
+    Hierarchy hierarchy(schema, NodeTable(std::move(leaves)), totals);
+    EXPECT_TRUE(hierarchy.EagerBuild(1).ok());
+    EXPECT_EQ(hierarchy.MaintainedCountsDigest(), hierarchy.CountsDigest());
+    return hierarchy.CountsDigest();
+  };
+  const uint64_t base = digest({{0, {3, 1}}, {5, {4, 4}}});
+  // Same totals, same keys, the two keys' counts swapped.
+  EXPECT_NE(base, digest({{0, {4, 4}}, {5, {3, 1}}}));
+  // A kept zero entry is not an absent one.
+  EXPECT_NE(base, digest({{0, {3, 1}}, {2, {0, 0}}, {5, {4, 4}}}));
+  EXPECT_EQ(base, digest({{5, {4, 4}}, {0, {3, 1}}}));  // order-free
 }
 
 }  // namespace

@@ -337,6 +337,95 @@ TEST(IbsIncrementalTest, WholeNodeRegimeTotalsDriftAndSteadyFlips) {
   EXPECT_GT(state.last_stats().full_node_rescores, 0);
 }
 
+TEST(IbsIncrementalTest, ZeroDriftBatchesAtUnitDistanceOnNominalSchema) {
+  // T = 1, optimized, four nominal attributes: level-1 nodes are in the
+  // whole-node regime (diameter 1), deeper ones are not. Each batch moves
+  // instances of one label between two leaves, so the totals never drift:
+  // the level-1 nodes re-score only their dirty regions, the deeper nodes
+  // their dirty regions plus frontier — whose level-1 parents are then
+  // read from the node tables, not from a gathered set.
+  std::vector<AttributeSchema> attributes = {
+      AttributeSchema("w", {"w0", "w1", "w2"}),
+      AttributeSchema("x", {"x0", "x1"}),
+      AttributeSchema("y", {"y0", "y1", "y2"}),
+      AttributeSchema("z", {"z0", "z1"}),
+  };
+  DataSchema schema(std::move(attributes), {0, 1, 2, 3});
+  Dataset data(schema);
+  Rng rows(0x2e70);
+  for (int i = 0; i < 700; ++i) {
+    const int w = rows.UniformInt(3);
+    const int label = rows.Bernoulli(0.25 + 0.2 * w) ? 1 : 0;
+    data.AddRow({w, rows.UniformInt(2), rows.UniformInt(3), rows.UniformInt(2)},
+                label);
+  }
+  Hierarchy hierarchy(data);
+  ASSERT_TRUE(hierarchy.EagerBuild(1).ok());
+  IbsParams params = TestParams();
+  ASSERT_EQ(params.distance_threshold, 1.0);
+  ASSERT_EQ(params.algorithm, IbsAlgorithm::kOptimized);
+  IncrementalIbsState state;
+  (void)state.Identify(hierarchy, params);  // warm the cache
+
+  const uint64_t key_space = hierarchy.counter().KeySpace(hierarchy.LeafMask());
+  Rng rng(0x5ca1e);
+  for (int epoch = 0; epoch < kShortStreamEpochs; ++epoch) {
+    const NodeTable& leaves = hierarchy.NodeCounts(hierarchy.LeafMask());
+    std::vector<Hierarchy::LeafDelta> batch;
+    const auto& [from, counts] = *std::next(
+        leaves.begin(), rng.UniformInt(static_cast<int>(leaves.size())));
+    // The destination may be a leaf no row has populated yet.
+    uint64_t to = static_cast<uint64_t>(
+        rng.UniformInt(static_cast<int>(key_space)));
+    if (to == from) to = (to + 1) % key_space;
+    const bool positives = counts.positives > 0 &&
+                           (counts.negatives == 0 || rng.Bernoulli(0.5));
+    const int64_t available = positives ? counts.positives : counts.negatives;
+    if (available == 0) continue;
+    const int64_t moved = rng.UniformRange(1, static_cast<int>(available));
+    batch.push_back({from, positives ? -moved : 0, positives ? 0 : -moved});
+    batch.push_back({to, positives ? moved : 0, positives ? 0 : moved});
+    hierarchy.ApplyDeltas(batch, /*insert_missing=*/true);
+    ASSERT_EQ(hierarchy.dirty_set().delta_positives, 0);
+    ASSERT_EQ(hierarchy.dirty_set().delta_negatives, 0);
+
+    std::vector<BiasedRegion> incremental = state.Identify(hierarchy, params);
+    ExpectSameIbs(incremental, FullSweep(hierarchy, params),
+                  "zero drift epoch " + std::to_string(epoch));
+    EXPECT_TRUE(state.last_stats().incremental);
+    EXPECT_EQ(state.last_stats().full_node_rescores, 0)
+        << "steady totals must not re-sweep a whole-node neighborhood";
+    EXPECT_GT(state.last_stats().expanded_regions, 0);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(IbsIncrementalTest, LeafAndTopScopesReadParentsOutsideTheScope) {
+  // Leaf scope scores only the leaf node, whose dominating regions sit one
+  // level up, outside the scope; top scope scores level 1, whose parent is
+  // the level-0 totals. Both must match the full sweep of the same scope.
+  Rng spec_rng(0x5c09e);
+  SyntheticSpec spec = RandomSpec(spec_rng);
+  spec.num_rows = 500;
+  Dataset data = GenerateSynthetic(spec, 19);
+  for (IbsScope scope : {IbsScope::kLeaf, IbsScope::kTop}) {
+    for (IbsAlgorithm algorithm :
+         {IbsAlgorithm::kOptimized, IbsAlgorithm::kNaive}) {
+      Hierarchy hierarchy(data);
+      ASSERT_TRUE(hierarchy.EagerBuild(1).ok());
+      IbsParams params = TestParams();
+      params.scope = scope;
+      params.algorithm = algorithm;
+      RunParityStream(
+          hierarchy, params, kShortStreamEpochs,
+          0x5c0u + static_cast<uint64_t>(scope),
+          std::string(scope == IbsScope::kLeaf ? "leaf" : "top") + " scope " +
+              (algorithm == IbsAlgorithm::kNaive ? "naive" : "optimized"));
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Fallback ladder + stats accounting
 // ---------------------------------------------------------------------------
