@@ -34,7 +34,10 @@ namespace remedy {
   X(lattice_rollups, "lattice/rollups", "nodes",                              \
     "nodes derived by bottom-up rollup instead of a scan")                    \
   X(lattice_delta_rows, "lattice/delta_rows", "rows",                         \
-    "row deltas applied to the lattice by the incremental engine")            \
+    "leaf deltas handed to Hierarchy::ApplyDeltas (daemon, WAL replay, "      \
+    "remedy engines)")                                                        \
+  X(lattice_slot_map_builds, "lattice/slot_map_builds", "builds",             \
+    "slot-map (re)builds of the lattice's ApplyDeltas up maps")               \
   X(lattice_shard_rows, "lattice/shard_rows", "rows",                         \
     "rows counted through the columnar shard path (simd + sharded "           \
     "backends)")                                                              \
@@ -81,6 +84,9 @@ namespace remedy {
   X(ibs_incr_cache_hits, "ibs_incr/cache_hits", "regions",                    \
     "biased verdicts reused from the previous pass's cache instead of "       \
     "being re-scored")                                                        \
+  X(ibs_incr_wide_node_rescores, "ibs_incr/wide_node_rescores", "nodes",      \
+    "nodes an incremental pass re-scored whole because their dirty keys "     \
+    "times the frontier bound reached the node's entry count")                \
   X(ibs_incr_full_fallbacks, "ibs_incr/full_fallbacks", "passes",             \
     "incremental identify passes that fell back to a full lattice sweep "     \
     "(cold cache, recovery, rebuild, or params change)")                      \

@@ -215,44 +215,29 @@ void Hierarchy::ApplyDeltas(const std::vector<LeafDelta>& deltas,
   if (deltas.empty()) return;
   PipelineMetrics::Get().lattice_delta_rows->Increment(
       static_cast<int64_t>(deltas.size()));
-  // Decode each leaf key once; every node then re-packs its digits.
-  const size_t stride = static_cast<size_t>(NumProtected());
-  std::vector<int> digits(deltas.size() * stride);
-  for (size_t i = 0; i < deltas.size(); ++i) {
-    counter_.KeyDigits(deltas[i].leaf_key, LeafMask(),
-                       digits.data() + i * stride);
-  }
+  size_t entries = 0;
+  for (const auto& [mask, table] : node_cache_) entries += table.size();
+  const size_t work = deltas.size() * node_cache_.size();
   // Keep the digest sum current only while that is cheaper than the one
   // refold a stale sum costs at its next read.
-  if (digest_fresh_) {
-    size_t entries = 0;
-    for (const auto& [mask, table] : node_cache_) entries += table.size();
-    digest_fresh_ = deltas.size() * node_cache_.size() <= entries;
-  }
-  for (auto& [mask, table] : node_cache_) {
-    std::unordered_set<uint64_t>* touched =
-        dirty_tracking_ ? &dirty_.touched[mask] : nullptr;
-    for (size_t i = 0; i < deltas.size(); ++i) {
-      const LeafDelta& delta = deltas[i];
-      const uint64_t key =
-          counter_.PackDigits(digits.data() + i * stride, mask);
-      if (touched != nullptr) touched->insert(key);
-      bool inserted = false;
-      const RegionCounts after =
-          insert_missing
-              ? table.UpsertDelta(key, delta.delta_positives,
-                                  delta.delta_negatives, &inserted)
-              : table.ApplyDelta(key, delta.delta_positives,
-                                 delta.delta_negatives);
-      if (!digest_fresh_) continue;
-      if (!inserted) {
-        digest_sum_ -= EntryHash(
-            mask, key,
-            {after.positives - delta.delta_positives,
-             after.negatives - delta.delta_negatives});
-      }
-      digest_sum_ += EntryHash(mask, key, after);
+  if (digest_fresh_) digest_fresh_ = work <= entries;
+  // The slot path once the keyed work it would save has paid for building
+  // the maps; a batch that inserts a leaf shifts indices, so it takes the
+  // keyed path and drops them.
+  bool slotted = false;
+  if (!slot_maps_.empty() || keyed_work_ + work >= entries) {
+    std::vector<uint32_t> leaf_slots;
+    if (LeafSlots(deltas, insert_missing, &leaf_slots)) {
+      if (slot_maps_.empty()) BuildSlotMaps();
+      ApplySlotted(deltas, leaf_slots);
+      slotted = true;
+    } else {
+      slot_maps_.clear();
     }
+  }
+  if (!slotted) {
+    ApplyKeyed(deltas, insert_missing);
+    keyed_work_ += work;
   }
   for (const LeafDelta& delta : deltas) {
     total_counts_.positives += delta.delta_positives;
@@ -270,6 +255,110 @@ void Hierarchy::ApplyDeltas(const std::vector<LeafDelta>& deltas,
   }
   REMEDY_CHECK(total_counts_.positives >= 0 && total_counts_.negatives >= 0)
       << "deltas drove the dataset totals negative";
+}
+
+void Hierarchy::RecordEntry(uint32_t mask, uint64_t key,
+                            const RegionCounts& after, const LeafDelta& delta,
+                            bool inserted) {
+  if (!inserted) {
+    digest_sum_ -= EntryHash(mask, key,
+                             {after.positives - delta.delta_positives,
+                              after.negatives - delta.delta_negatives});
+  }
+  digest_sum_ += EntryHash(mask, key, after);
+}
+
+void Hierarchy::ApplyKeyed(const std::vector<LeafDelta>& deltas,
+                           bool insert_missing) {
+  // Decode each leaf key once; every node then re-packs its digits.
+  const size_t stride = static_cast<size_t>(NumProtected());
+  std::vector<int> digits(deltas.size() * stride);
+  for (size_t i = 0; i < deltas.size(); ++i) {
+    counter_.KeyDigits(deltas[i].leaf_key, LeafMask(),
+                       digits.data() + i * stride);
+  }
+  for (auto& [mask, table] : node_cache_) {
+    std::unordered_set<uint64_t>* touched =
+        dirty_tracking_ ? &dirty_.touched[mask] : nullptr;
+    for (size_t i = 0; i < deltas.size(); ++i) {
+      const LeafDelta& delta = deltas[i];
+      const uint64_t key =
+          counter_.PackDigits(digits.data() + i * stride, mask);
+      if (touched != nullptr) touched->insert(key);
+      bool inserted = false;
+      const RegionCounts after =
+          insert_missing
+              ? table.UpsertDelta(key, delta.delta_positives,
+                                  delta.delta_negatives, &inserted)
+              : table.ApplyDelta(key, delta.delta_positives,
+                                 delta.delta_negatives);
+      if (digest_fresh_) RecordEntry(mask, key, after, delta, inserted);
+    }
+  }
+}
+
+bool Hierarchy::LeafSlots(const std::vector<LeafDelta>& deltas,
+                          bool insert_missing,
+                          std::vector<uint32_t>* slots) const {
+  const NodeTable& leaf = node_cache_.at(LeafMask());
+  slots->reserve(deltas.size());
+  for (const LeafDelta& delta : deltas) {
+    const auto it = leaf.find(delta.leaf_key);
+    if (it == leaf.end()) {
+      REMEDY_CHECK(insert_missing)
+          << "delta for region key " << delta.leaf_key << " not in node";
+      return false;
+    }
+    slots->push_back(static_cast<uint32_t>(it - leaf.begin()));
+  }
+  return true;
+}
+
+void Hierarchy::BuildSlotMaps() {
+  PipelineMetrics::Get().lattice_slot_map_builds->Increment();
+  keyed_work_ = 0;
+  // Leaf first, then level by level downwards, so a node's child always
+  // precedes it.
+  std::unordered_map<uint32_t, uint32_t> position;
+  slot_maps_.push_back({LeafMask(), 0, {}});
+  position.emplace(LeafMask(), 0);
+  for (int level = NumProtected() - 1; level >= 1; --level) {
+    for (uint32_t mask : MasksAtLevel(level)) {
+      // EagerBuild's fixed child: the lowest missing position added.
+      const uint32_t missing = LeafMask() & ~mask;
+      const uint32_t child = mask | (missing & (~missing + 1));
+      slot_maps_.push_back(
+          {mask, position.at(child),
+           counter_.RollUpSlots(node_cache_.at(child), child,
+                                node_cache_.at(mask), mask)});
+      position.emplace(mask, static_cast<uint32_t>(slot_maps_.size() - 1));
+    }
+  }
+}
+
+void Hierarchy::ApplySlotted(const std::vector<LeafDelta>& deltas,
+                             const std::vector<uint32_t>& leaf_slots) {
+  const size_t num_nodes = slot_maps_.size();
+  std::vector<NodeTable*> tables(num_nodes);
+  std::vector<std::unordered_set<uint64_t>*> touched(num_nodes, nullptr);
+  for (size_t n = 0; n < num_nodes; ++n) {
+    tables[n] = &node_cache_.at(slot_maps_[n].mask);
+    if (dirty_tracking_) touched[n] = &dirty_.touched[slot_maps_[n].mask];
+  }
+  std::vector<uint32_t> slots(num_nodes);
+  for (size_t i = 0; i < deltas.size(); ++i) {
+    const LeafDelta& delta = deltas[i];
+    for (size_t n = 0; n < num_nodes; ++n) {
+      slots[n] = n == 0 ? leaf_slots[i]
+                        : slot_maps_[n].up[slots[slot_maps_[n].child]];
+      const auto& [key, after] = tables[n]->ApplyDeltaAt(
+          slots[n], delta.delta_positives, delta.delta_negatives);
+      if (touched[n] != nullptr) touched[n]->insert(key);
+      if (digest_fresh_) {
+        RecordEntry(slot_maps_[n].mask, key, after, delta, /*inserted=*/false);
+      }
+    }
+  }
 }
 
 void Hierarchy::ApplyDelta(const LeafDelta& delta) {
@@ -362,6 +451,8 @@ void Hierarchy::Invalidate() {
   total_valid_ = false;
   fully_built_ = false;
   digest_fresh_ = false;
+  slot_maps_.clear();
+  keyed_work_ = 0;
   // The rebuilt counts will not be described by the dirty set.
   dirty_.Clear();
   ++generation_;

@@ -150,7 +150,22 @@ class Hierarchy {
   // With `insert_missing` (the streaming-ingest form) a delta whose key no
   // node has seen yet inserts the entry instead of dying — new subgroups
   // can appear mid-stream, which a batch-counted lattice never allows.
-  // Also keeps the maintained counts digest current (see below).
+  // Also keeps the maintained counts digest current (see below). A delta
+  // that takes a count below zero dies (a CHECK in every build type).
+  //
+  // Two paths, same result. The keyed path re-packs each delta's key for
+  // every node and binary-searches it there. The slot path searches only
+  // the leaf table: each non-leaf node keeps an up map (4 B per entry of
+  // its fixed EagerBuild child, the lowest-missing-position one) from the
+  // child's entry index to its own, so a delta then costs one array read
+  // and one add per node. The maps are built lazily, in one O(entries)
+  // pass (RegionCounter::RollUpSlots) — never by EagerBuild, so callers
+  // that never apply deltas never pay — once the keyed work since they
+  // were last valid (deltas x nodes, this batch's included) reaches the
+  // lattice's entry count: the digest's amortization rule, so a wide
+  // batch builds them at once and narrow streams after a while. A batch
+  // with a leaf key the lattice lacks (insert_missing) shifts indices: it
+  // takes the keyed path and drops the maps; Invalidate drops them too.
   void ApplyDeltas(const std::vector<LeafDelta>& deltas,
                    bool insert_missing = false);
   void ApplyDelta(const LeafDelta& delta);
@@ -223,6 +238,27 @@ class Hierarchy {
   // The unfinalized counts digest: the hash sum over every entry.
   uint64_t FoldEntryHashes() const;
 
+  // The two ApplyDeltas paths (see there). RecordEntry keeps the fresh
+  // digest sum current for one updated entry.
+  void ApplyKeyed(const std::vector<LeafDelta>& deltas, bool insert_missing);
+  void ApplySlotted(const std::vector<LeafDelta>& deltas,
+                    const std::vector<uint32_t>& leaf_slots);
+  void RecordEntry(uint32_t mask, uint64_t key, const RegionCounts& after,
+                   const LeafDelta& delta, bool inserted);
+  // Each delta's leaf-table index into `slots`; false when some leaf key is
+  // absent (dies on that unless `insert_missing`).
+  bool LeafSlots(const std::vector<LeafDelta>& deltas, bool insert_missing,
+                 std::vector<uint32_t>* slots) const;
+  void BuildSlotMaps();
+
+  // One node's up map: `up[i]` is the index in this node's table of the
+  // entry that entry i of its fixed EagerBuild child projects to.
+  struct SlotMap {
+    uint32_t mask = 0;
+    uint32_t child = 0;  // index of the child's SlotMap in slot_maps_
+    std::vector<uint32_t> up;
+  };
+
   const Dataset* data_ = nullptr;
   const ColumnarShardStore* store_ = nullptr;
   std::unique_ptr<ColumnarShardStore> owned_store_;
@@ -240,6 +276,9 @@ class Hierarchy {
   uint64_t generation_ = 0;
   uint64_t digest_sum_ = 0;     // FoldEntryHashes(), kept by ApplyDeltas
   bool digest_fresh_ = false;   // false: digest_sum_ must be refolded
+  // Leaf first, then by level descending; empty while not valid.
+  std::vector<SlotMap> slot_maps_;
+  size_t keyed_work_ = 0;  // deltas x nodes keyed since the maps were valid
 };
 
 }  // namespace remedy

@@ -70,11 +70,13 @@ std::vector<NodeTable::Entry> GatherEntries(const NodeTable& node,
   return gathered;
 }
 
-// Parent-count source of phase 2: a dominating region's counts from the
-// parent node's gathered set when it is there — under T = 1 on nominal
-// attributes every parent of a re-scored region is dirty or on the
-// frontier — else from the parent's NodeTable (Leaf/Top scopes, whole-node
-// parents under steady totals). Both hold the same counts.
+// Parent-count source of phase 2 for a gathered node: a dominating
+// region's counts from the parent node's gathered set when it is there —
+// under T = 1 on nominal attributes every parent of a re-scored region is
+// dirty or on the frontier — or from the table of a parent re-scored
+// whole, which holds every key, searched the same branch-free way; else
+// from the parent's NodeTable (Leaf/Top scopes, whole-node parents under
+// steady totals). All hold the same counts.
 class GatheredParents {
  public:
   GatheredParents(Hierarchy& hierarchy, uint32_t mask,
@@ -83,9 +85,13 @@ class GatheredParents {
     for (uint32_t bits = mask; bits != 0; bits &= bits - 1) {
       const uint32_t parent_mask = mask & ~(bits & (~bits + 1));
       auto it = work.find(parent_mask);
-      if (it != work.end() && it->second->kind == NodeWork::Kind::kKeys) {
-        gathered_[std::countr_zero(mask ^ parent_mask)] =
-            &it->second->gathered;
+      if (it == work.end()) continue;
+      const std::vector<NodeTable::Entry>*& run =
+          gathered_[std::countr_zero(mask ^ parent_mask)];
+      if (it->second->kind == NodeWork::Kind::kKeys) {
+        run = &it->second->gathered;
+      } else if (it->second->kind == NodeWork::Kind::kWhole) {
+        run = &hierarchy.NodeCounts(parent_mask).entries();
       }
     }
   }
@@ -205,16 +211,21 @@ std::vector<BiasedRegion> IncrementalIbsState::Identify(
       node_work.kind = NodeWork::Kind::kWhole;
       continue;
     }
-    // Dirty keys always name entries (ApplyDeltas inserts or finds them),
-    // so as many dirty keys as entries means every region is dirty — the
-    // seed batch; skip expanding a frontier that adds nothing.
-    if (dirty_it->second.size() == node.size()) {
+    // Each dirty key re-scores itself and, when neighborhoods are proper
+    // subsets of the node, at most FrontierBound - 1 frontier keys. Once
+    // that reaches the node's entry count, scoring the whole table costs
+    // no more than the set would and skips the expansion, sort and gather
+    // (the seed batch, where every region is dirty, is one such node).
+    const int64_t num_dirty = static_cast<int64_t>(dirty_it->second.size());
+    const int64_t per_key =
+        whole_node ? 1 : neighborhood.FrontierBound(mask);
+    if (num_dirty * per_key >= static_cast<int64_t>(node.size())) {
+      ++stats_.wide_node_rescores;
       node_work.kind = NodeWork::Kind::kWhole;
       continue;
     }
     std::vector<uint64_t> reeval(dirty_it->second.begin(),
                                  dirty_it->second.end());
-    const int64_t num_dirty = static_cast<int64_t>(reeval.size());
     if (!whole_node) {
       for (int64_t i = 0; i < num_dirty; ++i) {
         neighborhood.AppendNeighborKeys(mask, reeval[i], &reeval);
@@ -252,9 +263,9 @@ std::vector<BiasedRegion> IncrementalIbsState::Identify(
     }
     const bool use_optimized = params.algorithm == IbsAlgorithm::kOptimized &&
                                neighborhood.SupportsOptimized(mask);
-    GatheredParents parents(hierarchy, mask, work_by_mask);
     std::vector<std::pair<uint64_t, BiasedRegion>> fresh;
-    auto score = [&](uint64_t key, const RegionCounts& counts) {
+    auto score = [&](uint64_t key, const RegionCounts& counts,
+                     auto& parents) {
       BiasedRegion region;
       const RegionVerdict verdict =
           ScoreRegion(hierarchy, neighborhood, use_optimized, mask, key,
@@ -267,10 +278,14 @@ std::vector<BiasedRegion> IncrementalIbsState::Identify(
       }
     };
     if (node_work.kind == NodeWork::Kind::kWhole) {
+      // The full sweep of this node: a parent's gathered set would miss
+      // for most of its keys, so read parents from their tables.
+      NodeTableParents parents(hierarchy, mask);
       for (const auto& [key, counts] : hierarchy.NodeCounts(mask)) {
-        score(key, counts);
+        score(key, counts, parents);
       }
     } else {
+      GatheredParents parents(hierarchy, mask, work_by_mask);
       fresh.reserve(cached.biased.size());
       size_t ci = 0;
       for (const auto& [key, counts] : node_work.gathered) {
@@ -282,7 +297,7 @@ std::vector<BiasedRegion> IncrementalIbsState::Identify(
         if (ci < cached.biased.size() && cached.biased[ci].first == key) {
           ++ci;  // superseded by the re-score below
         }
-        score(key, counts);
+        score(key, counts, parents);
       }
       for (; ci < cached.biased.size(); ++ci) {
         fresh.push_back(std::move(cached.biased[ci]));
@@ -309,6 +324,7 @@ std::vector<BiasedRegion> IncrementalIbsState::Identify(
   metrics.ibs_incr_neighborhood_expansions->Increment(
       stats_.expanded_regions);
   metrics.ibs_incr_cache_hits->Increment(stats_.cached_regions);
+  metrics.ibs_incr_wide_node_rescores->Increment(stats_.wide_node_rescores);
   if (reuse > 0) metrics.ibs_neighbor_reuse->Increment(reuse);
   if (naive > 0) metrics.ibs_neighbor_naive->Increment(naive);
   metrics.ibs_incr_identify_ns->Observe(MonotonicNanos() - start_ns);

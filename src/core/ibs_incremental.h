@@ -21,6 +21,9 @@ struct IncrementalIdentifyStats {
   int64_t expanded_regions = 0;  // neighborhood-frontier keys added to dirty
   int64_t cached_regions = 0;    // biased verdicts reused from the cache
   int64_t full_node_rescores = 0;  // whole nodes re-swept (T >= diameter)
+  // Whole nodes re-scored because dirty keys x frontier bound reached the
+  // node's entry count (wide batches, the seed batch).
+  int64_t wide_node_rescores = 0;
 };
 
 // Dirty-region incremental IBS maintenance: caches the previous identify
@@ -32,19 +35,26 @@ struct IncrementalIdentifyStats {
 //  1. Gather: for every scoped node, the sorted re-evaluation keys — dirty
 //     keys plus their distance-T frontier, enumerated on key digits — with
 //     their counts, one binary search each into the node's table. A node
-//     whose set covers it (the seed batch) keeps no copy: phase 2 reads its
-//     NodeTable directly, so no lattice-sized transient is ever held.
+//     whose set could cover it — dirty keys x NeighborhoodCalculator::
+//     FrontierBound (1 + sum (c_i - 1) at T = 1 on nominal attributes)
+//     reaches its entry count, as on a wide batch or the seed batch — is
+//     not expanded, sorted or gathered at all: phase 2 sweeps its NodeTable
+//     directly (a "wide node re-score"), so a pass never costs more than a
+//     full sweep plus the narrow nodes' sets, and no lattice-sized
+//     transient is ever held.
 //  2. Score: each gathered region runs ScoreRegion with parent keys
 //     re-packed from its digits (KeyDigits/PackDigits); a dominating
 //     region's counts come from the parent node's gathered set — under T = 1
 //     on nominal attributes every parent of a re-scored region is itself
 //     dirty or on the frontier — else from the parent's NodeTable (Leaf/Top
-//     scopes, whole-node parents under steady totals). A Pattern is decoded
+//     scopes, whole-node parents under steady totals, and every parent of a
+//     node swept whole, as in the full sweep). A Pattern is decoded
 //     only for a biased verdict, and untouched cached verdicts are moved,
 //     not copied, through the per-node merge.
 //
-// So a pass costs O(re-evaluated regions x (|X| small-run searches)) plus
-// one copy of the verdicts into the output — the caller owns that copy
+// So a pass costs O(re-evaluated regions x (|X| small-run searches)),
+// with each node's share capped at one sweep of its table, plus one copy
+// of the verdicts into the output — the caller owns that copy
 // (the daemon moves it into its epoch snapshot). The output is
 // bit-identical to a from-scratch sweep of IdentifyIbsInNode over
 // ScopeMasks — same regions, same floats, same order — because:

@@ -93,6 +93,63 @@ double NeighborhoodCalculator::SquaredDiameter(uint32_t mask) const {
   return squared_diameter;
 }
 
+int64_t NeighborhoodCalculator::FrontierBound(uint32_t mask) {
+  if (steps_.empty()) {
+    // First use: per position, each squared step within the budget with
+    // the most values any one value has at it. Sweeps never get here.
+    const DataSchema& schema = hierarchy_.schema();
+    const double budget = distance_threshold_ * distance_threshold_ + 1e-9;
+    steps_.resize(static_cast<size_t>(schema.NumProtected()));
+    for (int i = 0; i < schema.NumProtected(); ++i) {
+      const AttributeSchema& attr =
+          schema.attribute(schema.protected_indices()[i]);
+      std::vector<std::pair<double, int>>& steps = steps_[i];
+      for (int a = 0; a < attr.Cardinality(); ++a) {
+        std::vector<std::pair<double, int>> from_a;
+        for (int b = 0; b < attr.Cardinality(); ++b) {
+          const double d = attr.Distance(a, b);
+          if (a == b || d * d > budget) continue;
+          auto it = std::find_if(from_a.begin(), from_a.end(),
+                                 [&](const auto& s) { return s.first == d * d; });
+          if (it == from_a.end()) {
+            from_a.emplace_back(d * d, 1);
+          } else {
+            ++it->second;
+          }
+        }
+        for (const auto& [step, count] : from_a) {
+          auto it = std::find_if(steps.begin(), steps.end(),
+                                 [&](const auto& s) { return s.first == step; });
+          if (it == steps.end()) {
+            steps.emplace_back(step, count);
+          } else {
+            it->second = std::max(it->second, count);
+          }
+        }
+      }
+      std::sort(steps.begin(), steps.end());
+    }
+  }
+  // Counted in doubles: a wide T makes the combinations grow fast, and the
+  // bound only has to compare against entry counts.
+  const double bound = BoundFrom(mask, 0, 0.0);
+  return bound >= 0x1p62 ? int64_t{1} << 62 : static_cast<int64_t>(bound);
+}
+
+double NeighborhoodCalculator::BoundFrom(uint32_t mask, int position,
+                                         double squared_distance) const {
+  const int n = static_cast<int>(steps_.size());
+  while (position < n && !(mask & (1u << position))) ++position;
+  if (position == n) return 1.0;
+  const double budget = distance_threshold_ * distance_threshold_ + 1e-9;
+  double total = BoundFrom(mask, position + 1, squared_distance);  // kept
+  for (const auto& [step, count] : steps_[position]) {
+    if (squared_distance + step > budget) break;
+    total += count * BoundFrom(mask, position + 1, squared_distance + step);
+  }
+  return total;
+}
+
 bool NeighborhoodCalculator::WholeNodeNeighborhood(uint32_t mask) const {
   const double squared_t = distance_threshold_ * distance_threshold_;
   return squared_t + 1e-9 >= SquaredDiameter(mask);

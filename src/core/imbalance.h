@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -86,6 +87,14 @@ class NeighborhoodCalculator {
   void AppendNeighborKeys(uint32_t mask, uint64_t key,
                           std::vector<uint64_t>* keys);
 
+  // An upper bound, over every region of node `mask`, on the keys
+  // AppendNeighborKeys appends for it, plus one for the region itself:
+  // 1 + sum over mask positions of (c_i - 1) at T = 1 on nominal
+  // attributes. Counts the value-change combinations that fit the budget,
+  // taking at each position and squared step the most values any origin
+  // value has at that step. The incremental identify path's cost model.
+  int64_t FrontierBound(uint32_t mask);
+
  private:
   // Recursively enumerates neighbor patterns by substituting deterministic
   // values, pruning on accumulated squared distance.
@@ -105,6 +114,10 @@ class NeighborhoodCalculator {
   // under the per-attribute metrics.
   double SquaredDiameter(uint32_t mask) const;
 
+  // FrontierBound's count over the mask positions from `position` on, with
+  // `squared_distance` of the budget spent.
+  double BoundFrom(uint32_t mask, int position, double squared_distance) const;
+
   Hierarchy& hierarchy_;
   double distance_threshold_;
   // Per protected position: the largest squared distance between two of
@@ -113,6 +126,10 @@ class NeighborhoodCalculator {
   std::vector<bool> ordinal_;
   // The smallest squared distance any value change costs, at any position.
   double min_squared_step_ = std::numeric_limits<double>::infinity();
+  // Per protected position, ascending by squared distance within the
+  // budget: (squared distance, the most values any one value has there).
+  // Filled by the first FrontierBound call.
+  std::vector<std::vector<std::pair<double, int>>> steps_;
 };
 
 // Parent-count source of the dominating-region sum that reads the parents'

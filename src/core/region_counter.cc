@@ -66,16 +66,25 @@ const RegionCounts& NodeTable::at(uint64_t key) const {
 
 RegionCounts NodeTable::ApplyDelta(uint64_t key, int64_t delta_positives,
                                    int64_t delta_negatives) {
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), key,
-      [](const Entry& entry, uint64_t k) { return entry.first < k; });
-  REMEDY_CHECK(it != entries_.end() && it->first == key)
-      << "delta for region key " << key << " not in node";
-  it->second.positives += delta_positives;
-  it->second.negatives += delta_negatives;
-  REMEDY_DCHECK(it->second.positives >= 0 && it->second.negatives >= 0)
-      << "delta drove region key " << key << " negative";
-  return it->second;
+  const_iterator it = find(key);
+  REMEDY_CHECK(it != end()) << "delta for region key " << key
+                            << " not in node";
+  return ApplyDeltaAt(it - begin(), delta_positives, delta_negatives).second;
+}
+
+const NodeTable::Entry& NodeTable::ApplyDeltaAt(size_t index,
+                                                int64_t delta_positives,
+                                                int64_t delta_negatives) {
+  REMEDY_DCHECK(index < entries_.size());
+  Entry& entry = entries_[index];
+  entry.second.positives += delta_positives;
+  entry.second.negatives += delta_negatives;
+  // A full CHECK, not a DCHECK: this is the daemon's and the planner's
+  // apply path, and a negative count means durable state has diverged —
+  // release builds must not silently accept it.
+  REMEDY_CHECK(entry.second.positives >= 0 && entry.second.negatives >= 0)
+      << "delta drove region key " << entry.first << " negative";
+  return entry;
 }
 
 RegionCounts NodeTable::UpsertDelta(uint64_t key, int64_t delta_positives,
@@ -86,14 +95,9 @@ RegionCounts NodeTable::UpsertDelta(uint64_t key, int64_t delta_positives,
   const bool absent = it == entries_.end() || it->first != key;
   if (absent) it = entries_.insert(it, {key, RegionCounts{}});
   if (inserted != nullptr) *inserted = absent;
-  it->second.positives += delta_positives;
-  it->second.negatives += delta_negatives;
-  // Full CHECK (not DCHECK) to match ApplyDelta: this is the streaming
-  // daemon's apply path, and a negative count here means durable state has
-  // diverged — release builds must not silently accept it.
-  REMEDY_CHECK(it->second.positives >= 0 && it->second.negatives >= 0)
-      << "delta drove region key " << key << " negative";
-  return it->second;
+  return ApplyDeltaAt(it - entries_.begin(), delta_positives,
+                      delta_negatives)
+      .second;
 }
 
 RegionCounter::RegionCounter(const DataSchema& schema)
@@ -189,27 +193,31 @@ NodeTable RegionCounter::CountNode(const Dataset& data, uint32_t mask) const {
   return NodeTable(std::move(entries));
 }
 
-NodeTable RegionCounter::RollUp(const NodeTable& child, uint32_t child_mask,
-                                uint32_t parent_mask) const {
+std::pair<uint64_t, uint64_t> RegionCounter::RollUpRadix(
+    uint32_t child_mask, uint32_t parent_mask) const {
   REMEDY_CHECK((parent_mask & ~child_mask) == 0)
       << "parent node must drop attributes of the child node";
   const uint32_t removed = child_mask ^ parent_mask;
   REMEDY_CHECK(removed != 0 && (removed & (removed - 1)) == 0)
       << "RollUp projects out exactly one attribute per step";
   const int position = std::countr_zero(removed);
-
-  // Mixed-radix layout of a child key (position 0 most significant):
-  //   key = (high * card_p + v_p) * low_radix + low
-  // where low spans the deterministic positions after `position`. Dropping
-  // the v_p digit yields exactly the parent node's packing.
   uint64_t low_radix = 1;
   for (int i = position + 1; i < NumProtected(); ++i) {
     if (child_mask & (1u << i)) {
       low_radix *= static_cast<uint64_t>(cardinalities_[i]);
     }
   }
-  const uint64_t card_p = static_cast<uint64_t>(cardinalities_[position]);
+  return {low_radix, static_cast<uint64_t>(cardinalities_[position])};
+}
 
+NodeTable RegionCounter::RollUp(const NodeTable& child, uint32_t child_mask,
+                                uint32_t parent_mask) const {
+  // Mixed-radix layout of a child key (position 0 most significant):
+  //   key = (high * card_p + v_p) * low_radix + low
+  // where v_p is the dropped position's digit and low spans the
+  // deterministic positions after it. Dropping v_p yields exactly the
+  // parent node's packing.
+  const auto [low_radix, card_p] = RollUpRadix(child_mask, parent_mask);
   std::vector<NodeTable::Entry> entries;
   entries.reserve(child.size());
   for (const NodeTable::Entry& entry : child) {
@@ -218,6 +226,64 @@ NodeTable RegionCounter::RollUp(const NodeTable& child, uint32_t child_mask,
     entries.emplace_back(high * low_radix + low, entry.second);
   }
   return NodeTable(std::move(entries));
+}
+
+namespace {
+
+// The first index at or after `from` whose key is >= `key`, probing 1, 2,
+// 4, ... entries ahead before a binary search: O(log distance moved).
+size_t GallopTo(const std::vector<NodeTable::Entry>& entries, size_t from,
+                uint64_t key) {
+  size_t probe = from;
+  for (size_t step = 1; probe < entries.size() && entries[probe].first < key;
+       step *= 2) {
+    from = probe + 1;
+    probe += step;
+  }
+  const auto last = entries.begin() + std::min(probe, entries.size());
+  return std::lower_bound(entries.begin() + from, last, key,
+                          [](const NodeTable::Entry& entry, uint64_t k) {
+                            return entry.first < k;
+                          }) -
+         entries.begin();
+}
+
+}  // namespace
+
+std::vector<uint32_t> RegionCounter::RollUpSlots(const NodeTable& child,
+                                                 uint32_t child_mask,
+                                                 const NodeTable& parent,
+                                                 uint32_t parent_mask) const {
+  REMEDY_CHECK(parent.size() <= UINT32_MAX) << "node too large to slot-map";
+  const auto [low_radix, card_p] = RollUpRadix(child_mask, parent_mask);
+  const std::vector<NodeTable::Entry>& up = parent.entries();
+  std::vector<uint32_t> slots;
+  slots.reserve(child.size());
+  // Child keys ascend by (high, v_p, low) and project to high * low_radix +
+  // low, so the projections of one `high` block fill one contiguous parent
+  // range and ascend within each v_p run: restart at the block's first
+  // parent entry when a run ends, else gallop on from the last match.
+  uint64_t block_high = UINT64_MAX;
+  size_t block = 0;
+  size_t cursor = 0;
+  uint64_t previous = 0;
+  for (const NodeTable::Entry& entry : child) {
+    const uint64_t low = entry.first % low_radix;
+    const uint64_t high = entry.first / low_radix / card_p;
+    const uint64_t key = high * low_radix + low;
+    if (high != block_high) {
+      block = cursor = GallopTo(up, cursor, high * low_radix);
+      block_high = high;
+    } else if (key < previous) {
+      cursor = block;
+    }
+    cursor = GallopTo(up, cursor, key);
+    REMEDY_CHECK(cursor < up.size() && up[cursor].first == key)
+        << "parent node lacks the projection of child key " << entry.first;
+    slots.push_back(static_cast<uint32_t>(cursor));
+    previous = key;
+  }
+  return slots;
 }
 
 uint64_t RegionCounter::ProjectKey(uint64_t key, uint32_t from_mask,

@@ -67,6 +67,13 @@ class NodeTable {
   RegionCounts ApplyDelta(uint64_t key, int64_t delta_positives,
                           int64_t delta_negatives);
 
+  // ApplyDelta on the entry at position `index` (< size()), skipping the
+  // key search — the slot-mapped form Hierarchy::ApplyDeltas uses. Returns
+  // the entry (its key and new counts). Every delta form CHECKs (in every
+  // build type) that no count goes negative.
+  const Entry& ApplyDeltaAt(size_t index, int64_t delta_positives,
+                            int64_t delta_negatives);
+
   // ApplyDelta that inserts the entry (in key order) when `key` is absent —
   // the streaming-ingest form, where a delta may describe a region no
   // batch-counted row ever populated. Sets `*inserted` (when non-null) to
@@ -126,6 +133,17 @@ class RegionCounter {
   NodeTable RollUp(const NodeTable& child, uint32_t child_mask,
                    uint32_t parent_mask) const;
 
+  // The slot map of that rollup: for each entry of `child` (in order), the
+  // index of the `parent` entry its key projects to. `parent` must hold
+  // every projection (as the RollUp of `child` does). One O(entries) pass
+  // on RollUp's digit arithmetic: the child's keys ascend within each run
+  // of one dropped-digit value, so each lookup gallops forward from the
+  // previous one instead of searching the whole parent.
+  std::vector<uint32_t> RollUpSlots(const NodeTable& child,
+                                    uint32_t child_mask,
+                                    const NodeTable& parent,
+                                    uint32_t parent_mask) const;
+
   // Projects a node-`from_mask` region key onto node `to_mask` (a subset of
   // `from_mask`) by dropping the digits of the removed attributes — the
   // multi-digit generalization of the RollUp projection, used to route a
@@ -153,6 +171,10 @@ class RegionCounter {
   uint64_t RowKey(const Dataset& data, int row, uint32_t mask) const;
 
  private:
+  // RollUp's mixed-radix split of a child key around the one dropped
+  // position: {low_radix, cardinality of the dropped position}.
+  std::pair<uint64_t, uint64_t> RollUpRadix(uint32_t child_mask,
+                                            uint32_t parent_mask) const;
 
   std::vector<int> protected_cols_;
   std::vector<int> cardinalities_;

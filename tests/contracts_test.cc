@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "common/rng.h"
 #include "common/table_printer.h"
+#include "core/hierarchy.h"
 #include "core/region_counter.h"
 #include "core/remedy.h"
 #include "data/dataset.h"
@@ -121,6 +124,27 @@ TEST(ContractsDeathTest, TablePrinterRejectsRaggedRow) {
 TEST(ContractsDeathTest, ScalabilityProtectedRejectsBadCount) {
   EXPECT_DEATH(AdultScalabilityProtected(9), "");
   EXPECT_DEATH(AdultScalabilityProtected(0), "");
+}
+
+// The planner's ApplyDeltas form (no insert_missing): a delta that takes
+// a region below zero dies in every build type, both on the keyed path (a
+// narrow batch) and on the slot-mapped one (deltas x nodes reach the
+// lattice's 11 entries, so the batch builds the maps first).
+TEST(ContractsDeathTest, ApplyDeltasRejectsNegativeRegionCounts) {
+  auto lattice = [] {
+    auto hierarchy = std::make_unique<Hierarchy>(
+        SmallSchema(),
+        NodeTable({{0, {2, 1}}, {1, {1, 1}}, {2, {3, 0}}, {3, {1, 2}},
+                   {4, {2, 2}}, {5, {0, 3}}}),
+        RegionCounts{9, 9});
+    REMEDY_CHECK(hierarchy->EagerBuild(1).ok());
+    return hierarchy;
+  };
+  EXPECT_DEATH(lattice()->ApplyDeltas({{2, -4, 0}}),
+               "delta drove region key 2 negative");
+  EXPECT_DEATH(
+      lattice()->ApplyDeltas({{0, 1, 0}, {1, 0, 1}, {2, -4, 0}, {3, 1, 1}}),
+      "delta drove region key 2 negative");
 }
 
 TEST(ContractsDeathTest, AttributeRejectsEmptyDomain) {

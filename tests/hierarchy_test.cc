@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/pipeline_metrics.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/hierarchy.h"
@@ -503,6 +505,168 @@ TEST(HierarchyDigestTest, SwappedCountsAndDroppedZeroEntryDigestApart) {
   // A kept zero entry is not an absent one.
   EXPECT_NE(base, digest({{0, {3, 1}}, {2, {0, 0}}, {5, {4, 4}}}));
   EXPECT_EQ(base, digest({{5, {4, 4}}, {0, {3, 1}}}));  // order-free
+}
+
+// ---------------------------------------------------------------------------
+// Slot-mapped ApplyDeltas: the up maps, their build/drop rule, and parity
+// ---------------------------------------------------------------------------
+
+// A batch over most existing leaves: ingest, label flips and retractions
+// to zero, each leaf once — deltas x nodes well past the entry count.
+std::vector<Hierarchy::LeafDelta> WideBatch(Hierarchy& hierarchy, Rng& rng) {
+  std::vector<Hierarchy::LeafDelta> batch;
+  for (const auto& [key, counts] :
+       hierarchy.NodeCounts(hierarchy.LeafMask())) {
+    if (rng.UniformInt(4) == 0) continue;
+    Hierarchy::LeafDelta delta{key, 0, 0};
+    switch (rng.UniformInt(3)) {
+      case 0:
+        delta.delta_positives = rng.UniformInt(3);
+        delta.delta_negatives = rng.UniformInt(3);
+        break;
+      case 1:
+        delta.delta_positives = -counts.positives;
+        delta.delta_negatives = -counts.negatives;
+        break;
+      default:
+        if (counts.positives > 0) {
+          delta = {key, -1, 1};
+        } else if (counts.negatives > 0) {
+          delta = {key, 1, -1};
+        }
+    }
+    if (delta.delta_positives != 0 || delta.delta_negatives != 0) {
+      batch.push_back(delta);
+    }
+  }
+  return batch;
+}
+
+// Mixes narrow, wide and inserting batches. After each one, every node
+// must equal the node of a lattice freshly seeded from the leaf table, the
+// maintained digest must equal the fold, and lattice/slot_map_builds must
+// move exactly as ApplyDeltas' rule says: build once the keyed work since
+// the maps were valid (deltas x nodes, this batch included) reaches the
+// lattice's entry count; a batch that inserts a leaf drops them.
+void RunSlotMapStream(Hierarchy& hierarchy, uint64_t seed, int batches,
+                      const std::string& where) {
+  const Counter& builds = *PipelineMetrics::Get().lattice_slot_map_builds;
+  const uint32_t leaf = hierarchy.LeafMask();
+  const uint64_t key_space = hierarchy.counter().KeySpace(leaf);
+  bool maps_valid = false;
+  size_t keyed_work = 0;
+  int wide = 0, inserting = 0, built = 0;
+  Rng rng(seed);
+  for (int b = 0; b < batches; ++b) {
+    std::vector<Hierarchy::LeafDelta> batch;
+    const int kind = rng.UniformInt(4);
+    if (kind == 0) {
+      batch = WideBatch(hierarchy, rng);
+    } else {
+      batch = RandomDigestBatch(hierarchy, rng, /*insert_missing=*/false, 3);
+    }
+    const NodeTable& leaves = hierarchy.NodeCounts(leaf);
+    if (kind == 1 && leaves.size() < key_space) {
+      // An inserting batch: one leaf key the lattice lacks.
+      uint64_t key = static_cast<uint64_t>(
+          rng.UniformInt(static_cast<int>(key_space)));
+      while (leaves.count(key) != 0) key = (key + 1) % key_space;
+      batch.push_back({key, 1, rng.UniformInt(2)});
+    }
+    bool inserts = false;
+    for (const Hierarchy::LeafDelta& delta : batch) {
+      inserts = inserts || leaves.count(delta.leaf_key) == 0;
+    }
+    size_t entries = 0;
+    for (uint32_t mask = 1; mask <= leaf; ++mask) {
+      entries += hierarchy.NodeCounts(mask).size();
+    }
+    const size_t work = batch.size() * leaf;  // leaf == the node count
+    bool expect_build = false;
+    if (!batch.empty()) {
+      if (maps_valid || keyed_work + work >= entries) {
+        if (inserts) {
+          maps_valid = false;
+          keyed_work += work;
+        } else if (!maps_valid) {
+          expect_build = true;
+          maps_valid = true;
+          keyed_work = 0;
+        }
+      } else {
+        keyed_work += work;
+      }
+    }
+    wide += kind == 0 && batch.size() * leaf >= entries;
+    inserting += inserts;
+    built += expect_build;
+
+    const int64_t builds_before = builds.Value();
+    hierarchy.ApplyDeltas(batch, /*insert_missing=*/true);
+    ASSERT_EQ(builds.Value() - builds_before, expect_build ? 1 : 0)
+        << where << " batch " << b << " (" << batch.size() << " deltas, "
+        << (inserts ? "inserting" : "no inserts") << ")";
+    ASSERT_EQ(hierarchy.MaintainedCountsDigest(), hierarchy.CountsDigest())
+        << where << " batch " << b;
+    Hierarchy reseeded(hierarchy.schema(), hierarchy.NodeCounts(leaf),
+                       hierarchy.TotalCounts());
+    ASSERT_TRUE(reseeded.EagerBuild(1).ok());
+    for (uint32_t mask = 1; mask <= leaf; ++mask) {
+      ASSERT_TRUE(hierarchy.NodeCounts(mask) == reseeded.NodeCounts(mask))
+          << where << " batch " << b << " mask " << mask;
+    }
+  }
+  // The stream must have exercised every branch of the rule.
+  EXPECT_GT(wide, 0) << where;
+  EXPECT_GT(inserting, 0) << where;
+  EXPECT_GT(built, 1) << where;
+}
+
+TEST(HierarchySlotMapTest, MixedBatchesMatchAReseededLatticeOnEveryBacking) {
+  Dataset data = RandomFourAttrDataset(41, 120);  // leaves left to insert
+  {
+    Hierarchy from_rows(data);
+    ASSERT_TRUE(from_rows.EagerBuild(1).ok());
+    RunSlotMapStream(from_rows, 43, 80, "dataset-backed");
+  }
+  {
+    const ColumnarShardStore store = ColumnarShardStore::FromDataset(data);
+    Hierarchy from_store(store);
+    ASSERT_TRUE(from_store.EagerBuild(2).ok());
+    RunSlotMapStream(from_store, 47, 80, "store-backed");
+  }
+  {
+    Hierarchy from_rows(data);
+    Hierarchy seeded(data.schema(), from_rows.NodeCounts(from_rows.LeafMask()),
+                     from_rows.TotalCounts());
+    ASSERT_TRUE(seeded.EagerBuild(1).ok());
+    RunSlotMapStream(seeded, 53, 80, "count-seeded");
+  }
+}
+
+TEST(HierarchySlotMapTest, RollUpSlotsIndexTheProjectedParentEntry) {
+  // Every (child, parent) pair of the lattice, not only EagerBuild's fixed
+  // child: slot i names the parent entry of child key i's projection.
+  Dataset data = RandomFourAttrDataset(59, 90);
+  Hierarchy hierarchy(data);
+  ASSERT_TRUE(hierarchy.EagerBuild(1).ok());
+  const RegionCounter& counter = hierarchy.counter();
+  for (uint32_t child = 1; child <= hierarchy.LeafMask(); ++child) {
+    for (uint32_t parent : Hierarchy::ParentMasks(child)) {
+      const NodeTable& up = hierarchy.NodeCounts(parent);
+      const std::vector<uint32_t> slots = counter.RollUpSlots(
+          hierarchy.NodeCounts(child), child, up, parent);
+      ASSERT_EQ(slots.size(), hierarchy.NodeCounts(child).size());
+      size_t i = 0;
+      for (const auto& [key, counts] : hierarchy.NodeCounts(child)) {
+        ASSERT_LT(slots[i], up.size());
+        EXPECT_EQ(up.entries()[slots[i]].first,
+                  counter.ProjectKey(key, child, parent))
+            << "child " << child << " parent " << parent << " key " << key;
+        ++i;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -163,15 +164,61 @@ std::vector<Hierarchy::LeafDelta> RandomBatch(Hierarchy& hierarchy,
   return deltas;
 }
 
-// Runs `epochs` random batches through one hierarchy, asserting per-epoch
-// parity of the incremental state against the from-scratch sweep.
-void RunParityStream(Hierarchy& hierarchy, const IbsParams& params,
-                     int epochs, uint64_t stream_seed,
-                     const std::string& where) {
+// A wide batch: one delta on each of three leaves in four (so at least
+// half the leaves are dirty). About half the batches are label flips
+// only, which keeps the totals steady; the rest mix flips with ingest,
+// retractions that leave each leaf populated (so every leaf can always
+// flip), and one brand-new leaf. Keys ascend and are unique, as
+// ApplyDeltas requires.
+std::vector<Hierarchy::LeafDelta> WideBatch(Hierarchy& hierarchy, Rng& rng) {
+  const NodeTable& leaves = hierarchy.NodeCounts(hierarchy.LeafMask());
+  const bool flips_only = rng.Bernoulli(0.5);
+  const size_t skip = static_cast<size_t>(rng.UniformInt(4));
+  std::vector<Hierarchy::LeafDelta> deltas;
+  size_t i = 0;
+  for (const auto& [key, counts] : leaves) {
+    if (i++ % 4 == skip) continue;
+    const int kind = flips_only ? 2 : rng.UniformInt(3);
+    const bool positive =
+        counts.positives > 0 && (counts.negatives == 0 || rng.Bernoulli(0.5));
+    if (kind == 0) {  // ingest
+      deltas.push_back({key, rng.UniformRange(1, 2), rng.UniformInt(3)});
+    } else if (kind == 1 && counts.Total() > 1) {  // retract one instance
+      deltas.push_back({key, positive ? -1 : 0, positive ? 0 : -1});
+    } else {  // flip one label
+      deltas.push_back({key, positive ? -1 : 1, positive ? 1 : -1});
+    }
+  }
+  const uint64_t key_space =
+      hierarchy.counter().KeySpace(hierarchy.LeafMask());
+  if (!flips_only && leaves.size() < key_space) {
+    uint64_t key = static_cast<uint64_t>(
+        rng.UniformInt(static_cast<int>(key_space)));
+    while (leaves.count(key) != 0) key = (key + 1) % key_space;
+    deltas.push_back({key, 1, rng.UniformInt(2)});
+    std::sort(deltas.begin(), deltas.end(),
+              [](const Hierarchy::LeafDelta& a, const Hierarchy::LeafDelta& b) {
+                return a.leaf_key < b.leaf_key;
+              });
+  }
+  return deltas;
+}
+
+using BatchGenerator =
+    std::vector<Hierarchy::LeafDelta> (*)(Hierarchy& hierarchy, Rng& rng);
+
+// Runs `epochs` batches from `next_batch` through one hierarchy, asserting
+// per-epoch parity of the incremental state against the from-scratch
+// sweep. Returns the stream's total of wide_node_rescores.
+int64_t RunParityStream(Hierarchy& hierarchy, const IbsParams& params,
+                        int epochs, uint64_t stream_seed,
+                        const std::string& where,
+                        BatchGenerator next_batch = RandomBatch) {
   IncrementalIbsState state;
   Rng rng(stream_seed);
+  int64_t wide_node_rescores = 0;
   for (int epoch = 0; epoch < epochs; ++epoch) {
-    hierarchy.ApplyDeltas(RandomBatch(hierarchy, rng),
+    hierarchy.ApplyDeltas(next_batch(hierarchy, rng),
                           /*insert_missing=*/true);
     std::vector<BiasedRegion> incremental = state.Identify(hierarchy, params);
     std::vector<BiasedRegion> full = FullSweep(hierarchy, params);
@@ -181,9 +228,11 @@ void RunParityStream(Hierarchy& hierarchy, const IbsParams& params,
       EXPECT_TRUE(state.last_stats().incremental)
           << where << " epoch " << epoch
           << " unexpectedly fell back: " << state.last_fallback_reason();
+      wide_node_rescores += state.last_stats().wide_node_rescores;
     }
-    if (::testing::Test::HasFatalFailure()) return;
+    if (::testing::Test::HasFatalFailure()) break;
   }
+  return wide_node_rescores;
 }
 
 IbsParams TestParams() {
@@ -278,11 +327,9 @@ TEST(IbsIncrementalTest, ParityAcrossThreadCounts) {
   }
 }
 
-TEST(IbsIncrementalTest, OrdinalMetricsAndFractionalThreshold) {
-  // Ordinal protected attributes break the unit-distance assumption: the
-  // frontier expansion must honor |code_a - code_b| metrics through the
-  // naive enumeration. T = 1.5 keeps neighborhoods proper subsets of the
-  // nodes (no whole-node shortcut) and reaches 2 steps along the ordinal.
+// An ordinal age (5 values) and a nominal group (3) protected, with the
+// positive rate rising along the ordinal.
+Dataset OrdinalAgeDataset() {
   std::vector<AttributeSchema> attributes = {
       AttributeSchema("age", {"a0", "a1", "a2", "a3", "a4"},
                       /*ordinal=*/true),
@@ -298,6 +345,15 @@ TEST(IbsIncrementalTest, OrdinalMetricsAndFractionalThreshold) {
     const int label = rows.Bernoulli(0.3 + 0.1 * age) ? 1 : 0;
     data.AddRow({age, group, label}, label);
   }
+  return data;
+}
+
+TEST(IbsIncrementalTest, OrdinalMetricsAndFractionalThreshold) {
+  // Ordinal protected attributes break the unit-distance assumption: the
+  // frontier expansion must honor |code_a - code_b| metrics through the
+  // naive enumeration. T = 1.5 keeps neighborhoods proper subsets of the
+  // nodes (no whole-node shortcut) and reaches 2 steps along the ordinal.
+  Dataset data = OrdinalAgeDataset();
   Hierarchy hierarchy(data);
   ASSERT_TRUE(hierarchy.EagerBuild(1).ok());
   IbsParams params = TestParams();
@@ -421,6 +477,92 @@ TEST(IbsIncrementalTest, LeafAndTopScopesReadParentsOutsideTheScope) {
           0x5c0u + static_cast<uint64_t>(scope),
           std::string(scope == IbsScope::kLeaf ? "leaf" : "top") + " scope " +
               (algorithm == IbsAlgorithm::kNaive ? "naive" : "optimized"));
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Wide batches: whole-node re-scoring for covering frontiers
+// ---------------------------------------------------------------------------
+
+// Three leaves in four dirty every epoch: dirty keys x FrontierBound reach
+// the entry count of many nodes, which are then re-scored whole — the
+// output must stay bit-identical, and the wide path must have run.
+TEST(IbsIncrementalTest, WideBatchesAtUnitDistanceBothAlgorithms) {
+  // Two or more protected attributes: with one, the only node is in the
+  // whole-node regime (T = 1 is its diameter), where a dirty key has no
+  // frontier and three leaves in four never cover it.
+  RandomSpecOptions options;
+  options.min_protected = 2;
+  for (int seed = 0; seed < kSpecSeeds; ++seed) {
+    Rng spec_rng(0x3a1de0u + static_cast<uint64_t>(seed));
+    SyntheticSpec spec = RandomSpec(spec_rng, options);
+    spec.num_rows = 500;
+    Dataset data = GenerateSynthetic(spec, 300 + seed);
+    for (IbsAlgorithm algorithm :
+         {IbsAlgorithm::kOptimized, IbsAlgorithm::kNaive}) {
+      Hierarchy hierarchy(data);
+      ASSERT_TRUE(hierarchy.EagerBuild(1).ok());
+      IbsParams params = TestParams();
+      params.algorithm = algorithm;
+      const std::string where =
+          "wide spec " + std::to_string(seed) + " algo " +
+          (algorithm == IbsAlgorithm::kNaive ? "naive" : "optimized");
+      EXPECT_GT(RunParityStream(hierarchy, params, kShortStreamEpochs,
+                                0x3a1du + static_cast<uint64_t>(seed), where,
+                                WideBatch),
+                0)
+          << where;
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(IbsIncrementalTest, WideBatchesOnOrdinalMetrics) {
+  // T = 1.5 on an ordinal attribute: FrontierBound counts the +-1 steps
+  // along the ordinal (2 values) and their combinations with a nominal
+  // change, not 1 + sum (c_i - 1).
+  Dataset data = OrdinalAgeDataset();
+  for (IbsAlgorithm algorithm :
+       {IbsAlgorithm::kOptimized, IbsAlgorithm::kNaive}) {
+    Hierarchy hierarchy(data);
+    ASSERT_TRUE(hierarchy.EagerBuild(1).ok());
+    IbsParams params = TestParams();
+    params.algorithm = algorithm;
+    params.distance_threshold = 1.5;
+    EXPECT_GT(RunParityStream(hierarchy, params, kShortStreamEpochs, 0x0b1d,
+                              "wide ordinal", WideBatch),
+              0);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(IbsIncrementalTest, WideBatchesInLeafAndTopScopes) {
+  // Leaf scope: the one scored node reads its parents outside the scope.
+  // Top scope: level 1 is in the whole-node regime at T = 1, so only the
+  // flip-only (steady-totals) epochs take the wide path there.
+  Rng spec_rng(0x3a1de5);
+  SyntheticSpec spec = RandomSpec(spec_rng);
+  spec.num_rows = 500;
+  Dataset data = GenerateSynthetic(spec, 23);
+  for (IbsScope scope : {IbsScope::kLeaf, IbsScope::kTop}) {
+    for (IbsAlgorithm algorithm :
+         {IbsAlgorithm::kOptimized, IbsAlgorithm::kNaive}) {
+      Hierarchy hierarchy(data);
+      ASSERT_TRUE(hierarchy.EagerBuild(1).ok());
+      IbsParams params = TestParams();
+      params.scope = scope;
+      params.algorithm = algorithm;
+      const std::string where =
+          std::string(scope == IbsScope::kLeaf ? "wide leaf" : "wide top") +
+          " scope " +
+          (algorithm == IbsAlgorithm::kNaive ? "naive" : "optimized");
+      EXPECT_GT(RunParityStream(hierarchy, params, kShortStreamEpochs,
+                                0x3a1e0u + static_cast<uint64_t>(scope),
+                                where, WideBatch),
+                0)
+          << where;
       if (::testing::Test::HasFatalFailure()) return;
     }
   }

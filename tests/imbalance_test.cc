@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/rng.h"
 #include "core/imbalance.h"
 #include "test_util.h"
@@ -116,6 +119,41 @@ TEST(NeighborhoodTest, SupportsOptimizedRules) {
   // T = 1.3 is neither T=1 nor the whole-node regime.
   EXPECT_FALSE(
       NeighborhoodCalculator(hierarchy, 1.3).SupportsOptimized(0b11));
+}
+
+TEST(NeighborhoodTest, FrontierBoundCoversEveryRegionsNeighborKeys) {
+  // An ordinal age (5 values) beside nominal g (3) and f (2). The bound
+  // must be at least 1 + |AppendNeighborKeys| for every key of every node,
+  // and here it is reached (an interior age value has the most neighbors
+  // at every step).
+  std::vector<AttributeSchema> attributes = {
+      AttributeSchema("age", {"a0", "a1", "a2", "a3", "a4"},
+                      /*ordinal=*/true),
+      AttributeSchema("g", {"g0", "g1", "g2"}),
+      AttributeSchema("f", {"f0", "f1"}),
+  };
+  Dataset data(DataSchema(std::move(attributes), {0, 1, 2}));
+  data.AddRow({0, 0, 0}, 1);
+  Hierarchy hierarchy(data);
+  for (double t : {1.0, 1.5, 2.0, 2.5}) {
+    NeighborhoodCalculator neighborhood(hierarchy, t);
+    for (uint32_t mask = 1; mask <= hierarchy.LeafMask(); ++mask) {
+      const int64_t bound = neighborhood.FrontierBound(mask);
+      int64_t most = 0;
+      for (uint64_t key = 0; key < hierarchy.counter().KeySpace(mask);
+           ++key) {
+        std::vector<uint64_t> keys;
+        neighborhood.AppendNeighborKeys(mask, key, &keys);
+        most = std::max(most, static_cast<int64_t>(keys.size()) + 1);
+      }
+      EXPECT_EQ(bound, most) << "T " << t << " mask " << mask;
+    }
+  }
+  // T = 1 on the nominal pair: 1 + (3 - 1) + (2 - 1).
+  EXPECT_EQ(NeighborhoodCalculator(hierarchy, 1.0).FrontierBound(0b110), 4);
+  // T = 1.5 on the leaf: no change, one +-1 / nominal step (2 + 2 + 1), or
+  // two of them (2 * 2 + 2 * 1 + 2 * 1).
+  EXPECT_EQ(NeighborhoodCalculator(hierarchy, 1.5).FrontierBound(0b111), 14);
 }
 
 // Property sweep: naive and optimized agree on random datasets at T = 1
