@@ -68,7 +68,7 @@ class JsonResultWriter {
  public:
   // One record field. The converting constructors keep the existing
   // brace-list call sites ({"rows", 1.0}) compiling unchanged while
-  // admitting {"backend", "sharded"}.
+  // admitting {"digest", "fa153dc7b65730be"}.
   struct Field {
     Field(std::string k, double v) : key(std::move(k)), number(v) {}
     Field(std::string k, std::string v)

@@ -22,7 +22,6 @@
 #include "common/table_printer.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "core/counting_backend.h"
 #include "core/ibs_identify.h"
 #include "core/remedy.h"
 #include "data/columnar.h"
@@ -339,19 +338,23 @@ uint64_t IbsDigest(const std::vector<BiasedRegion>& ibs) {
   return h;
 }
 
-// (f) the large-row backend sweep: for each requested row count, stream an
-// Adult-schema instance (|X| = 8) into a columnar shard store — the full
-// Dataset never materializes — and identify its IBS once per counting
-// backend. All backends must produce the identical result (checked by
-// digest; a mismatch is a hard failure). Returns the number of mismatches.
-int SweepRowsBackends(const std::vector<int64_t>& rows_list,
-                      bench::JsonResultWriter* json) {
+// Up to this many rows, sweeps (f) and (g) also build a reference the same
+// rows count to by another path and check the two digests are identical.
+constexpr int64_t kVerifyLimit = 10'000'000;
+
+// (f) the large-row sweep: for each requested row count, stream an
+// Adult-schema instance (|X| = 8) into a columnar shard store and identify
+// its IBS off the store (the key-kernel scan). Up to kVerifyLimit the same
+// rows are then materialized as a Dataset and identified by the row scan;
+// the digests must match (a mismatch is a hard failure). The peak-RSS
+// column is read before the reference Dataset exists, so it shows the
+// store path alone. Returns the number of mismatches.
+int SweepRows(const std::vector<int64_t>& rows_list,
+              bench::JsonResultWriter* json) {
   std::printf(
-      "\n(f) IBS identification per counting backend (|X| = 8, streamed "
-      "columnar store)\n");
-  TablePrinter table({"rows", "shards", "backend", "threads", "identify (s)",
-                      "digest", "peak RSS (MB)"});
-  const int threads = ThreadPool::DefaultThreads();
+      "\n(f) IBS identification off a streamed columnar store (|X| = 8)\n");
+  TablePrinter table({"rows", "shards", "identify (s)", "digest",
+                      "row-scan match", "peak RSS (MB)"});
   int mismatches = 0;
   for (int64_t rows : rows_list) {
     SyntheticSpec spec = AdultSpec(static_cast<int>(rows));
@@ -363,51 +366,49 @@ int SweepRowsBackends(const std::vector<int64_t>& rows_list,
     WallTimer generate_timer;
     ColumnarShardStore store = GenerateSyntheticStore(spec, /*seed=*/42);
     const double generate_s = generate_timer.Seconds();
-    uint64_t reference_digest = 0;
-    for (CountingBackendKind kind :
-         {CountingBackendKind::kScalar, CountingBackendKind::kSimd,
-          CountingBackendKind::kSharded}) {
-      IbsParams params;
-      params.imbalance_threshold = 0.5;
-      params.backend = kind;
-      params.backend_threads = threads;
-      WallTimer timer;
-      std::vector<BiasedRegion> ibs = IdentifyIbs(store, params).value();
-      const double identify_s = timer.Seconds();
-      const uint64_t digest = IbsDigest(ibs);
-      if (kind == CountingBackendKind::kScalar) {
-        reference_digest = digest;
-      } else if (digest != reference_digest) {
+    IbsParams params;
+    params.imbalance_threshold = 0.5;
+    WallTimer timer;
+    std::vector<BiasedRegion> ibs = IdentifyIbs(store, params).value();
+    const double identify_s = timer.Seconds();
+    const uint64_t digest = IbsDigest(ibs);
+    const int64_t peak_rss = bench::PeakRssBytes();
+    std::string match = "n/a";
+    double matches_row_scan = -1.0;
+    if (rows <= kVerifyLimit) {
+      const Dataset data = GenerateSynthetic(spec, /*seed=*/42);
+      const bool ok =
+          IbsDigest(IdentifyIbs(data, params).value()) == digest;
+      matches_row_scan = ok ? 1.0 : 0.0;
+      match = ok ? "yes" : "NO";
+      if (!ok) {
         ++mismatches;
         std::fprintf(stderr,
-                     "backend digest mismatch at %lld rows: %s != scalar\n",
-                     static_cast<long long>(rows), CountingBackendName(kind));
+                     "digest mismatch at %lld rows: store scan != row "
+                     "scan\n",
+                     static_cast<long long>(rows));
       }
-      const int64_t peak_rss = bench::PeakRssBytes();
-      char digest_hex[32];
-      std::snprintf(digest_hex, sizeof(digest_hex), "%016llx",
-                    static_cast<unsigned long long>(digest));
-      table.AddRow({std::to_string(rows), std::to_string(store.NumShards()),
-                    CountingBackendName(kind), std::to_string(threads),
-                    FormatDouble(identify_s, 3), digest_hex,
-                    std::to_string(peak_rss >> 20)});
-      json->AddRecord(
-          "identify_vs_rows_backends",
-          {{"rows", static_cast<double>(store.NumRows())},
-           {"num_protected", 8.0},
-           {"backend", CountingBackendName(kind)},
-           {"num_shards", static_cast<double>(store.NumShards())},
-           {"threads", static_cast<double>(threads)},
-           {"generate_s", generate_s},
-           {"identify_s", identify_s},
-           {"digest", digest_hex},
-           {"digests_agree", digest == reference_digest ? 1.0 : 0.0},
-           {"peak_rss_bytes", static_cast<double>(peak_rss)}});
     }
+    char digest_hex[32];
+    std::snprintf(digest_hex, sizeof(digest_hex), "%016llx",
+                  static_cast<unsigned long long>(digest));
+    table.AddRow({std::to_string(rows), std::to_string(store.NumShards()),
+                  FormatDouble(identify_s, 3), digest_hex, match,
+                  std::to_string(peak_rss >> 20)});
+    json->AddRecord("identify_vs_rows",
+                    {{"rows", static_cast<double>(store.NumRows())},
+                     {"num_protected", 8.0},
+                     {"num_shards", static_cast<double>(store.NumShards())},
+                     {"generate_s", generate_s},
+                     {"identify_s", identify_s},
+                     {"digest", digest_hex},
+                     {"matches_row_scan", matches_row_scan},
+                     {"peak_rss_bytes", static_cast<double>(peak_rss)}});
   }
   table.Print(std::cout);
   if (mismatches == 0) {
-    std::printf("all backends agree on every digest\n");
+    std::printf("the store scan matches the row scan on every verified "
+                "digest\n");
   }
   return mismatches;
 }
@@ -415,7 +416,7 @@ int SweepRowsBackends(const std::vector<int64_t>& rows_list,
 // (g) the out-of-core sweep: stream the same Adult-schema rows (|X| = 8)
 // through the spill-mode builder into per-shard files under --store-dir,
 // then identify the IBS counting straight off the memory-mapped files. Up
-// to the in-memory verify limit the run also builds the in-memory store and
+// to kVerifyLimit the run also builds the in-memory store and
 // checks the two digests are byte-identical (the out-of-core acceptance
 // proof); beyond it — the 100M-row cell — only the mmap path runs, and the
 // peak-RSS column is the evidence that counting never materializes the
@@ -429,8 +430,6 @@ int SweepOutOfCore(const std::vector<int64_t>& rows_list,
   TablePrinter table({"rows", "shards", "store (MB)", "spill (s)",
                       "identify (s)", "digest", "in-mem match",
                       "peak RSS (MB)"});
-  const int threads = ThreadPool::DefaultThreads();
-  constexpr int64_t kInMemoryVerifyLimit = 10'000'000;
   int mismatches = 0;
   for (int64_t rows : rows_list) {
     SyntheticSpec spec = AdultSpec(static_cast<int>(rows));
@@ -448,15 +447,13 @@ int SweepOutOfCore(const std::vector<int64_t>& rows_list,
     const ColumnarShardStore& store = spilled.value();
     IbsParams params;
     params.imbalance_threshold = 0.5;
-    params.backend = CountingBackendKind::kSharded;
-    params.backend_threads = threads;
     WallTimer timer;
     std::vector<BiasedRegion> ibs = IdentifyIbs(store, params).value();
     const double identify_s = timer.Seconds();
     const uint64_t digest = IbsDigest(ibs);
     std::string match = "n/a";
     double matches_inmemory = -1.0;
-    if (rows <= kInMemoryVerifyLimit) {
+    if (rows <= kVerifyLimit) {
       ColumnarShardStore in_memory = GenerateSyntheticStore(spec, /*seed=*/42);
       std::vector<BiasedRegion> reference =
           IdentifyIbs(in_memory, params).value();
@@ -483,9 +480,7 @@ int SweepOutOfCore(const std::vector<int64_t>& rows_list,
     json->AddRecord("identify_oocore",
                     {{"rows", static_cast<double>(store.NumRows())},
                      {"num_protected", 8.0},
-                     {"backend", "sharded"},
                      {"num_shards", static_cast<double>(store.NumShards())},
-                     {"threads", static_cast<double>(threads)},
                      {"spill_s", spill_s},
                      {"identify_s", identify_s},
                      {"digest", digest_hex},
@@ -505,8 +500,10 @@ std::vector<int64_t> ParseRowsFlag(const std::string& value) {
   std::vector<int64_t> rows;
   for (const std::string& field : Split(value, ',')) {
     if (field.empty()) continue;
-    rows.push_back(std::atoll(field.c_str()));
-    REMEDY_CHECK(rows.back() > 0) << "bad --rows value '" << field << "'";
+    StatusOr<int64_t> parsed = ParseNumber<int64_t>(field);
+    REMEDY_CHECK(parsed.ok() && parsed.value() > 0)
+        << "bad --rows value '" << field << "'";
+    rows.push_back(parsed.value());
   }
   return rows;
 }
@@ -534,8 +531,8 @@ int main(int argc, char** argv) {
   const std::string json_path = remedy::bench::JsonPathFromArgs(argc, argv);
   const std::string metrics_path =
       remedy::bench::FlagValue(argc, argv, "--metrics-json");
-  // --rows 1000000,10000000 adds the per-backend sweep on streamed
-  // columnar stores; --sweep-only skips the (a)-(e) Dataset sections.
+  // --rows 1000000,10000000 adds the identify sweep on streamed columnar
+  // stores; --sweep-only skips the (a)-(e) Dataset sections.
   const std::vector<int64_t> sweep_rows =
       remedy::ParseRowsFlag(remedy::bench::FlagValue(argc, argv, "--rows"));
   const bool sweep_only = remedy::bench::HasFlag(argc, argv, "--sweep-only");
@@ -558,7 +555,7 @@ int main(int argc, char** argv) {
   }
   int mismatches = 0;
   if (!sweep_rows.empty()) {
-    mismatches = remedy::SweepRowsBackends(sweep_rows, &json);
+    mismatches = remedy::SweepRows(sweep_rows, &json);
   }
   if (!oocore_rows.empty()) {
     mismatches += remedy::SweepOutOfCore(oocore_rows, store_dir, &json);

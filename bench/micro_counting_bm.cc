@@ -1,10 +1,11 @@
 // Microbenchmarks of the counting engine behind the lattice: the leaf-node
-// tally per counting backend (scalar / simd / sharded) over a streamed
-// Adult-schema columnar store, and NodeTable construction over shuffled
-// entries (exercising the LSD radix sort vs the comparison-sort fallback).
+// tally along both counting paths over the same Adult-schema rows (the
+// Dataset row scan and the columnar store's key-kernel scan), and NodeTable
+// construction over shuffled entries (exercising the LSD radix sort vs the
+// comparison-sort fallback).
 //
 // Run with --metrics-json <file> to also dump the pipeline-metrics snapshot
-// (lattice/shard_* and lattice/radix_sort_* land here).
+// (lattice/shard_rows and lattice/radix_sort_* land here).
 
 #include <benchmark/benchmark.h>
 
@@ -14,8 +15,6 @@
 
 #include "common/metrics.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
-#include "core/counting_backend.h"
 #include "core/region_counter.h"
 #include "data/columnar.h"
 #include "datagen/adult.h"
@@ -26,11 +25,11 @@ namespace {
 
 constexpr int kBenchRows = 1 << 20;
 
-// One store + counter pair shared by every backend case, built once: the
-// benches time counting, not generation.
+// The same rows as a Dataset and as a store, shared by both path cases and
+// built once: the benches time counting, not generation.
 struct BenchInput {
+  Dataset data;
   ColumnarShardStore store;
-  DataSchema schema;
 };
 
 const BenchInput& Input() {
@@ -42,31 +41,34 @@ const BenchInput& Input() {
       spec.protected_indices.push_back(schema.AttributeIndex(name));
     }
     auto* built = new BenchInput;
-    built->store = GenerateSyntheticStore(spec, /*seed=*/42);
-    built->schema = built->store.schema();
+    built->data = GenerateSynthetic(spec, /*seed=*/42);
+    built->store = ColumnarShardStore::FromDataset(built->data);
     return built;
   }();
   return *input;
 }
 
-void BM_CountLeaf(benchmark::State& state, CountingBackendKind kind) {
-  const BenchInput& input = Input();
-  RegionCounter counter(input.schema);
+// `source` is the Dataset (row scan) or the store (key kernel).
+template <typename Source>
+void BM_CountLeaf(benchmark::State& state, const Source& source) {
+  RegionCounter counter(source.schema());
   const uint32_t leaf_mask = (1u << counter.NumProtected()) - 1;
-  std::unique_ptr<CountingBackend> backend = CountingBackend::Create(kind);
-  CountingSource source;
-  source.store = &input.store;
-  const int threads = ThreadPool::DefaultThreads();
   for (auto _ : state) {
-    NodeTable node = backend->CountNode(source, counter, leaf_mask, threads);
+    NodeTable node = counter.CountNode(source, leaf_mask);
     benchmark::DoNotOptimize(node);
   }
-  state.SetItemsProcessed(state.iterations() * input.store.NumRows());
+  state.SetItemsProcessed(state.iterations() * kBenchRows);
 }
 
-BENCHMARK_CAPTURE(BM_CountLeaf, scalar, CountingBackendKind::kScalar);
-BENCHMARK_CAPTURE(BM_CountLeaf, simd, CountingBackendKind::kSimd);
-BENCHMARK_CAPTURE(BM_CountLeaf, sharded, CountingBackendKind::kSharded);
+void BM_CountLeafDataset(benchmark::State& state) {
+  BM_CountLeaf(state, Input().data);
+}
+void BM_CountLeafStore(benchmark::State& state) {
+  BM_CountLeaf(state, Input().store);
+}
+
+BENCHMARK(BM_CountLeafDataset);
+BENCHMARK(BM_CountLeafStore);
 
 // NodeTable construction from shuffled entries: below the radix threshold
 // this is the std::sort path, above it the LSD radix sort.

@@ -32,12 +32,6 @@
 //   --max-quarantine-frac x             circuit breaker for quarantine mode
 //                                       (default: 0.05)
 //
-// Counting engine (any command):
-//   --backend scalar|simd|sharded   engine behind the leaf group-by scan;
-//                                   output is byte-identical across all
-//                                   three (default: scalar)
-//   --threads n                     sharded-counting workers (0 = all CPUs)
-//
 // Remedy write path (remedy command; docs/REMEDY.md):
 //   --remedy-backend rebuild|incremental|streaming
 //       which RemedyBackend rewrites the dataset (default: incremental).
@@ -53,7 +47,8 @@
 //                            no file is given)
 //
 // Flags may appear anywhere and accept both `--flag value` and
-// `--flag=value`.
+// `--flag=value`. A numeric flag whose value is not wholly a number exits
+// 64.
 //
 // `audit` trains a decision tree on a 70/30 split, prints the fairness
 // audit (unfair subgroups + IBS alignment), and exits non-zero if any
@@ -79,6 +74,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/csv.h"
@@ -88,7 +84,6 @@
 #include "common/string_util.h"
 #include "common/table_printer.h"
 #include "common/trace.h"
-#include "core/counting_backend.h"
 #include "core/ibs_identify.h"
 #include "core/pipeline_report.h"
 #include "core/remedy.h"
@@ -152,8 +147,6 @@ struct CliArgs {
   double tau_d = 0.1;
   double distance = 1.0;
   RemedyTechnique technique = RemedyTechnique::kPreferentialSampling;
-  CountingBackendKind backend = CountingBackendKind::kScalar;
-  int backend_threads = 0;
   // Raw --remedy-backend value; parsed in RunRemedyCommand so an unknown
   // name exits 64 (invalid argument) rather than 1 (usage).
   std::string remedy_backend_name;
@@ -169,6 +162,7 @@ struct CliArgs {
   std::string store_dir;  // identify: spill here, count mmap-backed
   bool mmap_existing = false;  // identify: reuse an already-spilled store
   bool valid = false;
+  Status flag_error;  // a malformed flag value: exits 64, not usage
 };
 
 // --- interrupt flushing ----------------------------------------------
@@ -257,7 +251,6 @@ void PrintUsage() {
       "          (append :N for N rows, e.g. @adult:10000)\n"
       "  shared: [--on-bad-row fail|quarantine|drop]\n"
       "          [--max-quarantine-frac x]\n"
-      "          [--backend scalar|simd|sharded] [--threads n]\n"
       "          [--trace-out=file.json] [--metrics]\n"
       "          [--metrics-json[=file]]\n");
 }
@@ -313,6 +306,16 @@ CliArgs ParseArgs(int argc, char** argv) {
       return std::nullopt;
     };
     std::optional<std::string> value;
+    // Parses *value into `out`, recording a malformed number.
+    auto number = [&](auto* out) {
+      auto parsed = ParseNumber<std::remove_pointer_t<decltype(out)>>(*value);
+      if (!parsed.ok()) {
+        args.flag_error = parsed.status().WithContext("bad " + flag);
+        return false;
+      }
+      *out = parsed.value();
+      return true;
+    };
     if (flag == "--protected" && (value = value_of())) {
       args.loader.protected_attributes = Split(*value, ',');
       args.protected_given = true;
@@ -323,33 +326,24 @@ CliArgs ParseArgs(int argc, char** argv) {
     } else if (flag == "--out" && (value = value_of())) {
       args.output = *value;
     } else if (flag == "--tau-c" && (value = value_of())) {
-      args.tau_c = std::atof(value->c_str());
+      if (!number(&args.tau_c)) return args;
     } else if (flag == "--tau-d" && (value = value_of())) {
-      args.tau_d = std::atof(value->c_str());
+      if (!number(&args.tau_d)) return args;
     } else if (flag == "--T" && (value = value_of())) {
-      args.distance = std::atof(value->c_str());
+      if (!number(&args.distance)) return args;
     } else if (flag == "--seed" && (value = value_of())) {
-      args.seed = static_cast<uint64_t>(std::strtoull(value->c_str(), nullptr, 10));
+      if (!number(&args.seed)) return args;
     } else if (flag == "--technique" && (value = value_of())) {
       if (!ParseTechnique(*value, &args.technique)) return args;
     } else if (flag == "--remedy-backend" && (value = value_of())) {
       args.remedy_backend_name = *value;
-    } else if (flag == "--backend" && (value = value_of())) {
-      StatusOr<CountingBackendKind> parsed = ParseCountingBackend(*value);
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "--backend wants scalar|simd|sharded\n");
-        return args;
-      }
-      args.backend = parsed.value();
-    } else if (flag == "--threads" && (value = value_of())) {
-      args.backend_threads = std::atoi(value->c_str());
     } else if (flag == "--on-bad-row" && (value = value_of())) {
       if (!ParseBadRowPolicy(*value, &args.loader.on_bad_row)) {
         std::fprintf(stderr, "--on-bad-row wants fail|quarantine|drop\n");
         return args;
       }
     } else if (flag == "--max-quarantine-frac" && (value = value_of())) {
-      args.loader.max_quarantine_fraction = std::atof(value->c_str());
+      if (!number(&args.loader.max_quarantine_fraction)) return args;
     } else if (flag == "--store-dir" && (value = value_of())) {
       args.store_dir = *value;
     } else if (flag == "--mmap") {
@@ -421,7 +415,8 @@ StatusOr<CsvTable> GenerateInput(const std::string& input, CliArgs* args) {
   int rows = 0;  // 0: the generator's Table II default
   const size_t colon = name.find(':');
   if (colon != std::string::npos) {
-    rows = std::atoi(name.c_str() + colon + 1);
+    StatusOr<int> parsed = ParseNumber<int>(name.substr(colon + 1));
+    rows = parsed.ok() ? parsed.value() : 0;
     if (rows <= 0) {
       return InvalidArgumentError("bad row count in generator input '" +
                                   input + "'");
@@ -455,8 +450,6 @@ int RunPlanCommand(const CliArgs& args, const Dataset& data) {
   RemedyParams params;
   params.ibs.imbalance_threshold = args.tau_c;
   params.ibs.distance_threshold = args.distance;
-  params.ibs.backend = args.backend;
-  params.ibs.backend_threads = args.backend_threads;
   params.technique = args.technique;
   params.seed = args.seed;
   StatusOr<std::vector<PlannedAction>> planned = PlanRemedy(data, params);
@@ -519,8 +512,6 @@ int RunIdentifyCommand(const CliArgs& args, const Dataset& data) {
   IbsParams params;
   params.imbalance_threshold = args.tau_c;
   params.distance_threshold = args.distance;
-  params.backend = args.backend;
-  params.backend_threads = args.backend_threads;
   StatusOr<std::vector<BiasedRegion>> identified =
       IdentifyIbs(store.value(), params);
   if (!identified.ok()) return Fail("identify failed", identified.status());
@@ -563,8 +554,6 @@ int RunAuditCommand(const CliArgs& args, const Dataset& data) {
   options.discrimination_threshold = args.tau_d;
   options.ibs.imbalance_threshold = args.tau_c;
   options.ibs.distance_threshold = args.distance;
-  options.ibs.backend = args.backend;
-  options.ibs.backend_threads = args.backend_threads;
   AuditReport report =
       RunAudit(train, test, model->PredictAll(test), options);
   PrintAuditReport(report, data.schema(), std::cout);
@@ -579,8 +568,6 @@ int RunRemedyCommand(const CliArgs& args, const Dataset& data) {
   RemedyParams params;
   params.ibs.imbalance_threshold = args.tau_c;
   params.ibs.distance_threshold = args.distance;
-  params.ibs.backend = args.backend;
-  params.ibs.backend_threads = args.backend_threads;
   params.technique = args.technique;
   params.seed = args.seed;
 
@@ -696,6 +683,7 @@ int RunCommand(CliArgs& args) {
 
 int main(int argc, char** argv) {
   CliArgs args = ParseArgs(argc, argv);
+  if (!args.flag_error.ok()) return Fail("bad flag", args.flag_error);
   if (!args.valid) {
     PrintUsage();
     return 1;

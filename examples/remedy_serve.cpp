@@ -61,6 +61,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/csv.h"
@@ -121,6 +122,7 @@ struct ServeArgs {
   ServeOptions options;
   LoaderOptions loader;
   bool protected_given = false;
+  Status flag_error;  // a malformed numeric value: exits 64, not usage
 };
 
 void PrintUsage() {
@@ -158,6 +160,17 @@ ServeArgs ParseArgs(int argc, char** argv) {
       std::fprintf(stderr, "%s needs a value\n", arg.c_str());
       return "";
     };
+    // Parses the flag's value into `out`, recording a malformed number.
+    auto number = [&](auto* out) {
+      auto parsed = ParseNumber<std::remove_pointer_t<decltype(out)>>(
+          value_of());
+      if (!parsed.ok()) {
+        args.flag_error = parsed.status().WithContext("bad " + arg);
+        return false;
+      }
+      *out = parsed.value();
+      return true;
+    };
     if (arg == "--state-dir") {
       args.state_dir = value_of();
     } else if (arg == "--protected") {
@@ -172,9 +185,9 @@ ServeArgs ParseArgs(int argc, char** argv) {
     } else if (arg == "--batch") {
       args.batch_files.push_back(value_of());
     } else if (arg == "--demo") {
-      args.demo_batches = std::atoi(value_of().c_str());
+      if (!number(&args.demo_batches)) return args;
     } else if (arg == "--kill-after") {
-      args.kill_after = std::atoi(value_of().c_str());
+      if (!number(&args.kill_after)) return args;
     } else if (arg == "--serve") {
       args.serve = true;
     } else if (arg == "--health-out") {
@@ -200,33 +213,33 @@ ServeArgs ParseArgs(int argc, char** argv) {
     } else if (arg == "--remedy-backend") {
       args.remedy_backend_name = value_of();
     } else if (arg == "--remedy-seed") {
-      args.options.remedy.seed =
-          static_cast<uint64_t>(std::atoll(value_of().c_str()));
+      if (!number(&args.options.remedy.seed)) return args;
     } else if (arg == "--remedy-rounds") {
-      args.options.auto_remedy_max_rounds = std::atoi(value_of().c_str());
+      if (!number(&args.options.auto_remedy_max_rounds)) return args;
     } else if (arg == "--kill-after-remedy") {
       args.kill_after_remedy = true;
     } else if (arg == "--queue-capacity") {
-      args.options.queue_capacity =
-          static_cast<size_t>(std::atoll(value_of().c_str()));
+      uint64_t capacity = 0;
+      if (!number(&capacity)) return args;
+      args.options.queue_capacity = static_cast<size_t>(capacity);
     } else if (arg == "--retry-after-ms") {
-      args.options.retry_after_ms = std::atoi(value_of().c_str());
+      if (!number(&args.options.retry_after_ms)) return args;
     } else if (arg == "--watchdog") {
-      args.options.watchdog_trip_threshold = std::atoi(value_of().c_str());
+      if (!number(&args.options.watchdog_trip_threshold)) return args;
     } else if (arg == "--checkpoint-every") {
-      args.options.checkpoint_every_batches = std::atoll(value_of().c_str());
+      if (!number(&args.options.checkpoint_every_batches)) return args;
     } else if (arg == "--identify-every") {
-      args.options.identify_every_epochs = std::atoi(value_of().c_str());
+      if (!number(&args.options.identify_every_epochs)) return args;
     } else if (arg == "--identify-mode") {
       args.identify_mode_name = value_of();
     } else if (arg == "--threads") {
-      args.options.build_threads = std::atoi(value_of().c_str());
+      if (!number(&args.options.build_threads)) return args;
     } else if (arg == "--tau-c") {
-      args.options.ibs.imbalance_threshold = std::atof(value_of().c_str());
+      if (!number(&args.options.ibs.imbalance_threshold)) return args;
     } else if (arg == "--T") {
-      args.options.ibs.distance_threshold = std::atof(value_of().c_str());
+      if (!number(&args.options.ibs.distance_threshold)) return args;
     } else if (arg == "--min-region") {
-      args.options.ibs.min_region_size = std::atoi(value_of().c_str());
+      if (!number(&args.options.ibs.min_region_size)) return args;
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
       return args;
@@ -274,7 +287,8 @@ StatusOr<Dataset> LoadSchemaDataset(ServeArgs* args) {
   int rows = 0;
   const size_t colon = name.find(':');
   if (colon != std::string::npos) {
-    rows = std::atoi(name.c_str() + colon + 1);
+    StatusOr<int> parsed = ParseNumber<int>(name.substr(colon + 1));
+    rows = parsed.ok() ? parsed.value() : 0;
     if (rows <= 0) {
       return InvalidArgumentError("bad row count in generator input '" +
                                   args->input + "'");
@@ -543,6 +557,7 @@ int Run(ServeArgs& args, const sigset_t& signals) {
 
 int main(int argc, char** argv) {
   ServeArgs args = ParseArgs(argc, argv);
+  if (!args.flag_error.ok()) return Fail("bad flag", args.flag_error);
   if (!args.valid) {
     PrintUsage();
     return 1;

@@ -39,13 +39,7 @@ namespace remedy {
   X(lattice_slot_map_builds, "lattice/slot_map_builds", "builds",             \
     "slot-map (re)builds of the lattice's ApplyDeltas up maps")               \
   X(lattice_shard_rows, "lattice/shard_rows", "rows",                         \
-    "rows counted through the columnar shard path (simd + sharded "           \
-    "backends)")                                                              \
-  X(lattice_shard_tallies, "lattice/shard_tallies", "shards",                 \
-    "shard-local leaf tallies computed by the sharded backend")               \
-  X(lattice_shard_merges, "lattice/shard_merges", "shards",                   \
-    "shard-local tables merged (in ascending shard order) into one "          \
-    "NodeTable")                                                              \
+    "rows counted by the columnar store's key kernel")                        \
   X(lattice_radix_sort_keys, "lattice/radix_sort_keys", "keys",               \
     "NodeTable entries ordered by the LSD radix sort instead of a "           \
     "comparison sort")                                                        \

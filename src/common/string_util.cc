@@ -1,6 +1,8 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 
 namespace remedy {
@@ -51,5 +53,25 @@ bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() &&
          text.substr(0, prefix.size()) == prefix;
 }
+
+template <typename T>
+StatusOr<T> ParseNumber(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc::result_out_of_range) {
+    return InvalidArgumentError("'" + std::string(text) + "' is out of range");
+  }
+  if (ec != std::errc() || ptr != end) {
+    return InvalidArgumentError("'" + std::string(text) +
+                                "' is not a number");
+  }
+  return value;
+}
+
+template StatusOr<int> ParseNumber<int>(std::string_view);
+template StatusOr<int64_t> ParseNumber<int64_t>(std::string_view);
+template StatusOr<uint64_t> ParseNumber<uint64_t>(std::string_view);
+template StatusOr<double> ParseNumber<double>(std::string_view);
 
 }  // namespace remedy

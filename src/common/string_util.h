@@ -5,6 +5,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/status.h"
+
 namespace remedy {
 
 // Splits `text` on `sep`, keeping empty fields.
@@ -22,6 +24,12 @@ std::string FormatDouble(double value, int precision = 3);
 
 // True if `text` begins with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);
+
+// Parses all of `text` as a number of type T (int, int64_t, uint64_t or
+// double): kInvalidArgument when any character is left over, nothing
+// parses, or the value is out of T's range. No whitespace, no leading '+'.
+template <typename T>
+StatusOr<T> ParseNumber(std::string_view text);
 
 }  // namespace remedy
 

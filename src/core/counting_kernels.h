@@ -8,7 +8,7 @@
 
 namespace remedy {
 
-// Vectorizable primitives of the columnar counting backends: the
+// Vectorizable primitives of the columnar store scan: the
 // mixed-radix leaf-key computation over a shard's code arrays, and the
 // per-lane label tally. Everything here is exact integer arithmetic, so
 // the AVX2 and portable paths produce bit-identical results; which one

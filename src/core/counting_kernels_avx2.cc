@@ -7,7 +7,7 @@
 //
 // The kernel is exact u32 integer arithmetic (mullo + add per attribute),
 // so its output is bit-identical to ComputeShardKeysPortable — the
-// cross-backend equivalence suite pins that on every test run.
+// counting-paths parity suite pins that on every test run.
 
 #include "core/counting_kernels.h"
 

@@ -44,20 +44,15 @@ uint64_t FinalizeDigest(uint64_t sum, const RegionCounts& totals) {
 }  // namespace
 
 Hierarchy::Hierarchy(const Dataset& data)
-    : data_(&data),
-      counter_(data.schema()),
-      backend_(CountingBackend::Create(CountingBackendKind::kScalar)) {}
+    : data_(&data), counter_(data.schema()) {}
 
 Hierarchy::Hierarchy(const ColumnarShardStore& store)
-    : store_(&store),
-      counter_(store.schema()),
-      backend_(CountingBackend::Create(CountingBackendKind::kScalar)) {}
+    : store_(&store), counter_(store.schema()) {}
 
 Hierarchy::Hierarchy(const DataSchema& schema, NodeTable leaf_counts,
                      const RegionCounts& totals)
     : owned_schema_(std::make_unique<DataSchema>(schema)),
-      counter_(*owned_schema_),
-      backend_(CountingBackend::Create(CountingBackendKind::kScalar)) {
+      counter_(*owned_schema_) {
   node_cache_.emplace(LeafMask(), std::move(leaf_counts));
   total_counts_ = totals;
   total_valid_ = true;
@@ -69,35 +64,8 @@ const Dataset& Hierarchy::data() const {
   return *data_;
 }
 
-void Hierarchy::SetCountingBackend(CountingBackendKind kind, int threads) {
-  if (kind != backend_kind_) {
-    backend_ = CountingBackend::Create(kind);
-    backend_kind_ = kind;
-  }
-  backend_threads_ = threads;
-}
-
-CountingSource Hierarchy::SourceForCounting() {
-  CountingSource source{data_, store_};
-  if (source.store == nullptr &&
-      backend_kind_ != CountingBackendKind::kScalar) {
-    // Columnar backend over a Dataset-backed hierarchy: re-encode once and
-    // keep the store for later Invalidate()+rebuild rounds.
-    if (owned_store_ == nullptr) {
-      owned_store_ = std::make_unique<ColumnarShardStore>(
-          ColumnarShardStore::FromDataset(*data_));
-    }
-    source.store = owned_store_.get();
-  }
-  return source;
-}
-
 Status Hierarchy::PrepareCounting() {
-  const CountingSource source = SourceForCounting();
-  if (source.store != nullptr) {
-    return source.store->EnsureMapped();
-  }
-  return OkStatus();
+  return store_ != nullptr ? store_->EnsureMapped() : OkStatus();
 }
 
 const NodeTable& Hierarchy::NodeCounts(uint32_t mask) {
@@ -119,8 +87,8 @@ NodeTable Hierarchy::BuildNode(uint32_t mask) {
         << "count-seeded hierarchy lost its leaf table (Invalidate?) and "
            "has no row source to rescan";
     metrics.lattice_leaf_scans->Increment();
-    return backend_->CountNode(SourceForCounting(), counter_, mask,
-                               backend_threads_);
+    return data_ != nullptr ? counter_.CountNode(*data_, mask)
+                            : counter_.CountNode(*store_, mask);
   }
   // Prefer any already-built child (one extra deterministic attribute);
   // otherwise recurse through the lowest missing position, terminating at
@@ -445,9 +413,6 @@ std::vector<uint32_t> Hierarchy::BottomUpMasks() const {
 
 void Hierarchy::Invalidate() {
   node_cache_.clear();
-  // The owned columnar re-encoding mirrors the Dataset's rows, so a
-  // dataset mutation invalidates it too.
-  owned_store_.reset();
   total_valid_ = false;
   fully_built_ = false;
   digest_fresh_ = false;

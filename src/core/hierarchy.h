@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/counting_backend.h"
 #include "core/region_counter.h"
 #include "data/columnar.h"
 #include "data/dataset.h"
@@ -21,10 +20,12 @@ namespace remedy {
 // popcount of that mask. Level 0 is the entire dataset, the leaf level has
 // all attributes deterministic.
 //
-// Counting engine: only the leaf node is ever counted with a dataset scan;
-// every coarser node is derived from an already-built node one level below
-// via RegionCounter::RollUp, so materializing any slice of the lattice costs
-// at most one O(rows) pass plus per-node merges over the non-empty regions.
+// Counting engine: only the leaf node is ever counted with a scan of the
+// row source (RegionCounter::CountNode over the Dataset or the store,
+// whichever the hierarchy holds); every coarser node is derived from an
+// already-built node one level below via RegionCounter::RollUp, so
+// materializing any slice of the lattice costs at most one O(rows) pass
+// plus per-node merges over the non-empty regions.
 // Nodes are memoized lazily on first access; EagerBuild() precomputes the
 // whole lattice level by level, optionally fanning the independent nodes of
 // a level out over a thread pool. `Invalidate()` drops the memo after the
@@ -76,16 +77,6 @@ class Hierarchy {
   // recount.
   Hierarchy(const DataSchema& schema, NodeTable leaf_counts,
             const RegionCounts& totals);
-
-  // Selects the engine behind the one leaf-node scan (default: scalar, the
-  // original row-oriented path). The columnar backends count from the
-  // attached store; a Dataset-backed hierarchy builds one on first use.
-  // `threads` sizes the sharded backend's per-shard fan-out (<= 0 = every
-  // usable CPU). Output is bit-identical across backends and thread
-  // counts; call before building — switching later does not drop memoized
-  // nodes (they are equal by contract anyway).
-  void SetCountingBackend(CountingBackendKind kind, int threads = 1);
-  CountingBackendKind counting_backend() const { return backend_kind_; }
 
   int NumProtected() const { return counter_.NumProtected(); }
   uint32_t LeafMask() const {
@@ -231,10 +222,6 @@ class Hierarchy {
   // or a rollup of a (possibly recursively built) child one level below.
   NodeTable BuildNode(uint32_t mask);
 
-  // The source handed to the counting backend; re-encodes the Dataset into
-  // an owned columnar store the first time a columnar backend needs one.
-  CountingSource SourceForCounting();
-
   // The unfinalized counts digest: the hash sum over every entry.
   uint64_t FoldEntryHashes() const;
 
@@ -261,12 +248,8 @@ class Hierarchy {
 
   const Dataset* data_ = nullptr;
   const ColumnarShardStore* store_ = nullptr;
-  std::unique_ptr<ColumnarShardStore> owned_store_;
   std::unique_ptr<DataSchema> owned_schema_;  // count-seeded form only
   RegionCounter counter_;
-  std::unique_ptr<CountingBackend> backend_;
-  CountingBackendKind backend_kind_ = CountingBackendKind::kScalar;
-  int backend_threads_ = 1;
   std::unordered_map<uint32_t, NodeTable> node_cache_;
   RegionCounts total_counts_;
   bool total_valid_ = false;

@@ -83,7 +83,6 @@ namespace {
 StatusOr<std::vector<BiasedRegion>> IdentifyWithHierarchy(
     Hierarchy& hierarchy, const IbsParams& params) {
   REMEDY_TRACE_SPAN("ibs/identify");
-  hierarchy.SetCountingBackend(params.backend, params.backend_threads);
   // A spilled store maps its shard files here, so a missing or truncated
   // spill is a clean error from IdentifyIbs instead of a crash mid-count.
   RETURN_IF_ERROR(hierarchy.PrepareCounting());

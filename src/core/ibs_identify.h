@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/counting_backend.h"
 #include "core/hierarchy.h"
 #include "core/imbalance.h"
 #include "core/pattern.h"
@@ -33,10 +32,6 @@ struct IbsParams {
   int min_region_size = 30;          // k, the CLT rule of thumb
   IbsScope scope = IbsScope::kLattice;
   IbsAlgorithm algorithm = IbsAlgorithm::kOptimized;
-  // Engine behind the leaf-node scan (--backend=scalar|simd|sharded);
-  // output is byte-identical across all three and any thread count.
-  CountingBackendKind backend = CountingBackendKind::kScalar;
-  int backend_threads = 0;  // sharded counting workers; <= 0 = all CPUs
 };
 
 // One region of the Implicit Biased Set, with the evidence that put it there.

@@ -2,26 +2,23 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <utility>
 
-#include "common/check.h"
 #include "common/pipeline_metrics.h"
-#include "common/thread_pool.h"
 
 namespace remedy {
 namespace {
 
-// Serial LSD passes over the key bytes below `shift_limit`: counting
-// passes ping-pong `count` entries between `home` (the input) and
-// `scratch`, and the sorted result is moved back into `home` when the
-// pass parity ends on the scratch side. Returns the passes run.
+// LSD passes over the key bytes up to `max_key`'s highest: counting passes
+// ping-pong `count` entries between `home` (the input) and `scratch`, and
+// the sorted result is moved back into `home` when the pass parity ends on
+// the scratch side. Returns the passes run.
 int64_t LsdSortRange(NodeTable::Entry* home, NodeTable::Entry* scratch,
-                     size_t count, uint64_t max_key, int shift_limit) {
+                     size_t count, uint64_t max_key) {
   NodeTable::Entry* src = home;
   NodeTable::Entry* dst = scratch;
   int64_t passes = 0;
-  for (int shift = 0; shift < shift_limit && (max_key >> shift) != 0;
+  for (int shift = 0; shift < 64 && (max_key >> shift) != 0;
        shift += 8) {
     std::array<size_t, 256> counts{};
     for (size_t i = 0; i < count; ++i) {
@@ -56,128 +53,12 @@ void RadixSortByKey(std::vector<NodeTable::Entry>& entries) {
 
   std::vector<NodeTable::Entry> scratch(entries.size());
   const int64_t passes =
-      LsdSortRange(entries.data(), scratch.data(), entries.size(), max_key,
-                   /*shift_limit=*/64);
+      LsdSortRange(entries.data(), scratch.data(), entries.size(), max_key);
 
   const PipelineMetrics& metrics = PipelineMetrics::Get();
   metrics.lattice_radix_sort_keys->Increment(
       static_cast<int64_t>(entries.size()));
   metrics.lattice_radix_sort_passes->Increment(passes);
-}
-
-void RadixSortByKey(std::vector<NodeTable::Entry>& entries, int threads) {
-  const size_t n = entries.size();
-  const int workers = ResolveThreadCount(threads);
-  // Below a few thousand entries the partition + pool dispatch overhead
-  // beats any pass it could split; one byte of key means the serial sort
-  // is a single pass anyway.
-  if (workers <= 1 || n < 4096) {
-    RadixSortByKey(entries);
-    return;
-  }
-  uint64_t max_key = 0;
-  for (const NodeTable::Entry& entry : entries) {
-    if (entry.first > max_key) max_key = entry.first;
-  }
-  int top_shift = 0;
-  while (top_shift + 8 < 64 && (max_key >> (top_shift + 8)) != 0) {
-    top_shift += 8;
-  }
-  if (top_shift == 0) {
-    RadixSortByKey(entries);
-    return;
-  }
-
-  // Phase 1 — stable MSB partition into 256 disjoint bucket ranges.
-  // Fixed chunking by worker count; stability comes from the scatter
-  // visiting chunks in input order within each bucket, and the output is
-  // the stable top-byte sort regardless of how many chunks exist.
-  const int num_chunks = workers;
-  const size_t chunk_size = (n + num_chunks - 1) / num_chunks;
-  auto chunk_range = [&](int chunk) {
-    const size_t begin = std::min(n, static_cast<size_t>(chunk) * chunk_size);
-    const size_t end = std::min(n, begin + chunk_size);
-    return std::pair<size_t, size_t>(begin, end);
-  };
-  std::vector<std::array<size_t, 256>> histograms(num_chunks);
-  ThreadPool pool(workers);
-  Status partitioned = pool.ParallelFor(num_chunks, [&](int64_t chunk) {
-    std::array<size_t, 256>& histogram = histograms[chunk];
-    histogram.fill(0);
-    const auto [begin, end] = chunk_range(static_cast<int>(chunk));
-    for (size_t i = begin; i < end; ++i) {
-      ++histogram[(entries[i].first >> top_shift) & 0xff];
-    }
-  });
-  REMEDY_CHECK(partitioned.ok())
-      << "parallel radix histogram failed: " << partitioned.ToString();
-
-  // Exclusive prefix sum, bucket-major then chunk-minor: histograms[c][b]
-  // becomes chunk c's first destination slot within bucket b.
-  std::array<size_t, 256> bucket_begin{};
-  size_t offset = 0;
-  for (size_t bucket = 0; bucket < 256; ++bucket) {
-    bucket_begin[bucket] = offset;
-    for (int chunk = 0; chunk < num_chunks; ++chunk) {
-      const size_t count = histograms[chunk][bucket];
-      histograms[chunk][bucket] = offset;
-      offset += count;
-    }
-  }
-
-  std::vector<NodeTable::Entry> scratch(n);
-  Status scattered = pool.ParallelFor(num_chunks, [&](int64_t chunk) {
-    std::array<size_t, 256>& cursor = histograms[chunk];
-    const auto [begin, end] = chunk_range(static_cast<int>(chunk));
-    for (size_t i = begin; i < end; ++i) {
-      scratch[cursor[(entries[i].first >> top_shift) & 0xff]++] =
-          std::move(entries[i]);
-    }
-  });
-  REMEDY_CHECK(scattered.ok())
-      << "parallel radix scatter failed: " << scattered.ToString();
-
-  // Phase 2 — each non-empty bucket LSD-sorts its low bytes independently;
-  // scratch holds the partitioned input, the bucket's slice of `entries`
-  // is its ping-pong buffer and final home, so concatenation in bucket
-  // order happens by construction.
-  struct BucketRange {
-    size_t begin;
-    size_t count;
-  };
-  std::vector<BucketRange> buckets;
-  for (size_t bucket = 0; bucket < 256; ++bucket) {
-    const size_t begin = bucket_begin[bucket];
-    const size_t end = bucket + 1 < 256 ? bucket_begin[bucket + 1] : n;
-    if (end > begin) buckets.push_back({begin, end - begin});
-  }
-  const uint64_t low_mask = (uint64_t{1} << top_shift) - 1;
-  std::atomic<int64_t> low_passes{0};
-  Status sorted = pool.ParallelFor(
-      static_cast<int64_t>(buckets.size()), [&](int64_t b) {
-        const BucketRange range = buckets[b];
-        uint64_t bucket_max = 0;
-        for (size_t i = range.begin; i < range.begin + range.count; ++i) {
-          bucket_max = std::max(bucket_max, scratch[i].first & low_mask);
-        }
-        // Entries within a bucket share every byte from top_shift up, so
-        // sorting the low bytes sorts the bucket; the pass count depends
-        // only on the data, never the thread count.
-        std::move(scratch.begin() + range.begin,
-                  scratch.begin() + range.begin + range.count,
-                  entries.begin() + range.begin);
-        const int64_t passes = LsdSortRange(
-            entries.data() + range.begin, scratch.data() + range.begin,
-            range.count, bucket_max, top_shift);
-        low_passes.fetch_add(passes, std::memory_order_relaxed);
-      });
-  REMEDY_CHECK(sorted.ok())
-      << "parallel radix bucket sort failed: " << sorted.ToString();
-
-  const PipelineMetrics& metrics = PipelineMetrics::Get();
-  metrics.lattice_radix_sort_keys->Increment(static_cast<int64_t>(n));
-  metrics.lattice_radix_sort_passes->Increment(
-      1 + low_passes.load(std::memory_order_relaxed));
 }
 
 }  // namespace remedy

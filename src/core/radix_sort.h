@@ -18,28 +18,9 @@ namespace remedy {
 // the equivalence property test pins.
 void RadixSortByKey(std::vector<NodeTable::Entry>& entries);
 
-// Parallel variant for NodeTables that outgrow one core. The entries are
-// first partitioned by their most significant key byte: per-thread chunk
-// histograms, an exclusive prefix sum in (bucket-major, chunk-minor)
-// order, and a scatter into disjoint destination ranges — chunk order
-// within a bucket preserves input order, so the partition is stable.
-// Each non-empty bucket is then LSD-sorted over the remaining low bytes
-// independently on the thread pool, and the buckets already sit in
-// ascending order, so no merge step exists at all. The output is the
-// stable sort by key — byte-identical to RadixSortByKey and to
-// std::stable_sort — for every thread count and every chunking.
-// `threads` <= 0 means every usable CPU; small inputs and threads == 1
-// fall back to the serial sort.
-void RadixSortByKey(std::vector<NodeTable::Entry>& entries, int threads);
-
 // Entry count at which NodeTable switches from std::sort to the radix
 // sort (below it, the counting-pass setup dominates).
 inline constexpr size_t kRadixSortMinEntries = 512;
-
-// Entry count at which NodeTable hands unsorted input to the parallel
-// radix sort instead of the serial one (given > 1 sort threads). Below
-// it, partition + pool dispatch cost more than the passes they split.
-inline constexpr size_t kParallelRadixSortMinEntries = size_t{1} << 16;
 
 }  // namespace remedy
 

@@ -4,7 +4,10 @@
 #include <bit>
 
 #include "common/check.h"
+#include "common/pipeline_metrics.h"
+#include "core/counting_kernels.h"
 #include "core/radix_sort.h"
+#include "data/columnar.h"
 
 namespace remedy {
 namespace {
@@ -14,23 +17,65 @@ namespace {
 // and the collection pass emits keys already sorted.
 constexpr uint64_t kDenseKeySpaceLimit = uint64_t{1} << 21;
 
+// Rows keyed per kernel invocation of the store scan: one block of u32 keys
+// (32 KiB) stays L1-resident between the key pass and the tally pass.
+constexpr int64_t kKeyBlockRows = 8192;
+
+void AddLabel(RegionCounts& entry, int label) {
+  if (label == 1) {
+    ++entry.positives;
+  } else {
+    ++entry.negatives;
+  }
+}
+
+// Row-at-a-time mixed-radix key of one store row — the store twin of
+// RegionCounter::RowKey (same Horner packing over the same positions).
+uint64_t StoreRowKey(const ColumnarShardStore::ShardView& shard,
+                     const std::vector<int>& cardinalities, uint32_t mask,
+                     int64_t row) {
+  uint64_t key = 0;
+  for (size_t i = 0; i < cardinalities.size(); ++i) {
+    if (mask & (1u << i)) {
+      const ColumnarShardStore::ShardView::Column& column = shard.columns[i];
+      const uint64_t code = column.wide == nullptr ? column.narrow[row]
+                                                   : column.wide[row];
+      key = key * static_cast<uint64_t>(cardinalities[i]) + code;
+    }
+  }
+  return key;
+}
+
+// The store walk for key spaces past 32 bits, the one input the u32 key
+// kernel cannot pack. Such spaces are far beyond the dense limit, so the
+// tally is a hash map.
+std::vector<NodeTable::Entry> ScalarCountStore(
+    const ColumnarShardStore& store, const std::vector<int>& cardinalities,
+    uint32_t mask) {
+  std::unordered_map<uint64_t, RegionCounts> counts;
+  for (int s = 0; s < store.NumShards(); ++s) {
+    const ColumnarShardStore::ShardView shard = store.View(s);
+    store.BeginShardPass(s);
+    for (int64_t r = 0; r < shard.num_rows; ++r) {
+      AddLabel(counts[StoreRowKey(shard, cardinalities, mask, r)],
+               shard.labels[r]);
+    }
+    store.EndShardPass(s);
+  }
+  return {counts.begin(), counts.end()};
+}
+
 }  // namespace
 
 NodeTable::NodeTable(std::vector<Entry> entries)
-    : NodeTable(std::move(entries), /*sort_threads=*/1) {}
-
-NodeTable::NodeTable(std::vector<Entry> entries, int sort_threads)
     : entries_(std::move(entries)) {
-  // Dense-array counting and shard merges emit keys already ascending;
-  // skip the sort entirely for them.
+  // Dense-array counting emits keys already ascending; skip the sort
+  // entirely for it.
   const auto key_less = [](const Entry& a, const Entry& b) {
     return a.first < b.first;
   };
   if (!std::is_sorted(entries_.begin(), entries_.end(), key_less)) {
-    if (sort_threads != 1 &&
-        entries_.size() >= kParallelRadixSortMinEntries) {
-      RadixSortByKey(entries_, sort_threads);
-    } else if (entries_.size() >= kRadixSortMinEntries) {
+    if (entries_.size() >= kRadixSortMinEntries) {
       RadixSortByKey(entries_);
     } else {
       std::sort(entries_.begin(), entries_.end(), key_less);
@@ -168,12 +213,7 @@ NodeTable RegionCounter::CountNode(const Dataset& data, uint32_t mask) const {
   if (key_space <= kDenseKeySpaceLimit) {
     std::vector<RegionCounts> dense(key_space);
     for (int r = 0; r < data.NumRows(); ++r) {
-      RegionCounts& entry = dense[RowKey(data, r, mask)];
-      if (data.Label(r) == 1) {
-        ++entry.positives;
-      } else {
-        ++entry.negatives;
-      }
+      AddLabel(dense[RowKey(data, r, mask)], data.Label(r));
     }
     for (uint64_t key = 0; key < key_space; ++key) {
       if (dense[key].Total() > 0) entries.emplace_back(key, dense[key]);
@@ -181,14 +221,62 @@ NodeTable RegionCounter::CountNode(const Dataset& data, uint32_t mask) const {
   } else {
     std::unordered_map<uint64_t, RegionCounts> counts;
     for (int r = 0; r < data.NumRows(); ++r) {
-      RegionCounts& entry = counts[RowKey(data, r, mask)];
-      if (data.Label(r) == 1) {
-        ++entry.positives;
-      } else {
-        ++entry.negatives;
-      }
+      AddLabel(counts[RowKey(data, r, mask)], data.Label(r));
     }
     entries.assign(counts.begin(), counts.end());
+  }
+  return NodeTable(std::move(entries));
+}
+
+NodeTable RegionCounter::CountNode(const ColumnarShardStore& store,
+                                   uint32_t mask) const {
+  REMEDY_CHECK(store.NumProtected() == NumProtected())
+      << "store has " << store.NumProtected() << " protected attributes, "
+      << "the counter " << NumProtected();
+  const LeafKeyPlan plan = MakeLeafKeyPlan(cardinalities_, mask);
+  if (!plan.FitsU32()) {
+    return NodeTable(ScalarCountStore(store, cardinalities_, mask));
+  }
+  PipelineMetrics::Get().lattice_shard_rows->Increment(store.NumRows());
+  // Three tallies by key-space size: per-lane dense tables (small spaces,
+  // where consecutive rows often hit the same region), one dense table, or
+  // a hash map past the dense limit.
+  const bool dense = plan.key_space <= kDenseKeySpaceLimit;
+  const bool lane_tally = dense && UseLaneTally(plan.key_space);
+  std::vector<int64_t> tally(dense ? 2 * plan.key_space : 0, 0);
+  std::vector<int64_t> lanes(
+      lane_tally ? kTallyLanes * 2 * plan.key_space : 0, 0);
+  std::unordered_map<uint64_t, RegionCounts> counts;
+  std::vector<uint32_t> keys(kKeyBlockRows);
+  for (int s = 0; s < store.NumShards(); ++s) {
+    const ColumnarShardStore::ShardView shard = store.View(s);
+    store.BeginShardPass(s);
+    for (int64_t begin = 0; begin < shard.num_rows; begin += kKeyBlockRows) {
+      const int64_t count = std::min(kKeyBlockRows, shard.num_rows - begin);
+      ComputeShardKeys(shard, plan, begin, count, keys.data());
+      const uint8_t* labels = shard.labels + begin;
+      if (lane_tally) {
+        TallyKeysLanes(keys.data(), labels, count, plan.key_space,
+                       lanes.data());
+      } else if (dense) {
+        TallyKeysSingle(keys.data(), labels, count, tally.data());
+      } else {
+        for (int64_t i = 0; i < count; ++i) {
+          AddLabel(counts[keys[i]], labels[i]);
+        }
+      }
+    }
+    store.EndShardPass(s);
+  }
+  if (!dense) {
+    return NodeTable(std::vector<NodeTable::Entry>(counts.begin(),
+                                                   counts.end()));
+  }
+  if (lane_tally) MergeTallyLanes(lanes.data(), plan.key_space, tally.data());
+  std::vector<NodeTable::Entry> entries;
+  for (uint64_t key = 0; key < plan.key_space; ++key) {
+    const RegionCounts region{tally[2 * key + 1], tally[2 * key]};
+    if (region.Total() > 0) entries.emplace_back(key, region);
   }
   return NodeTable(std::move(entries));
 }

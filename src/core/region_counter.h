@@ -11,6 +11,8 @@
 
 namespace remedy {
 
+class ColumnarShardStore;
+
 // Positive / negative instance counts of one region.
 struct RegionCounts {
   int64_t positives = 0;
@@ -41,12 +43,6 @@ class NodeTable {
   // Takes entries in any order; duplicate keys are merged by summing their
   // counts (the rollup projection produces such duplicates).
   explicit NodeTable(std::vector<Entry> entries);
-
-  // Same, but unsorted inputs large enough for it are ordered by the
-  // parallel radix sort on `sort_threads` workers (<= 0 = every usable
-  // CPU). The result is identical for every thread count — the parallel
-  // sort reproduces the stable sort exactly.
-  NodeTable(std::vector<Entry> entries, int sort_threads);
 
   const_iterator begin() const { return entries_.begin(); }
   const_iterator end() const { return entries_.end(); }
@@ -123,8 +119,18 @@ class RegionCounter {
   // Inverse of KeyFor: reconstructs the pattern of a region key.
   Pattern PatternFor(uint64_t key, uint32_t mask) const;
 
-  // Counts every region of node `mask` in one pass over `data`.
+  // Counts every region of node `mask` in one pass over `data`, a row at
+  // a time.
   NodeTable CountNode(const Dataset& data, uint32_t mask) const;
+
+  // Same count over a columnar store, serially shard by shard: the key
+  // kernel (AVX2 when the CPU has it, else its bit-identical portable twin;
+  // see core/counting_kernels.h) packs each block of rows, and a per-lane,
+  // dense or hash-map tally takes them by key-space size. Key spaces past
+  // 32 bits, which the u32 kernel cannot pack, fall back to a row-at-a-time
+  // walk. Equals CountNode(Dataset) on the same rows. `store` must share
+  // this counter's protected attributes.
+  NodeTable CountNode(const ColumnarShardStore& store, uint32_t mask) const;
 
   // Derives the counts of node `parent_mask` from those of `child_mask`,
   // which must have exactly one extra deterministic attribute. Exact: the

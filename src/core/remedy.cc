@@ -217,7 +217,6 @@ Dataset RemedyRebuild(const Dataset& train, const RemedyParams& params,
   }
 
   Hierarchy hierarchy(working);
-  hierarchy.SetCountingBackend(params.ibs.backend, params.ibs.backend_threads);
   for (uint32_t mask : ScopeMasks(hierarchy, params.ibs.scope)) {
     REMEDY_TRACE_SPAN_ARG("remedy/node", mask);
     std::vector<BiasedRegion> biased =
@@ -391,7 +390,6 @@ StatusOr<Dataset> RemedyIncremental(const Dataset& train,
   // One full lattice build; from here on every count moves by deltas only,
   // so the (append-only, tombstoned) dataset is never rescanned.
   Hierarchy hierarchy(ws.data);
-  hierarchy.SetCountingBackend(params.ibs.backend, params.ibs.backend_threads);
   RETURN_IF_ERROR(hierarchy.EagerBuild(threads));
   const uint32_t leaf = hierarchy.LeafMask();
   const RegionCounter& counter = hierarchy.counter();

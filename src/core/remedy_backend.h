@@ -15,9 +15,8 @@
 
 namespace remedy {
 
-// Runtime-selectable implementations of the remedy write path — the
-// CountingBackend seam applied to Algorithm 2 (see docs/REMEDY.md). One
-// API, three backends:
+// Runtime-selectable implementations of the remedy write path
+// (see docs/REMEDY.md). One API, three backends:
 //
 //   rebuild      the full-replan reference engine: invalidate the lattice
 //                and copy the dataset after every node that changed. The

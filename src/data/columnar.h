@@ -13,18 +13,16 @@
 namespace remedy {
 
 // Dictionary-encoded, structure-of-arrays shard store over the protected
-// attributes and the label — the counting substrate of the columnar
-// backends (see src/core/counting_backend.h).
+// attributes and the label — the counting substrate of the store scan
+// (RegionCounter::CountNode over a ColumnarShardStore).
 //
 // The row-oriented Dataset keeps every attribute as a 4-byte code; the
 // counting engine only ever reads the protected columns and the label, so
 // this store re-encodes exactly those as contiguous per-attribute code
 // arrays (u8 when the cardinality fits a byte, u16 otherwise) cut into
 // fixed-size shards. One shard of Adult's 8-attribute protected space costs
-// 9 bytes/row instead of the Dataset's 60, the per-attribute arrays stream
-// through SIMD lanes without gathers, and shards give the parallel backend
-// independently countable row ranges whose tallies merge exactly (integer
-// sums) in ascending shard order.
+// 9 bytes/row instead of the Dataset's 60, and the per-attribute arrays
+// stream through SIMD lanes without gathers.
 //
 // Rows are append-only: the store is a build-once counting input, not a
 // mutable dataset (the remedy write path stays on Dataset).
@@ -37,9 +35,9 @@ namespace remedy {
 //    the same ShardView pointers and count bit-identically.
 class ColumnarShardStore {
  public:
-  // ~256k rows per shard: big enough that per-shard setup (key plans,
-  // partial tables) amortizes away, small enough that dozens of shards
-  // exist at the row counts where parallel counting pays.
+  // ~256k rows per shard: big enough that per-shard setup amortizes away,
+  // small enough that a spilled store's resident pages stay bounded by
+  // the shard in flight.
   static constexpr int64_t kDefaultShardRows = 256 * 1024;
 
   // One protected attribute's codes within one shard. Exactly one of the

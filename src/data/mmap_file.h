@@ -13,7 +13,7 @@ namespace remedy {
 // shard store (see ColumnarShardStore::OpenSpilled). The mapping is shared
 // and never written, so pages are clean: the kernel drops and re-faults
 // them from the file at will, which is what lets a store larger than RAM
-// stream through the counting backends at a bounded resident set.
+// stream through the store scan at a bounded resident set.
 //
 // The Advise* calls wrap madvise with page alignment handled here; they are
 // hints, so failures are ignored by design (counting stays correct, only

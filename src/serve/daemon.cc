@@ -121,8 +121,6 @@ StatusOr<std::unique_ptr<ServeDaemon>> ServeDaemon::Start(
                          return OkStatus();
                        }));
   daemon->last_committed_sequence_ = replay.last_sequence;
-  daemon->counting_backend_name_ =
-      CountingBackendName(daemon->hierarchy_->counting_backend());
   ASSIGN_OR_RETURN(daemon->wal_,
                    DeltaWal::Open(daemon->wal_path_, daemon->schema_digest_,
                                   replay.last_sequence + 1));
@@ -812,8 +810,6 @@ std::string ServeDaemon::HealthJson() const {
           std::string(is_read_only ? "read_only" : "serving") + "\",";
   // Backend identity first, so operators can correlate this report with
   // the recovery and parity guarantees of docs/SERVICE.md + docs/REMEDY.md.
-  json += "\"counting_backend\":\"" + std::string(counting_backend_name_) +
-          "\",";
   json += "\"remedy_backend\":\"" +
           std::string(RemedyEnabled()
                           ? RemedyBackendName(options_.remedy_backend)

@@ -285,7 +285,6 @@ class ServeDaemon {
   std::string wal_path_;
   std::string checkpoint_path_;
   RemedyParams remedy_params_;  // options_.remedy with ibs = options_.ibs
-  const char* counting_backend_name_ = "scalar";  // fixed before serving
 
   // Engine state: everything the apply thread owns between commits.
   mutable std::mutex engine_mu_;

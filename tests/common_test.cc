@@ -172,6 +172,25 @@ TEST(StringUtilTest, StartsWith) {
   EXPECT_FALSE(StartsWith("hi", "hello"));
 }
 
+TEST(StringUtilTest, ParseNumberConsumesTheWholeToken) {
+  EXPECT_EQ(ParseNumber<int>("42").value(), 42);
+  EXPECT_EQ(ParseNumber<int>("-7").value(), -7);
+  EXPECT_EQ(ParseNumber<int64_t>("10000000000").value(), 10000000000);
+  EXPECT_EQ(ParseNumber<uint64_t>("18446744073709551615").value(),
+            UINT64_MAX);
+  EXPECT_DOUBLE_EQ(ParseNumber<double>("0.25").value(), 0.25);
+  EXPECT_DOUBLE_EQ(ParseNumber<double>("1e-3").value(), 0.001);
+  // What atoi/atof used to turn silently into 0 or a prefix.
+  for (const char* bad : {"", "abc", "12x", " 1", "1 ", "+1", "0.5.5"}) {
+    StatusOr<double> parsed = ParseNumber<double>(bad);
+    ASSERT_FALSE(parsed.ok()) << "'" << bad << "'";
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_FALSE(ParseNumber<int>("1.5").ok());
+  EXPECT_FALSE(ParseNumber<uint64_t>("-1").ok());
+  EXPECT_FALSE(ParseNumber<int>("99999999999").ok());  // out of range
+}
+
 TEST(CsvTest, ParseWithHeader) {
   CsvTable table = ParseCsv("a,b\n1,2\n3,4\n").value();
   EXPECT_EQ(table.header, (std::vector<std::string>{"a", "b"}));

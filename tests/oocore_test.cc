@@ -1,8 +1,8 @@
 // Out-of-core shard store suite: spill/open round-trips, the central
 // equivalence contract (counting off memory-mapped shard files is
-// byte-identical to counting the in-memory store, for every backend and
-// thread count), and the corruption paths (truncated or overwritten shard
-// files surface a clean Status, never a crash).
+// byte-identical to counting the in-memory store and the row-oriented
+// Dataset of the same rows), and the corruption paths (truncated or
+// overwritten shard files surface a clean Status, never a crash).
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 
 #include "common/rng.h"
 #include "common/status.h"
-#include "core/counting_backend.h"
 #include "core/hierarchy.h"
 #include "core/ibs_identify.h"
 #include "core/region_counter.h"
@@ -136,65 +135,44 @@ TEST(OocoreTest, EmptyStoreSpillsAndReopens) {
 }
 
 // The central equivalence contract: node counts and the end-to-end IBS off
-// the mmap-backed store are identical to the in-memory store for all three
-// backends and every thread count.
-TEST(OocoreTest, MmapMatchesInMemoryAcrossBackendsAndThreads) {
+// the mmap-backed store are identical to the in-memory store and to the
+// Dataset row scan of the same rows (the generator streams the same rows
+// in the same RNG order into every form).
+TEST(OocoreTest, MmapMatchesInMemoryAndDataset) {
   Rng rng(4242);
   for (int trial = 0; trial < kTrials; ++trial) {
     const SyntheticSpec spec = SmallSpec(rng, 400 + rng.UniformInt(2500));
     const int64_t shard_rows = 64 + rng.UniformInt(300);
     const std::string dir = SpillDir("equiv_" + std::to_string(trial));
-    ColumnarShardStore in_memory =
+    const ColumnarShardStore in_memory =
         GenerateSyntheticStore(spec, 900 + trial, shard_rows);
     StatusOr<ColumnarShardStore> spilled =
         GenerateSyntheticSpilledStore(spec, 900 + trial, dir, shard_rows);
     ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
     const ColumnarShardStore& mapped = spilled.value();
+    const Dataset data = GenerateSynthetic(spec, 900 + trial);
 
     RegionCounter counter(in_memory.schema());
     const uint32_t leaf_mask = (1u << counter.NumProtected()) - 1;
-    CountingSource memory_source;
-    memory_source.store = &in_memory;
-    CountingSource mapped_source;
-    mapped_source.store = &mapped;
-    auto scalar = CountingBackend::Create(CountingBackendKind::kScalar);
     for (uint32_t mask = 1; mask <= leaf_mask; ++mask) {
-      NodeTable reference =
-          scalar->CountNode(memory_source, counter, mask, 1);
-      for (CountingBackendKind kind :
-           {CountingBackendKind::kScalar, CountingBackendKind::kSimd,
-            CountingBackendKind::kSharded}) {
-        auto backend = CountingBackend::Create(kind);
-        for (int threads : {1, 2, 4, 0}) {
-          EXPECT_EQ(backend->CountNode(mapped_source, counter, mask, threads),
-                    reference)
-              << CountingBackendName(kind) << " mask=" << mask
-              << " threads=" << threads << " trial=" << trial;
-          if (kind != CountingBackendKind::kSharded) break;  // thread-blind
-        }
-      }
+      const NodeTable reference = counter.CountNode(data, mask);
+      EXPECT_EQ(counter.CountNode(in_memory, mask), reference)
+          << "in-memory mask=" << mask << " trial=" << trial;
+      EXPECT_EQ(counter.CountNode(mapped, mask), reference)
+          << "mmap mask=" << mask << " trial=" << trial;
     }
 
     IbsParams params;
     params.imbalance_threshold = 0.4;
-    StatusOr<std::vector<BiasedRegion>> reference =
-        IdentifyIbs(in_memory, params);
+    StatusOr<std::vector<BiasedRegion>> reference = IdentifyIbs(data, params);
     ASSERT_TRUE(reference.ok());
     const uint64_t expected = IbsDigest(reference.value());
-    for (CountingBackendKind kind :
-         {CountingBackendKind::kScalar, CountingBackendKind::kSimd,
-          CountingBackendKind::kSharded}) {
-      for (int threads : {1, 2, 4, 0}) {
-        IbsParams p = params;
-        p.backend = kind;
-        p.backend_threads = threads;
-        StatusOr<std::vector<BiasedRegion>> got = IdentifyIbs(mapped, p);
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        EXPECT_EQ(IbsDigest(got.value()), expected)
-            << CountingBackendName(kind) << " threads=" << threads
-            << " trial=" << trial;
-        if (kind != CountingBackendKind::kSharded) break;
-      }
+    for (const ColumnarShardStore* store : {&in_memory, &mapped}) {
+      StatusOr<std::vector<BiasedRegion>> got = IdentifyIbs(*store, params);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(IbsDigest(got.value()), expected)
+          << (store->mmap_backed() ? "mmap" : "in-memory")
+          << " trial=" << trial;
     }
   }
 }

@@ -78,62 +78,6 @@ TEST(RadixSortTest, HandlesEdgeCases) {
   EXPECT_EQ(sorted, expected);
 }
 
-// The parallel overload must equal the serial sort — which equals
-// std::stable_sort — for every thread count, input size (straddling the
-// internal serial cutoff and the MSB-partition path), and key width
-// (including widths where the top byte is constant and the partition
-// degenerates to one bucket).
-TEST(RadixSortTest, ParallelMatchesStableSortOnRandomInputs) {
-  Rng rng(4321);
-  for (int trial = 0; trial < 60; ++trial) {
-    const int n = 1 + rng.UniformInt(20000);
-    const uint64_t key_bits = 1 + rng.UniformInt(64);
-    const int threads = 2 + rng.UniformInt(3);  // 2..4
-    std::vector<Entry> entries = RandomEntries(rng, n, key_bits);
-    std::vector<Entry> expected = entries;
-    std::stable_sort(expected.begin(), expected.end(),
-                     [](const Entry& a, const Entry& b) {
-                       return a.first < b.first;
-                     });
-    RadixSortByKey(entries, threads);
-    ASSERT_EQ(entries, expected)
-        << "n=" << n << " key_bits=" << key_bits << " threads=" << threads;
-  }
-}
-
-TEST(RadixSortTest, ParallelHandlesEdgeCases) {
-  for (int threads : {0, 1, 2, 4}) {
-    std::vector<Entry> empty;
-    RadixSortByKey(empty, threads);
-    EXPECT_TRUE(empty.empty());
-
-    std::vector<Entry> one = {{42, RegionCounts{1, 2}}};
-    RadixSortByKey(one, threads);
-    EXPECT_EQ(one[0].first, 42u);
-
-    // All keys equal: every bucket but one is empty.
-    std::vector<Entry> same(10000, Entry{7, RegionCounts{1, 0}});
-    RadixSortByKey(same, threads);
-    for (const Entry& e : same) EXPECT_EQ(e.first, 7u);
-
-    // Keys concentrated in the top byte only: the per-bucket low-byte LSD
-    // phase has nothing to do.
-    std::vector<Entry> top;
-    Rng rng(5 + threads);
-    for (int i = 0; i < 9000; ++i) {
-      top.push_back({static_cast<uint64_t>(rng.UniformInt(256)) << 56,
-                     RegionCounts{i, 0}});
-    }
-    std::vector<Entry> expected = top;
-    std::stable_sort(expected.begin(), expected.end(),
-                     [](const Entry& a, const Entry& b) {
-                       return a.first < b.first;
-                     });
-    RadixSortByKey(top, threads);
-    EXPECT_EQ(top, expected);
-  }
-}
-
 TEST(RadixSortTest, StableAcrossDuplicateKeys) {
   // Duplicate keys keep their arrival order (stability), which the
   // NodeTable duplicate-merge loop then collapses deterministically.

@@ -254,8 +254,6 @@ TEST(ServeRemedyTest, AutoRemedyCommitsAReplayableSequenceAndQuiesces) {
   EXPECT_NE(health.find("\"auto_remedy\":true"), std::string::npos);
   EXPECT_NE(health.find("\"remedy_backend\":\"streaming\""),
             std::string::npos);
-  EXPECT_NE(health.find("\"counting_backend\":\"scalar\""),
-            std::string::npos);
   EXPECT_TRUE(daemon.value()->Stop().ok());
 }
 

@@ -7,11 +7,10 @@
 #               X(field, "family/event", "unit", "help...")
 #             appears as the first backticked cell of a docs/METRICS.md
 #             table row, and vice versa;
-#   backends  the registered backend names (the `if (name == "...")` lines
-#             of ParseCountingBackend / ParseRemedyBackend, in declaration
-#             order) appear pipe-joined — `scalar|simd|sharded`,
-#             `rebuild|incremental|streaming` — in docs/CLI.md, and the
-#             remedy list also in docs/REMEDY.md, so a backend added to a
+#   backends  the registered remedy backend names (the `if (name == "...")`
+#             lines of ParseRemedyBackend, in declaration order) appear
+#             pipe-joined — `rebuild|incremental|streaming` — in
+#             docs/CLI.md and docs/REMEDY.md, so a backend added to the
 #             registry cannot ship undocumented;
 #   flags     every `"--flag"` literal in examples/remedy_cli.cpp and
 #             examples/remedy_serve.cpp has a backticked `--flag` mention
@@ -29,14 +28,13 @@ header="$root/src/common/pipeline_metrics.h"
 doc="$root/docs/METRICS.md"
 cli_doc="$root/docs/CLI.md"
 remedy_doc="$root/docs/REMEDY.md"
-counting_cc="$root/src/core/counting_backend.cc"
 remedy_cc="$root/src/core/remedy_backend.cc"
 cli_src="$root/examples/remedy_cli.cpp"
 serve_src="$root/examples/remedy_serve.cpp"
 
 fail=0
-for f in "$header" "$doc" "$cli_doc" "$remedy_doc" "$counting_cc" \
-         "$remedy_cc" "$cli_src" "$serve_src"; do
+for f in "$header" "$doc" "$cli_doc" "$remedy_doc" "$remedy_cc" \
+         "$cli_src" "$serve_src"; do
   if [ ! -f "$f" ]; then
     echo "docs-check: missing $f" >&2
     fail=1
@@ -78,7 +76,7 @@ if [ -n "$stale" ]; then
 fi
 
 # --- backend-name drift ----------------------------------------------------
-# The authoritative name list of a backend registry is its Parse function's
+# The authoritative name list of the backend registry is its Parse function's
 # `if (name == "...")` chain, read in declaration order and pipe-joined.
 # The joined form is exactly what the CLI help and the docs print, so a
 # plain substring check catches both a missing name and a reordered list.
@@ -86,10 +84,9 @@ backend_list() {
   sed -n 's/^ *if (name == "\([a-z]*\)").*/\1/p' "$1" | paste -sd'|' -
 }
 
-counting_names="$(backend_list "$counting_cc")"
 remedy_names="$(backend_list "$remedy_cc")"
-if [ -z "$counting_names" ] || [ -z "$remedy_names" ]; then
-  echo "docs-check: extracted no backend names (pattern drift in Parse*Backend?)" >&2
+if [ -z "$remedy_names" ]; then
+  echo "docs-check: extracted no backend names (pattern drift in ParseRemedyBackend?)" >&2
   exit 1
 fi
 
@@ -100,7 +97,6 @@ require_literal() {
     fail=1
   fi
 }
-require_literal "$counting_names" "$cli_doc" "docs/CLI.md (counting backends)"
 require_literal "$remedy_names" "$cli_doc" "docs/CLI.md (remedy backends)"
 require_literal "$remedy_names" "$remedy_doc" "docs/REMEDY.md (remedy backends)"
 
@@ -114,7 +110,8 @@ grep -ho '"--[A-Za-z-]*"' "$cli_src" "$serve_src" \
 
 # Docs side: backtick-opened `--flag tokens anywhere in docs/CLI.md. The
 # closing backtick is NOT required, so table cells like `--tau-c x` or
-# `--backend scalar|simd|sharded` count as documenting their flag.
+# `--remedy-backend rebuild|incremental|streaming` count as documenting
+# their flag.
 grep -o '`--[A-Za-z-]*' "$cli_doc" \
   | sed 's/`//g' | sort -u > "$tmpdir/flags_docs"
 
@@ -139,6 +136,6 @@ fi
 if [ "$fail" -eq 0 ]; then
   echo "docs-check: $(wc -l < "$tmpdir/code" | tr -d ' ') metrics," \
        "$(wc -l < "$tmpdir/flags_code" | tr -d ' ') flags and the" \
-       "backend registries ($counting_names; $remedy_names) in sync"
+       "backend registry ($remedy_names) in sync"
 fi
 exit "$fail"

@@ -5,8 +5,9 @@
 #      checkpointing — the remedy record is durable only in the WAL;
 #   2. a recovery lifetime that must replay the remedy and serve healthy;
 #   3. an --auto-remedy lifetime that must quiesce and exit clean;
-#   4. negative checks: an unknown --remedy-backend exits 64 from both
-#      remedy_serve and remedy_cli (the registry's suggestion-list path).
+#   4. negative checks: an unknown --remedy-backend (the registry's
+#      suggestion-list path) and a malformed number (--tau-c abc) exit 64
+#      from both remedy_serve and remedy_cli.
 #
 # Invoked by ctest as
 #   cmake -DSERVE=<bin> -DCLI=<bin> -DSTATE_DIR=<dir> -P serve_remedy_smoke.cmake
@@ -67,7 +68,7 @@ if(NOT out3 MATCHES "auto-remedy quiesced:")
           "serve_remedy_smoke: auto-remedy never quiesced:\n${out3}")
 endif()
 
-# --- leg 4: unknown backend names exit 64 from both CLIs ------------------
+# --- leg 4: unknown backend names and bad numbers exit 64 from both CLIs --
 execute_process(
   COMMAND ${SERVE} @adult:100 --state-dir ${STATE_DIR}/bogus
           --remedy-backend bogus
@@ -87,4 +88,20 @@ if(NOT rc5 EQUAL 64)
   message(FATAL_ERROR
           "serve_remedy_smoke: remedy_cli --remedy-backend bogus exited "
           "${rc5}, want 64")
+endif()
+execute_process(
+  COMMAND ${SERVE} @adult:100 --state-dir ${STATE_DIR}/bogus --tau-c abc
+  RESULT_VARIABLE rc6
+  ERROR_QUIET OUTPUT_QUIET)
+if(NOT rc6 EQUAL 64)
+  message(FATAL_ERROR
+          "serve_remedy_smoke: remedy_serve --tau-c abc exited ${rc6}, want 64")
+endif()
+execute_process(
+  COMMAND ${CLI} audit @adult:500 --tau-c abc
+  RESULT_VARIABLE rc7
+  ERROR_QUIET OUTPUT_QUIET)
+if(NOT rc7 EQUAL 64)
+  message(FATAL_ERROR
+          "serve_remedy_smoke: remedy_cli --tau-c abc exited ${rc7}, want 64")
 endif()
