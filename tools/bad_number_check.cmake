@@ -1,0 +1,25 @@
+# bad_number_check driver: every numeric flag of the two CLIs goes through
+# ParseNumber, so a value that is not wholly a number must stop the run
+# with exit 64 (usage error) and name the flag, before any data is read —
+# never parse as 0 or as a numeric prefix. Invoked by ctest as
+#   cmake -DBIN=<remedy_cli|remedy_serve> -DARGS=<leading args>
+#         -DFLAGS=<flag;flag;...> -P bad_number_check.cmake
+
+foreach(flag IN LISTS FLAGS)
+  foreach(value "" "12x" "0.5.5" " 1" "+1")
+    execute_process(
+      COMMAND ${BIN} ${ARGS} ${flag}=${value}
+      RESULT_VARIABLE rc
+      OUTPUT_QUIET
+      ERROR_VARIABLE err)
+    if(NOT rc EQUAL 64)
+      message(FATAL_ERROR
+              "bad_number_check: ${flag}='${value}' exited ${rc}, want 64")
+    endif()
+    if(NOT err MATCHES "bad ${flag}:")
+      message(FATAL_ERROR
+              "bad_number_check: ${flag}='${value}' did not name the flag:"
+              " ${err}")
+    endif()
+  endforeach()
+endforeach()
