@@ -1,8 +1,9 @@
 // Microbenchmarks of the counting engine behind the lattice: the leaf-node
 // tally along both counting paths over the same Adult-schema rows (the
-// Dataset row scan and the columnar store's key-kernel scan), and NodeTable
+// Dataset row scan and the columnar store's key-kernel scan), NodeTable
 // construction over shuffled entries (exercising the LSD radix sort vs the
-// comparison-sort fallback).
+// comparison-sort fallback), and the synthetic generator that produces the
+// counted rows, through its store, Dataset and CSV entry points (rows/s).
 //
 // Run with --metrics-json <file> to also dump the pipeline-metrics snapshot
 // (lattice/shard_rows and lattice/radix_sort_* land here).
@@ -10,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -32,16 +34,21 @@ struct BenchInput {
   ColumnarShardStore store;
 };
 
+// Adult rows with the Fig. 9 |X| = 8 protected set.
+SyntheticSpec BenchSpec() {
+  SyntheticSpec spec = AdultSpec(kBenchRows);
+  DataSchema schema = spec.MakeSchema();
+  spec.protected_indices.clear();
+  for (const std::string& name : AdultScalabilityProtected(8)) {
+    spec.protected_indices.push_back(schema.AttributeIndex(name));
+  }
+  return spec;
+}
+
 const BenchInput& Input() {
   static const BenchInput* input = [] {
-    SyntheticSpec spec = AdultSpec(kBenchRows);
-    DataSchema schema = spec.MakeSchema();
-    spec.protected_indices.clear();
-    for (const std::string& name : AdultScalabilityProtected(8)) {
-      spec.protected_indices.push_back(schema.AttributeIndex(name));
-    }
     auto* built = new BenchInput;
-    built->data = GenerateSynthetic(spec, /*seed=*/42);
+    built->data = GenerateSynthetic(BenchSpec(), /*seed=*/42);
     built->store = ColumnarShardStore::FromDataset(built->data);
     return built;
   }();
@@ -91,6 +98,51 @@ void BM_NodeTableSort(benchmark::State& state) {
 }
 
 BENCHMARK(BM_NodeTableSort)->Arg(256)->Arg(4096)->Arg(65536)->Arg(1 << 20);
+
+// Generation of kBenchRows Adult rows through one entry point per case,
+// reported as rows/s of wall time (the CSV case includes its file writes).
+void SetRowsPerSecond(benchmark::State& state) {
+  state.counters["rows_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * kBenchRows,
+      benchmark::Counter::kIsRate);
+}
+
+void BM_GenerateStore(benchmark::State& state) {
+  const SyntheticSpec spec = BenchSpec();
+  for (auto _ : state) {
+    ColumnarShardStore store = GenerateSyntheticStore(spec, /*seed=*/42);
+    benchmark::DoNotOptimize(store);
+  }
+  SetRowsPerSecond(state);
+}
+
+void BM_GenerateDataset(benchmark::State& state) {
+  const SyntheticSpec spec = BenchSpec();
+  for (auto _ : state) {
+    Dataset data = GenerateSynthetic(spec, /*seed=*/42);
+    benchmark::DoNotOptimize(data);
+  }
+  SetRowsPerSecond(state);
+}
+
+void BM_GenerateCsv(benchmark::State& state) {
+  const SyntheticSpec spec = BenchSpec();
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "micro_counting_bm_gen.csv")
+          .string();
+  for (auto _ : state) {
+    if (!GenerateSyntheticCsvFile(spec, /*seed=*/42, path).ok()) {
+      state.SkipWithError("CSV generation failed");
+      break;
+    }
+  }
+  std::filesystem::remove(path);
+  SetRowsPerSecond(state);
+}
+
+BENCHMARK(BM_GenerateStore)->UseRealTime()->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GenerateDataset)->UseRealTime()->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GenerateCsv)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace remedy

@@ -86,19 +86,6 @@ bool NeedsQuoting(const std::string& field) {
   return field.find_first_of(",\"\n\r") != std::string::npos;
 }
 
-void AppendField(const std::string& field, std::string* out) {
-  if (!NeedsQuoting(field)) {
-    out->append(field);
-    return;
-  }
-  out->push_back('"');
-  for (char c : field) {
-    if (c == '"') out->push_back('"');
-    out->push_back(c);
-  }
-  out->push_back('"');
-}
-
 // One read attempt. *retryable distinguishes transient failures (worth a
 // backed-off retry) from definitive ones like a missing file.
 Status ReadFileOnce(const std::string& path, std::string* contents,
@@ -212,12 +199,25 @@ StatusOr<CsvTable> ReadCsvFile(const std::string& path,
                           std::to_string(attempts) + " attempt(s)");
 }
 
+void AppendCsvField(const std::string& field, std::string* out) {
+  if (!NeedsQuoting(field)) {
+    out->append(field);
+    return;
+  }
+  out->push_back('"');
+  for (char c : field) {
+    if (c == '"') out->push_back('"');
+    out->push_back(c);
+  }
+  out->push_back('"');
+}
+
 std::string WriteCsv(const CsvTable& table) {
   std::string out;
   auto write_record = [&out](const std::vector<std::string>& fields) {
     for (size_t i = 0; i < fields.size(); ++i) {
       if (i > 0) out.push_back(',');
-      AppendField(fields[i], &out);
+      AppendCsvField(fields[i], &out);
     }
     out.push_back('\n');
   };

@@ -60,7 +60,11 @@ struct CsvReadOptions {
 StatusOr<CsvTable> ReadCsvFile(const std::string& path,
                                const CsvReadOptions& options = {});
 
-// Serializes a table; fields containing separators or quotes are quoted.
+// Appends `field` to `out` as one CSV field: verbatim, or double-quoted
+// with "" escapes when it contains a separator, quote or line break.
+void AppendCsvField(const std::string& field, std::string* out);
+
+// Serializes a table; fields are written by AppendCsvField.
 std::string WriteCsv(const CsvTable& table);
 
 // Writes the serialized table to `path`.

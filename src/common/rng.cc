@@ -32,11 +32,6 @@ int Rng::UniformRange(int lo, int hi) {
   return dist(engine_);
 }
 
-double Rng::Uniform() {
-  std::uniform_real_distribution<double> dist(0.0, 1.0);
-  return dist(engine_);
-}
-
 double Rng::Normal() { return Normal(0.0, 1.0); }
 
 double Rng::Normal(double mean, double stddev) {
@@ -47,26 +42,6 @@ double Rng::Normal(double mean, double stddev) {
 bool Rng::Bernoulli(double p) {
   p = std::clamp(p, 0.0, 1.0);
   return Uniform() < p;
-}
-
-int Rng::Categorical(const std::vector<double>& weights) {
-  double total = 0.0;
-  for (double w : weights) {
-    REMEDY_CHECK(w >= 0.0) << "negative categorical weight " << w;
-    total += w;
-  }
-  REMEDY_CHECK(total > 0.0) << "categorical weights sum to zero";
-  double draw = Uniform() * total;
-  double cumulative = 0.0;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    cumulative += weights[i];
-    if (draw < cumulative) return static_cast<int>(i);
-  }
-  // Floating-point slack: fall back to the last positive weight.
-  for (int i = static_cast<int>(weights.size()) - 1; i >= 0; --i) {
-    if (weights[i] > 0.0) return i;
-  }
-  return static_cast<int>(weights.size()) - 1;
 }
 
 std::vector<int> Rng::SampleWithoutReplacement(int n, int k) {

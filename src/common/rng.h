@@ -1,6 +1,7 @@
 #ifndef REMEDY_COMMON_RNG_H_
 #define REMEDY_COMMON_RNG_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -18,12 +19,28 @@ uint64_t SplitMix64(uint64_t x);
 // the drawn sequences are independent of scheduling and thread count.
 uint64_t StreamSeed(uint64_t seed, uint64_t index);
 
+// Uniform double in [0, 1) from one 64-bit engine word: the word times
+// 2^-64, rounded once to nearest, clamped below 1. Splitting the word into
+// exact 32-bit halves keeps the conversion branch-free; the result equals
+// std::generate_canonical<double, 53> over std::mt19937_64, which is what
+// std::uniform_real_distribution<double>(0, 1) draws.
+inline double UniformFromBits(uint64_t bits) {
+  const double value =
+      (static_cast<double>(static_cast<uint32_t>(bits >> 32)) * 0x1p32 +
+       static_cast<double>(static_cast<uint32_t>(bits))) *
+      0x1p-64;
+  return std::min(value, 0x1.fffffffffffffp-1);
+}
+
 // Deterministic random number generator used across the library.
 //
 // Every stochastic component (dataset generators, samplers, classifiers,
 // baselines) takes an explicit seed so experiments are reproducible
 // run-to-run. Rng wraps a Mersenne Twister with convenience draws for the
-// patterns the library needs.
+// patterns the library needs. Uniform() and Bernoulli() consume exactly one
+// engine word per call and return what uniform_real_distribution<double>
+// over the same engine would; the synthetic generator's row layout (see
+// datagen/generator.h) is built on that one-word-per-draw guarantee.
 class Rng {
  public:
   explicit Rng(uint64_t seed = 42) : engine_(seed) {}
@@ -35,7 +52,7 @@ class Rng {
   int UniformRange(int lo, int hi);
 
   // Uniform real in [0, 1).
-  double Uniform();
+  double Uniform() { return UniformFromBits(engine_()); }
 
   // Standard normal draw.
   double Normal();
@@ -45,10 +62,6 @@ class Rng {
 
   // True with probability p (clamped to [0, 1]).
   bool Bernoulli(double p);
-
-  // Index drawn from the (unnormalized, non-negative) weights.
-  // Requires at least one strictly positive weight.
-  int Categorical(const std::vector<double>& weights);
 
   // k distinct indices sampled uniformly without replacement from [0, n).
   // Requires 0 <= k <= n. The result order is random.

@@ -16,6 +16,19 @@ namespace remedy {
 // conditional dependencies), then the binary label from the logistic model
 // base_logit + label terms + matching bias-injection boosts. Deterministic
 // given `seed`.
+//
+// Draw layout (part of the bit-identity contract): an Rng(seed) feeds every
+// row exactly m + 1 uniforms (m = attribute count), one engine word each,
+// in this order:
+//  - one uniform per attribute, in declaration order: the value is the
+//    first index whose running weight sum (summed in declaration order)
+//    exceeds uniform * total, falling back to the last positive weight
+//    when none does;
+//  - one uniform for the label: 1 when it is below
+//    1 / (1 + exp(-logit)), the logit summed as base_logit, then matching
+//    label terms, then matching injections, in spec order.
+// Every entry point below emits the same rows for the same (spec, seed),
+// and any change to this layout changes every generated dataset.
 Dataset GenerateSynthetic(const SyntheticSpec& spec, uint64_t seed);
 
 // Chunk size of the streaming generator entry points below: large enough
@@ -49,14 +62,16 @@ StatusOr<ColumnarShardStore> GenerateSyntheticSpilledStore(
     int64_t shard_rows = ColumnarShardStore::kDefaultShardRows);
 
 // Streams the generated rows to a CSV file (header + one record per row),
-// writing chunk by chunk. Byte-identical to
+// formatting each record straight from the codes and writing every
+// `chunk_rows` records. Byte-identical to
 // WriteCsvFile(path, GenerateSynthetic(spec, seed).ToCsv()) at any size.
 Status GenerateSyntheticCsvFile(const SyntheticSpec& spec, uint64_t seed,
                                 const std::string& path,
                                 int64_t chunk_rows = kGeneratorChunkRows);
 
-// The label logit of one attribute-value assignment under `spec`; exposed
-// so tests can verify the generator hits the intended regional skews.
+// The label logit of one attribute-value assignment under `spec` — the
+// generator's own compiled logit; exposed so tests can verify the
+// generator hits the intended regional skews.
 double LabelLogit(const SyntheticSpec& spec, const std::vector<int>& values);
 
 }  // namespace remedy

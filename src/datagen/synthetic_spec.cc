@@ -1,8 +1,33 @@
 #include "datagen/synthetic_spec.h"
 
+#include <cmath>
+
 #include "common/check.h"
 
 namespace remedy {
+namespace {
+
+// One categorical weight row must be drawable: non-negative weights with a
+// positive, finite sum.
+void CheckWeightRow(const std::string& spec_name,
+                    const AttributeSpec& attribute,
+                    const std::vector<double>& weights) {
+  double total = 0.0;
+  for (double w : weights) {
+    REMEDY_CHECK(w >= 0.0) << spec_name << ": attribute "
+                           << attribute.schema.name()
+                           << " has negative categorical weight " << w;
+    total += w;
+  }
+  REMEDY_CHECK(total > 0.0) << spec_name << ": attribute "
+                            << attribute.schema.name()
+                            << " categorical weights sum to zero";
+  REMEDY_CHECK(std::isfinite(total))
+      << spec_name << ": attribute " << attribute.schema.name()
+      << " categorical weights are not finite";
+}
+
+}  // namespace
 
 AttributeSpec IndependentAttribute(AttributeSchema schema,
                                    std::vector<double> marginal) {
@@ -43,6 +68,7 @@ void SyntheticSpec::Validate() const {
     REMEDY_CHECK(static_cast<int>(attribute.marginal.size()) == cardinality)
         << name << ": attribute " << attribute.schema.name()
         << " marginal size mismatch";
+    CheckWeightRow(name, attribute, attribute.marginal);
     if (attribute.parent >= 0) {
       REMEDY_CHECK(attribute.parent < i)
           << name << ": attribute " << attribute.schema.name()
@@ -57,6 +83,7 @@ void SyntheticSpec::Validate() const {
         REMEDY_CHECK(static_cast<int>(row.size()) == cardinality)
             << name << ": conditional table width mismatch for "
             << attribute.schema.name();
+        CheckWeightRow(name, attribute, row);
       }
     }
   }

@@ -69,7 +69,9 @@ struct SyntheticSpec {
   DataSchema MakeSchema() const;
 
   // Dies with a message if the spec is internally inconsistent (bad parent
-  // references, weight/cardinality mismatches, out-of-range terms...).
+  // references, weight/cardinality mismatches, out-of-range terms...) or a
+  // weight row — the marginal or any conditional row, drawn or not — has a
+  // negative weight or a sum that is zero or not finite.
   void Validate() const;
 };
 

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <set>
 #include <sstream>
 
@@ -67,21 +71,55 @@ TEST(RngTest, BernoulliHandlesExtremes) {
   }
 }
 
-TEST(RngTest, CategoricalRespectsWeights) {
-  Rng rng(5);
-  std::vector<int> counts(3, 0);
-  const int trials = 30000;
-  for (int i = 0; i < trials; ++i) {
-    ++counts[rng.Categorical({1.0, 2.0, 1.0})];
+// Replays a fixed list of words as a 64-bit engine, so a standard-library
+// distribution can be fed exactly the word UniformFromBits sees.
+class ReplayEngine {
+ public:
+  using result_type = uint64_t;
+  explicit ReplayEngine(const std::vector<uint64_t>& words) : words_(words) {}
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() {
+    return std::numeric_limits<uint64_t>::max();
   }
-  EXPECT_NEAR(counts[0] / static_cast<double>(trials), 0.25, 0.02);
-  EXPECT_NEAR(counts[1] / static_cast<double>(trials), 0.50, 0.02);
+  result_type operator()() { return words_[next_++]; }
+
+ private:
+  const std::vector<uint64_t>& words_;
+  size_t next_ = 0;
+};
+
+TEST(RngTest, UniformFromBitsMatchesGenerateCanonical) {
+  const uint64_t two53 = uint64_t{1} << 53;
+  std::vector<uint64_t> words = {0,
+                                 1,
+                                 two53 - 1,
+                                 two53,
+                                 two53 + 1,
+                                 uint64_t{1} << 63,
+                                 std::numeric_limits<uint64_t>::max()};
+  std::mt19937_64 source(2024);
+  for (int i = 0; i < 1000000; ++i) words.push_back(source());
+  ReplayEngine replay(words);
+  for (uint64_t word : words) {
+    const double expected = std::generate_canonical<double, 53>(replay);
+    ASSERT_EQ(UniformFromBits(word), expected) << "word " << word;
+  }
+  // The top word rounds to 1.0 and must clamp just below it.
+  EXPECT_EQ(UniformFromBits(std::numeric_limits<uint64_t>::max()),
+            std::nextafter(1.0, 0.0));
+  EXPECT_EQ(UniformFromBits(0), 0.0);
 }
 
-TEST(RngTest, CategoricalSkipsZeroWeight) {
-  Rng rng(6);
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_EQ(rng.Categorical({0.0, 1.0, 0.0}), 1);
+TEST(RngTest, UniformAndBernoulliMatchUniformRealDistribution) {
+  for (uint64_t seed : {uint64_t{1}, uint64_t{42}, uint64_t{20240607}}) {
+    Rng rng(seed);
+    std::mt19937_64 reference(seed);
+    std::uniform_real_distribution<double> dist(0.0, 1.0);
+    for (int i = 0; i < 10000; ++i) {
+      ASSERT_EQ(rng.Uniform(), dist(reference)) << "seed " << seed;
+      const double p = (i % 11) / 10.0;
+      ASSERT_EQ(rng.Bernoulli(p), dist(reference) < p) << "seed " << seed;
+    }
   }
 }
 

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/table_printer.h"
@@ -14,6 +16,8 @@
 #include "data/dataset.h"
 #include "data/discretize.h"
 #include "datagen/adult.h"
+#include "datagen/generator.h"
+#include "datagen/synthetic_spec.h"
 #include "ml/cost_sensitive.h"
 #include "ml/model_factory.h"
 #include "test_util.h"
@@ -65,9 +69,30 @@ TEST(ContractsDeathTest, RngRejectsNonPositiveBound) {
   EXPECT_DEATH(rng.UniformInt(0), "positive bound");
 }
 
-TEST(ContractsDeathTest, RngRejectsZeroWeights) {
-  Rng rng(1);
-  EXPECT_DEATH(rng.Categorical({0.0, 0.0}), "sum to zero");
+// A two-attribute spec whose second attribute is drawn from a conditional
+// row of its parent; parent value 1 has zero weight, so its row is never
+// drawn — the weight checks must still reject it.
+SyntheticSpec UndrawnRowSpec(std::vector<double> undrawn_row) {
+  SyntheticSpec spec;
+  spec.name = "undrawn_row";
+  spec.attributes.push_back(IndependentAttribute(
+      AttributeSchema("p", {"p0", "p1"}), {1.0, 0.0}));
+  spec.attributes.push_back(ConditionalAttribute(
+      AttributeSchema("c", {"c0", "c1"}), {1.0, 1.0}, /*parent=*/0,
+      {{1.0, 1.0}, std::move(undrawn_row)}));
+  spec.protected_indices = {0};
+  spec.num_rows = 10;
+  return spec;
+}
+
+TEST(ContractsDeathTest, GeneratorRejectsZeroWeights) {
+  EXPECT_DEATH(GenerateSynthetic(UndrawnRowSpec({0.0, 0.0}), 1),
+               "sum to zero");
+}
+
+TEST(ContractsDeathTest, GeneratorRejectsNegativeWeight) {
+  EXPECT_DEATH(GenerateSynthetic(UndrawnRowSpec({2.0, -1.0}), 1),
+               "negative categorical weight");
 }
 
 TEST(ContractsDeathTest, BucketizerRejectsUnorderedCuts) {

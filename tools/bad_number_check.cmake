@@ -1,14 +1,22 @@
-# bad_number_check driver: every numeric flag of the two CLIs goes through
-# ParseNumber, so a value that is not wholly a number must stop the run
-# with exit 64 (usage error) and name the flag, before any data is read —
-# never parse as 0 or as a numeric prefix. Invoked by ctest as
-#   cmake -DBIN=<remedy_cli|remedy_serve> -DARGS=<leading args>
-#         -DFLAGS=<flag;flag;...> -P bad_number_check.cmake
+# bad_number_check driver: every numeric flag of the CLIs and the soak
+# harness goes through ParseNumber, so a value that is not wholly a number
+# must stop the run with exit 64 (usage error) and name the flag, before
+# any data is read — never parse as 0 or as a numeric prefix. Invoked by
+# ctest as
+#   cmake -DBIN=<remedy_cli|remedy_serve|soak> -DARGS=<leading args>
+#         -DFLAGS=<flag;flag;...> [-DSPLIT=1] -P bad_number_check.cmake
+# The flag and its value go as one `--flag=value` argument, or as two
+# arguments `--flag value` with SPLIT=1 (for parsers without the `=` form).
 
 foreach(flag IN LISTS FLAGS)
   foreach(value "" "12x" "0.5.5" " 1" "+1")
+    if(SPLIT)
+      set(flag_args "${flag}" "${value}")
+    else()
+      set(flag_args "${flag}=${value}")
+    endif()
     execute_process(
-      COMMAND ${BIN} ${ARGS} ${flag}=${value}
+      COMMAND ${BIN} ${ARGS} ${flag_args}
       RESULT_VARIABLE rc
       OUTPUT_QUIET
       ERROR_VARIABLE err)

@@ -17,7 +17,8 @@
 //   3. Monitoring: after the final recovery a deliberately skewed batch
 //      still trips the online IBS monitor.
 //
-// Exit 0 when every invariant held; 1 otherwise (the violation is printed).
+// Exit 0 when every invariant held; 1 otherwise (the violation is printed);
+// 64 when a numeric flag value is malformed, 2 for other usage errors.
 //
 // usage: soak --state-dir DIR [--cycles N] [--batches N] [--kill-every K]
 //             [--fault-prob P] [--seed S]
@@ -26,11 +27,11 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.h"
@@ -38,6 +39,7 @@
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "common/string_util.h"
 #include "core/hierarchy.h"
 #include "data/schema.h"
 #include "serve/daemon.h"
@@ -133,36 +135,52 @@ int Violation(const char* what) {
   return 1;
 }
 
-bool ParseArgs(int argc, char** argv, SoakArgs& args) {
+// 0 when the flags parse; 64 with "bad --flag: ..." on stderr when a
+// numeric value is not wholly a number; 2 for any other usage error.
+int ParseArgs(int argc, char** argv, SoakArgs& args) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : "";
     };
+    // Parses the next argument into `out`; false on a malformed number.
+    auto number = [&](auto* out) {
+      auto parsed = ParseNumber<std::remove_pointer_t<decltype(out)>>(next());
+      if (!parsed.ok()) {
+        std::fprintf(stderr, "soak: %s\n",
+                     parsed.status().WithContext("bad " + arg).ToString()
+                         .c_str());
+        return false;
+      }
+      *out = parsed.value();
+      return true;
+    };
+    bool parsed = true;
     if (arg == "--state-dir") {
       args.state_dir = next();
     } else if (arg == "--cycles") {
-      args.cycles = std::atoi(next());
+      parsed = number(&args.cycles);
     } else if (arg == "--batches") {
-      args.batches = std::atoi(next());
+      parsed = number(&args.batches);
     } else if (arg == "--kill-every") {
-      args.kill_every = std::atoi(next());
+      parsed = number(&args.kill_every);
     } else if (arg == "--fault-prob") {
-      args.fault_prob = std::atof(next());
+      parsed = number(&args.fault_prob);
     } else if (arg == "--seed") {
-      args.seed = static_cast<uint64_t>(std::atoll(next()));
+      parsed = number(&args.seed);
     } else {
       std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
-      return false;
+      return 2;
     }
+    if (!parsed) return 64;
   }
   if (args.state_dir.empty()) {
     std::fprintf(stderr,
                  "usage: soak --state-dir DIR [--cycles N] [--batches N] "
                  "[--kill-every K] [--fault-prob P] [--seed S]\n");
-    return false;
+    return 2;
   }
-  return args.cycles > 0 && args.batches > 0;
+  return args.cycles > 0 && args.batches > 0 ? 0 : 2;
 }
 
 int RunSoak(const SoakArgs& args) {
@@ -340,6 +358,8 @@ int RunSoak(const SoakArgs& args) {
 
 int main(int argc, char** argv) {
   SoakArgs args;
-  if (!ParseArgs(argc, argv, args)) return 2;
+  if (const int usage = ParseArgs(argc, argv, args); usage != 0) {
+    return usage;
+  }
   return RunSoak(args);
 }
