@@ -1,7 +1,8 @@
 // Google-benchmark micro benchmarks for the model-training engine: the
 // EncodedMatrix cache, the deterministic parallel trainers (random forest
 // bagging, blocked logistic-regression gradients, batch-accumulated neural
-// network), and the bootstrap replicate loop. These quantify the constant
+// network), the subgroup analysis behind the fairness index, forest
+// prediction, and the bootstrap replicate loop. These quantify the constant
 // factors behind the tradeoff benches' evaluation fan-out.
 
 #include <benchmark/benchmark.h>
@@ -13,8 +14,10 @@
 #include "common/check.h"
 #include "common/metrics.h"
 #include "data/encoding.h"
+#include "datagen/adult.h"
 #include "datagen/compas.h"
 #include "fairness/bootstrap.h"
+#include "fairness/divergence.h"
 #include "ml/logistic_regression.h"
 #include "ml/neural_network.h"
 #include "ml/random_forest.h"
@@ -30,6 +33,22 @@ const Dataset& CompasData() {
 const EncodedMatrix& CompasEncoded() {
   static const EncodedMatrix* encoded = new EncodedMatrix(CompasData());
   return *encoded;
+}
+
+// Adult schema, 60k rows, 6 protected attributes: the size of the
+// benchmark pipeline's test split.
+const Dataset& AdultData() {
+  static const Dataset* data = new Dataset(MakeAdult(60000, 5));
+  return *data;
+}
+
+// A deliberately biased predictor so the subgroup analysis has signal.
+std::vector<int> BiasedPredictions(const Dataset& data) {
+  std::vector<int> predictions(data.NumRows());
+  for (int r = 0; r < data.NumRows(); ++r) {
+    predictions[r] = data.Value(r, 0) == 0 ? 1 : data.Label(r);
+  }
+  return predictions;
 }
 
 void BM_EncodedMatrixBuild(benchmark::State& state) {
@@ -52,6 +71,20 @@ void BM_RandomForestFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RandomForestFit)->Arg(1)->Arg(0);
+
+void BM_RandomForestPredict(benchmark::State& state) {
+  const Dataset& data = AdultData();
+  static const RandomForest* forest = [] {
+    auto* model = new RandomForest();
+    model->Fit(AdultData());
+    return model;
+  }();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(forest->PredictAll(data));
+  }
+  state.SetItemsProcessed(state.iterations() * data.NumRows());
+}
+BENCHMARK(BM_RandomForestPredict)->Unit(benchmark::kMillisecond);
 
 void BM_LogisticRegressionFit(benchmark::State& state) {
   LogisticRegressionParams params;
@@ -78,13 +111,20 @@ void BM_NeuralNetworkFit(benchmark::State& state) {
 }
 BENCHMARK(BM_NeuralNetworkFit)->Arg(1)->Arg(0);
 
+void BM_AnalyzeSubgroups(benchmark::State& state) {
+  const Dataset& data = AdultData();
+  const std::vector<int> predictions = BiasedPredictions(data);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        AnalyzeSubgroups(data, predictions, Statistic::kFpr));
+  }
+  state.SetItemsProcessed(state.iterations() * data.NumRows());
+}
+BENCHMARK(BM_AnalyzeSubgroups)->Unit(benchmark::kMillisecond);
+
 void BM_BootstrapFairnessIndex(benchmark::State& state) {
   const Dataset& data = CompasData();
-  // A deliberately biased predictor so the subgroup analysis has signal.
-  std::vector<int> predictions(data.NumRows());
-  for (int r = 0; r < data.NumRows(); ++r) {
-    predictions[r] = data.Value(r, 0) == 0 ? 1 : data.Label(r);
-  }
+  const std::vector<int> predictions = BiasedPredictions(data);
   BootstrapOptions options;
   options.replicates = 50;
   options.threads = static_cast<int>(state.range(0));

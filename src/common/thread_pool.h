@@ -5,7 +5,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -97,6 +99,35 @@ class ThreadPool {
 inline int ResolveThreadCount(int threads) {
   return threads <= 0 ? ThreadPool::DefaultThreads() : threads;
 }
+
+// Per-unit partial-result slots of (at least) `doubles` doubles each, for
+// the ordered-combine reductions. Every slot starts on its own 64-byte
+// cache line and the stride is a whole number of lines, so workers filling
+// neighboring slots never write the same line. The contents start
+// uninitialized; each unit clears its slot before accumulating.
+class CacheLineSlots {
+ public:
+  static constexpr size_t kLineBytes = 64;
+  static constexpr size_t kLineDoubles = kLineBytes / sizeof(double);
+
+  CacheLineSlots(size_t slots, size_t doubles)
+      : stride_((doubles + kLineDoubles - 1) / kLineDoubles * kLineDoubles),
+        data_(static_cast<double*>(
+            ::operator new(slots * stride_ * sizeof(double),
+                           std::align_val_t{kLineBytes}))) {}
+
+  double* slot(size_t index) const { return data_.get() + index * stride_; }
+
+ private:
+  struct Free {
+    void operator()(double* p) const {
+      ::operator delete(p, std::align_val_t{kLineBytes});
+    }
+  };
+
+  size_t stride_;
+  std::unique_ptr<double, Free> data_;
+};
 
 }  // namespace remedy
 

@@ -52,11 +52,6 @@ void Dataset::SetWeight(int row, double weight) {
   weights_[row] = weight;
 }
 
-void Dataset::ResetWeights(double weight) {
-  REMEDY_CHECK(weight >= 0.0);
-  std::fill(weights_.begin(), weights_.end(), weight);
-}
-
 std::vector<int> Dataset::Row(int row) const {
   REMEDY_CHECK(row >= 0 && row < NumRows());
   std::vector<int> values(NumColumns());

@@ -48,11 +48,6 @@ class Dataset {
   void SetLabel(int row, int label);
   void SetWeight(int row, double weight);
 
-  // Sets every instance weight to `weight` in one fill — the bulk form the
-  // samplers use after a weighted bootstrap has already consumed the
-  // weights (per-row SetWeight loops are O(n) bounds checks for nothing).
-  void ResetWeights(double weight = 1.0);
-
   // All attribute codes of one row (decoded from column-major storage).
   std::vector<int> Row(int row) const;
 

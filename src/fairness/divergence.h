@@ -51,6 +51,9 @@ struct SubgroupAnalysis {
 // support at least `min_support`, and reports its statistic, divergence and
 // significance. This is the library's DivExplorer-equivalent; the paper's
 // attribute domains are small enough for exhaustive enumeration to be exact.
+// One pass over the rows tallies each leaf (every protected attribute
+// fixed); every subgroup's counts are the exact integer sums of its
+// leaves'. Reported per node (leaf to top), in ascending region-key order.
 SubgroupAnalysis AnalyzeSubgroups(const Dataset& test,
                                   const std::vector<int>& predictions,
                                   Statistic statistic,

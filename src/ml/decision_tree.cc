@@ -24,25 +24,43 @@ DecisionTree::DecisionTree(DecisionTreeParams params)
 
 void DecisionTree::Fit(const Dataset& train) {
   REMEDY_CHECK(train.NumRows() > 0);
-  nodes_.clear();
-  depth_ = 0;
   std::vector<int> rows(train.NumRows());
   std::iota(rows.begin(), rows.end(), 0);
-  std::vector<char> used_attributes(train.NumColumns(), 0);
-  Rng rng(params_.seed);
-  BuildNode(train, rows, 0, used_attributes, rng);
+  std::vector<double> weights(train.NumRows());
+  for (int r = 0; r < train.NumRows(); ++r) weights[r] = train.Weight(r);
+  FitRows(train, std::move(rows), weights);
 }
 
-int DecisionTree::BuildNode(const Dataset& data, const std::vector<int>& rows,
-                            int depth, std::vector<char>& used_attributes,
-                            Rng& rng) {
+void DecisionTree::FitRows(const Dataset& train, std::vector<int> rows,
+                           const std::vector<double>& weights) {
+  REMEDY_CHECK(!rows.empty());
+  nodes_.clear();
+  children_.clear();
+  cardinalities_.resize(train.NumColumns());
+  for (int c = 0; c < train.NumColumns(); ++c) {
+    cardinalities_[c] = train.schema().attribute(c).Cardinality();
+  }
+  depth_ = 0;
+  std::vector<int> scratch(rows.size());
+  std::vector<char> used_attributes(train.NumColumns(), 0);
+  Rng rng(params_.seed);
+  BuildNode(train, weights, rows, scratch, 0, static_cast<int>(rows.size()),
+            0, used_attributes, rng);
+}
+
+int DecisionTree::BuildNode(const Dataset& data,
+                            const std::vector<double>& weights,
+                            std::vector<int>& rows, std::vector<int>& scratch,
+                            int begin, int end, int depth,
+                            std::vector<char>& used_attributes, Rng& rng) {
   depth_ = std::max(depth_, depth);
 
   double total_weight = 0.0;
   double positive_weight = 0.0;
-  for (int r : rows) {
-    total_weight += data.Weight(r);
-    positive_weight += data.Label(r) ? data.Weight(r) : 0.0;
+  for (int i = begin; i < end; ++i) {
+    const int r = rows[i];
+    total_weight += weights[r];
+    positive_weight += data.Label(r) ? weights[r] : 0.0;
   }
 
   int node_index = static_cast<int>(nodes_.size());
@@ -82,9 +100,10 @@ int DecisionTree::BuildNode(const Dataset& data, const std::vector<int>& rows,
     if (cardinality < 2) continue;
     value_weight.assign(cardinality, 0.0);
     value_positive.assign(cardinality, 0.0);
-    for (int r : rows) {
+    for (int i = begin; i < end; ++i) {
+      const int r = rows[i];
       int value = data.Value(r, attribute);
-      double w = data.Weight(r);
+      double w = weights[r];
       value_weight[value] += w;
       if (data.Label(r)) value_positive[value] += w;
     }
@@ -106,20 +125,32 @@ int DecisionTree::BuildNode(const Dataset& data, const std::vector<int>& rows,
   }
   if (best_attribute < 0) return node_index;
 
-  // Partition rows by the chosen attribute's value.
-  int cardinality = data.schema().attribute(best_attribute).Cardinality();
-  std::vector<std::vector<int>> partitions(cardinality);
-  for (int r : rows) partitions[data.Value(r, best_attribute)].push_back(r);
+  // Partition the range by the chosen attribute's value: a stable counting
+  // sort, so each child sees its rows in the parent's order.
+  const int cardinality =
+      data.schema().attribute(best_attribute).Cardinality();
+  std::vector<int> bounds(cardinality + 1, 0);
+  for (int i = begin; i < end; ++i) {
+    ++bounds[data.Value(rows[i], best_attribute) + 1];
+  }
+  for (int v = 0; v < cardinality; ++v) bounds[v + 1] += bounds[v];
+  std::vector<int> cursor(bounds.begin(), bounds.end() - 1);
+  for (int i = begin; i < end; ++i) {
+    scratch[begin + cursor[data.Value(rows[i], best_attribute)]++] = rows[i];
+  }
+  std::copy(scratch.begin() + begin, scratch.begin() + end,
+            rows.begin() + begin);
 
+  const int first_child = static_cast<int>(children_.size());
+  children_.resize(children_.size() + cardinality, -1);
   nodes_[node_index].attribute = best_attribute;
-  nodes_[node_index].children.assign(cardinality, -1);
+  nodes_[node_index].first_child = first_child;
   used_attributes[best_attribute] = 1;
   for (int v = 0; v < cardinality; ++v) {
-    if (partitions[v].empty()) continue;
-    int child =
-        BuildNode(data, partitions[v], depth + 1, used_attributes, rng);
-    // nodes_ may have reallocated during recursion; index again.
-    nodes_[node_index].children[v] = child;
+    if (bounds[v] == bounds[v + 1]) continue;
+    children_[first_child + v] =
+        BuildNode(data, weights, rows, scratch, begin + bounds[v],
+                  begin + bounds[v + 1], depth + 1, used_attributes, rng);
   }
   used_attributes[best_attribute] = 0;
   return node_index;
@@ -127,17 +158,16 @@ int DecisionTree::BuildNode(const Dataset& data, const std::vector<int>& rows,
 
 double DecisionTree::PredictProba(const Dataset& data, int row) const {
   REMEDY_CHECK(!nodes_.empty()) << "DecisionTree::Fit has not been called";
-  int node = 0;
-  while (nodes_[node].attribute >= 0) {
-    int value = data.Value(row, nodes_[node].attribute);
-    int child = (value >= 0 &&
-                 value < static_cast<int>(nodes_[node].children.size()))
-                    ? nodes_[node].children[value]
-                    : -1;
+  const Node* node = &nodes_[0];
+  while (node->attribute >= 0) {
+    const int value = data.Value(row, node->attribute);
+    const int child = (value >= 0 && value < cardinalities_[node->attribute])
+                          ? children_[node->first_child + value]
+                          : -1;
     if (child < 0) break;  // unseen value: back off to this node's estimate
-    node = child;
+    node = &nodes_[child];
   }
-  return nodes_[node].positive_fraction;
+  return node->positive_fraction;
 }
 
 }  // namespace remedy

@@ -36,20 +36,36 @@ class DecisionTree : public Classifier {
   int Depth() const { return depth_; }
 
  private:
+  friend class RandomForest;
+
+  // Nodes live in one array (16 bytes each); an internal node's children
+  // are the cardinalities_[attribute] entries of children_ starting at
+  // `first_child`, one per attribute value code (-1 when the value did not
+  // occur at the node during training).
   struct Node {
     int attribute = -1;  // -1 marks a leaf
+    int first_child = 0;
     double positive_fraction = 0.5;
-    // Child node index per attribute value code; -1 when the value did not
-    // occur at this node during training.
-    std::vector<int> children;
   };
 
-  // Builds the subtree over `rows`; returns its node index.
-  int BuildNode(const Dataset& data, const std::vector<int>& rows, int depth,
-                std::vector<char>& used_attributes, Rng& rng);
+  // Fit on the rows `rows` of `train`, row r weighted by weights[r] (indexed
+  // by train row) instead of train.Weight(r). The forest's bootstrap entry
+  // point: each distinct drawn row once, weighted by its draw count.
+  void FitRows(const Dataset& train, std::vector<int> rows,
+               const std::vector<double>& weights);
+
+  // Builds the subtree over rows[begin, end); returns its node index.
+  // Splitting reorders the range stably by the split attribute's value
+  // through `scratch` (same size as `rows`).
+  int BuildNode(const Dataset& data, const std::vector<double>& weights,
+                std::vector<int>& rows, std::vector<int>& scratch, int begin,
+                int end, int depth, std::vector<char>& used_attributes,
+                Rng& rng);
 
   DecisionTreeParams params_;
   std::vector<Node> nodes_;
+  std::vector<int> children_;
+  std::vector<int> cardinalities_;  // per attribute, at fit time
   int depth_ = 0;
 };
 

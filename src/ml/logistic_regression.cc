@@ -65,19 +65,30 @@ void LogisticRegression::FitEncoded(const EncodedMatrix& train) {
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
 
   // Slot `b` holds block b's partial gradient: `width` coefficient entries
-  // plus the intercept entry at index `width`.
-  const size_t stride = static_cast<size_t>(width) + 1;
-  std::vector<double> partial(static_cast<size_t>(num_blocks) * stride);
+  // plus the intercept entry at index `width`, padded to whole cache lines
+  // (every row writes its slot's intercept entry, which would otherwise
+  // share a line with the next slot's first coefficients).
+  const CacheLineSlots partial(num_blocks, static_cast<size_t>(width) + 1);
   const auto block_gradient = [&](int64_t b) {
-    double* g = partial.data() + static_cast<size_t>(b) * stride;
-    std::fill(g, g + stride, 0.0);
+    double* g = partial.slot(b);
+    std::fill(g, g + width + 1, 0.0);
     const int begin = static_cast<int>(b) * kGradientBlockRows;
     const int end = std::min(n, begin + kGradientBlockRows);
+    // The coefficients are fixed for the epoch, so every row's margin is
+    // taken first (independent sums the core can overlap), then the errors
+    // are scattered in row order.
+    double margins[kGradientBlockRows];
+    const double* coefficients = coefficients_.data();
     for (int r = begin; r < end; ++r) {
       const int* x = train.ActiveRow(r);
       double z = intercept_;
-      for (int c = 0; c < num_columns; ++c) z += coefficients_[x[c]];
-      double error = (Sigmoid(z) - data.Label(r)) * weights[r];
+      for (int c = 0; c < num_columns; ++c) z += coefficients[x[c]];
+      margins[r - begin] = z;
+    }
+    for (int r = begin; r < end; ++r) {
+      const int* x = train.ActiveRow(r);
+      const double error =
+          (Sigmoid(margins[r - begin]) - data.Label(r)) * weights[r];
       for (int c = 0; c < num_columns; ++c) g[x[c]] += error;
       g[width] += error;
     }
@@ -96,7 +107,7 @@ void LogisticRegression::FitEncoded(const EncodedMatrix& train) {
     std::fill(gradient.begin(), gradient.end(), 0.0);
     double intercept_gradient = 0.0;
     for (int b = 0; b < num_blocks; ++b) {
-      const double* g = partial.data() + static_cast<size_t>(b) * stride;
+      const double* g = partial.slot(b);
       for (int j = 0; j < width; ++j) gradient[j] += g[j];
       intercept_gradient += g[width];
     }

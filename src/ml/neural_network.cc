@@ -27,6 +27,9 @@ double Sigmoid(double z) {
 // are applied in — are the same no matter how many workers claim them.
 constexpr int kBatchBlockRows = 64;
 
+// How far ahead of the shuffled row loop the next inputs are prefetched.
+constexpr int kPrefetchRows = 4;
+
 }  // namespace
 
 NeuralNetwork::NeuralNetwork(NeuralNetworkParams params) : params_(params) {
@@ -41,18 +44,22 @@ NeuralNetwork::NeuralNetwork(NeuralNetworkParams params) : params_(params) {
 constexpr double kLeak = 0.01;
 
 double NeuralNetwork::Forward(const int* active, int num_columns,
-                              std::vector<double>* hidden) const {
+                              double* hidden) const {
+  // Input-major weights: each active input adds one contiguous run of
+  // hidden_units weights, so every unit still sums its bias and then its
+  // active inputs in column order.
   const int h_units = params_.hidden_units;
-  hidden->assign(h_units, 0.0);
+  std::copy(hidden_bias_.begin(), hidden_bias_.end(), hidden);
+  for (int c = 0; c < num_columns; ++c) {
+    const double* column =
+        hidden_weights_.data() + static_cast<size_t>(active[c]) * h_units;
+    for (int h = 0; h < h_units; ++h) hidden[h] += column[h];
+  }
   for (int h = 0; h < h_units; ++h) {
-    const double* row = hidden_weights_.data() +
-                        static_cast<size_t>(h) * input_width_;
-    double z = hidden_bias_[h];
-    for (int c = 0; c < num_columns; ++c) z += row[active[c]];
-    (*hidden)[h] = z > 0.0 ? z : kLeak * z;
+    hidden[h] = hidden[h] > 0.0 ? hidden[h] : kLeak * hidden[h];
   }
   double z = output_bias_;
-  for (int h = 0; h < h_units; ++h) z += output_weights_[h] * (*hidden)[h];
+  for (int h = 0; h < h_units; ++h) z += output_weights_[h] * hidden[h];
   return Sigmoid(z);
 }
 
@@ -75,8 +82,14 @@ void NeuralNetwork::FitEncoded(const EncodedMatrix& train) {
   auto glorot = [&](int fan_in) {
     return rng.Normal(0.0, std::sqrt(1.0 / std::max(1, fan_in)));
   };
+  // Drawn unit by unit (h outer, j inner), as the unit-major layout was.
   hidden_weights_.resize(static_cast<size_t>(h_units) * input_width_);
-  for (double& w : hidden_weights_) w = glorot(num_columns);
+  for (int h = 0; h < h_units; ++h) {
+    for (int j = 0; j < input_width_; ++j) {
+      hidden_weights_[static_cast<size_t>(j) * h_units + h] =
+          glorot(num_columns);
+    }
+  }
   hidden_bias_.assign(h_units, 0.0);
   output_weights_.resize(h_units);
   for (double& w : output_weights_) w = glorot(h_units);
@@ -93,15 +106,17 @@ void NeuralNetwork::FitEncoded(const EncodedMatrix& train) {
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
 
-  // One gradient slot per sub-block: the hidden weight matrix, then hidden
-  // biases, then output weights, then the output bias.
+  // One gradient slot per sub-block: the hidden weight matrix (same layout
+  // as hidden_weights_), then hidden biases, then output weights, then the
+  // output bias.
   const size_t hw_size = static_cast<size_t>(h_units) * input_width_;
-  const size_t stride = hw_size + 2 * static_cast<size_t>(h_units) + 1;
-  std::vector<double> partial(static_cast<size_t>(blocks_per_batch) * stride);
+  const size_t slot_size = hw_size + 2 * static_cast<size_t>(h_units) + 1;
+  const CacheLineSlots partial(blocks_per_batch, slot_size);
 
   std::vector<int> order(n);
   std::iota(order.begin(), order.end(), 0);
   const double lr = params_.learning_rate;
+  const double l2 = params_.l2;
   for (int epoch = 0; epoch < params_.epochs; ++epoch) {
     rng.Shuffle(order);
     for (int start = 0; start < n; start += params_.batch_size) {
@@ -111,34 +126,44 @@ void NeuralNetwork::FitEncoded(const EncodedMatrix& train) {
       // Phase 1: every sub-block accumulates its gradient against the
       // batch-start weights (read-only here), into its own slot.
       const auto block_gradient = [&](int64_t b) {
-        double* g = partial.data() + static_cast<size_t>(b) * stride;
-        std::fill(g, g + stride, 0.0);
+        double* g = partial.slot(b);
+        std::fill(g, g + slot_size, 0.0);
         double* ghw = g;
         double* ghb = g + hw_size;
         double* gow = ghb + h_units;
         double* gob = gow + h_units;
-        std::vector<double> hidden(h_units);
+        std::vector<double> hidden(h_units), delta(h_units);
         const int block_begin = start + static_cast<int>(b) * kBatchBlockRows;
         const int block_end = std::min(end, block_begin + kBatchBlockRows);
         for (int i = block_begin; i < block_end; ++i) {
           const int r = order[i];
           const int* x = train.ActiveRow(r);
-          const double p = Forward(x, num_columns, &hidden);
+          // Rows come in shuffled order, so each misses the cache unless
+          // it is fetched ahead.
+          if (i + kPrefetchRows < n) {
+            const int ahead = order[i + kPrefetchRows];
+            __builtin_prefetch(train.ActiveRow(ahead));
+            __builtin_prefetch(train.ActiveRow(ahead) + num_columns - 1);
+          }
+          const double p = Forward(x, num_columns, hidden.data());
           const double error =
               (p - data.Label(r)) * (data.Weight(r) / mean_weight);
           for (int h = 0; h < h_units; ++h) {
             const double gate = hidden[h] > 0.0 ? 1.0 : kLeak;
-            const double delta = error * output_weights_[h] * gate;
-            const double* row = hidden_weights_.data() +
-                                static_cast<size_t>(h) * input_width_;
-            double* grow = ghw + static_cast<size_t>(h) * input_width_;
-            for (int c = 0; c < num_columns; ++c) {
-              grow[x[c]] += delta + params_.l2 * row[x[c]];
-            }
-            ghb[h] += delta;
+            delta[h] = error * output_weights_[h] * gate;
           }
+          // One contiguous run per active input; the inputs of a row are
+          // distinct, so each weight's gradient gets one term per row, in
+          // row order.
+          for (int c = 0; c < num_columns; ++c) {
+            const size_t offset = static_cast<size_t>(x[c]) * h_units;
+            const double* w = hidden_weights_.data() + offset;
+            double* gw = ghw + offset;
+            for (int h = 0; h < h_units; ++h) gw[h] += delta[h] + l2 * w[h];
+          }
+          for (int h = 0; h < h_units; ++h) ghb[h] += delta[h];
           for (int h = 0; h < h_units; ++h) {
-            gow[h] += error * hidden[h] + params_.l2 * output_weights_[h];
+            gow[h] += error * hidden[h] + l2 * output_weights_[h];
           }
           *gob += error;
         }
@@ -152,7 +177,7 @@ void NeuralNetwork::FitEncoded(const EncodedMatrix& train) {
       // Phase 2: apply the sub-block gradients in ascending order — the
       // fixed sequence that keeps the weights independent of scheduling.
       for (int b = 0; b < num_blocks; ++b) {
-        const double* g = partial.data() + static_cast<size_t>(b) * stride;
+        const double* g = partial.slot(b);
         const double* ghw = g;
         const double* ghb = g + hw_size;
         const double* gow = ghb + h_units;
@@ -177,8 +202,8 @@ double NeuralNetwork::PredictProba(const Dataset& data, int row) const {
   for (int c = 0; c < num_columns; ++c) {
     active[c] = encoder_->Offset(c) + data.Value(row, c);
   }
-  std::vector<double> hidden;
-  return Forward(active.data(), num_columns, &hidden);
+  std::vector<double> hidden(params_.hidden_units);
+  return Forward(active.data(), num_columns, hidden.data());
 }
 
 std::vector<double> NeuralNetwork::PredictProbaAllEncoded(
@@ -187,9 +212,9 @@ std::vector<double> NeuralNetwork::PredictProbaAllEncoded(
       << "NeuralNetwork::Fit has not been called";
   const int num_columns = data.NumColumns();
   std::vector<double> probabilities(data.NumRows());
-  std::vector<double> hidden;
+  std::vector<double> hidden(params_.hidden_units);
   for (int r = 0; r < data.NumRows(); ++r) {
-    probabilities[r] = Forward(data.ActiveRow(r), num_columns, &hidden);
+    probabilities[r] = Forward(data.ActiveRow(r), num_columns, hidden.data());
   }
   return probabilities;
 }

@@ -40,15 +40,15 @@ class NeuralNetwork : public Classifier {
 
  private:
   // Forward pass for one sparse row (active one-hot index per attribute);
-  // fills the hidden activations and returns the output probability.
-  double Forward(const int* active, int num_columns,
-                 std::vector<double>* hidden) const;
+  // fills the hidden_units activations and returns the output probability.
+  double Forward(const int* active, int num_columns, double* hidden) const;
 
   NeuralNetworkParams params_;
   std::unique_ptr<OneHotEncoder> encoder_;
   int input_width_ = 0;
-  // hidden_weights_[h * input_width_ + j], hidden_bias_[h],
-  // output_weights_[h], output_bias_.
+  // hidden_weights_[j * hidden_units + h] (input-major: the weights out of
+  // one one-hot input are contiguous), hidden_bias_[h], output_weights_[h],
+  // output_bias_.
   std::vector<double> hidden_weights_;
   std::vector<double> hidden_bias_;
   std::vector<double> output_weights_;

@@ -43,23 +43,29 @@ void RandomForest::Fit(const Dataset& train) {
 
   // Tree t consumes only its own keyed stream and writes only slot t, so
   // the forest is identical no matter how trees are scheduled.
+  //
+  // The bootstrap is a draw count per row of `train`: the tree fits the
+  // drawn rows once each, weighted by their count. That is the unit-weight
+  // fit of the resampled copy without the copy — every weight sum is an
+  // integer-valued double, so each Gini, gain and leaf fraction is the same.
   const auto build_tree = [&](int64_t t) {
     Rng rng(StreamSeed(params_.seed, static_cast<uint64_t>(t)));
-    std::vector<int> sample(train.NumRows());
+    std::vector<double> draws(train.NumRows(), 0.0);
     for (int i = 0; i < train.NumRows(); ++i) {
       double draw = rng.Uniform() * total;
       auto it =
           std::upper_bound(cumulative.begin(), cumulative.end(), draw);
-      sample[i] = static_cast<int>(
-          std::min<size_t>(it - cumulative.begin(), cumulative.size() - 1));
+      draws[std::min<size_t>(it - cumulative.begin(),
+                             cumulative.size() - 1)] += 1.0;
     }
-    Dataset bootstrap = train.Select(sample);
-    // Bootstrapping already accounts for the weights; train unweighted.
-    bootstrap.ResetWeights(1.0);
+    std::vector<int> rows;
+    for (int r = 0; r < train.NumRows(); ++r) {
+      if (draws[r] > 0.0) rows.push_back(r);
+    }
     DecisionTreeParams local_params = tree_params;
     local_params.seed = rng.engine()();
     DecisionTree tree(local_params);
-    tree.Fit(bootstrap);
+    tree.FitRows(train, std::move(rows), draws);
     trees_[t] = std::move(tree);
   };
 

@@ -2,7 +2,9 @@
 // parallel path (random-forest bagging, blocked logistic-regression
 // gradients, batch-accumulated neural network, bootstrap replicates, grid
 // search) must produce byte-identical output for any thread count, and the
-// encoded fast paths must match their Dataset counterparts bitwise.
+// encoded fast paths must match their Dataset counterparts bitwise. The
+// comparisons are therefore exact (EXPECT_EQ), not EXPECT_DOUBLE_EQ's
+// 4-ulp tolerance.
 
 #include <gtest/gtest.h>
 
@@ -88,7 +90,7 @@ TEST(MlParallelTest, RandomForestThreadCountEquivalence) {
     std::vector<double> probabilities = parallel.PredictProbaAll(probe);
     ASSERT_EQ(probabilities.size(), reference.size());
     for (size_t r = 0; r < reference.size(); ++r) {
-      EXPECT_DOUBLE_EQ(probabilities[r], reference[r])
+      EXPECT_EQ(probabilities[r], reference[r])
           << "threads=" << threads << " row=" << r;
     }
   }
@@ -106,11 +108,11 @@ TEST(MlParallelTest, LogisticRegressionThreadCountEquivalence) {
     params.threads = threads;
     LogisticRegression parallel(params);
     parallel.Fit(train);
-    EXPECT_DOUBLE_EQ(parallel.intercept(), serial.intercept())
+    EXPECT_EQ(parallel.intercept(), serial.intercept())
         << "threads=" << threads;
     ASSERT_EQ(parallel.coefficients().size(), serial.coefficients().size());
     for (size_t j = 0; j < serial.coefficients().size(); ++j) {
-      EXPECT_DOUBLE_EQ(parallel.coefficients()[j], serial.coefficients()[j])
+      EXPECT_EQ(parallel.coefficients()[j], serial.coefficients()[j])
           << "threads=" << threads << " coefficient=" << j;
     }
   }
@@ -125,16 +127,16 @@ TEST(MlParallelTest, LogisticRegressionEncodedFitMatchesDatasetFit) {
   LogisticRegression from_encoded(params);
   EncodedMatrix encoded(train);
   from_encoded.FitEncoded(encoded);
-  EXPECT_DOUBLE_EQ(from_encoded.intercept(), from_dataset.intercept());
+  EXPECT_EQ(from_encoded.intercept(), from_dataset.intercept());
   for (size_t j = 0; j < from_dataset.coefficients().size(); ++j) {
-    EXPECT_DOUBLE_EQ(from_encoded.coefficients()[j],
+    EXPECT_EQ(from_encoded.coefficients()[j],
                      from_dataset.coefficients()[j]);
   }
   // The encoded predict path must match the per-row path bitwise too.
   std::vector<double> encoded_probabilities =
       from_encoded.PredictProbaAllEncoded(encoded);
   for (int r = 0; r < train.NumRows(); r += 31) {
-    EXPECT_DOUBLE_EQ(encoded_probabilities[r],
+    EXPECT_EQ(encoded_probabilities[r],
                      from_dataset.PredictProba(train, r));
   }
 }
@@ -155,7 +157,7 @@ TEST(MlParallelTest, NeuralNetworkThreadCountEquivalence) {
     parallel.Fit(train);
     std::vector<double> probabilities = parallel.PredictProbaAll(probe);
     for (size_t r = 0; r < reference.size(); ++r) {
-      EXPECT_DOUBLE_EQ(probabilities[r], reference[r])
+      EXPECT_EQ(probabilities[r], reference[r])
           << "threads=" << threads << " row=" << r;
     }
   }
@@ -173,7 +175,7 @@ TEST(MlParallelTest, NeuralNetworkEncodedFitMatchesDatasetFit) {
   std::vector<double> encoded_probabilities =
       from_encoded.PredictProbaAllEncoded(encoded);
   for (int r = 0; r < train.NumRows(); r += 23) {
-    EXPECT_DOUBLE_EQ(encoded_probabilities[r],
+    EXPECT_EQ(encoded_probabilities[r],
                      from_dataset.PredictProba(train, r));
   }
 }
@@ -197,7 +199,7 @@ TEST(MlParallelTest, GridSearchThreadCountEquivalence) {
         << "threads=" << threads;
     ASSERT_EQ(parallel.accuracies.size(), serial.accuracies.size());
     for (size_t i = 0; i < serial.accuracies.size(); ++i) {
-      EXPECT_DOUBLE_EQ(parallel.accuracies[i], serial.accuracies[i])
+      EXPECT_EQ(parallel.accuracies[i], serial.accuracies[i])
           << "threads=" << threads << " candidate=" << i;
     }
   }
@@ -215,9 +217,9 @@ TEST(MlParallelTest, BootstrapThreadCountEquivalence) {
     options.threads = threads;
     BootstrapInterval parallel =
         BootstrapFairnessIndex(test, predictions, Statistic::kFpr, options);
-    EXPECT_DOUBLE_EQ(parallel.point, serial.point) << "threads=" << threads;
-    EXPECT_DOUBLE_EQ(parallel.lower, serial.lower) << "threads=" << threads;
-    EXPECT_DOUBLE_EQ(parallel.upper, serial.upper) << "threads=" << threads;
+    EXPECT_EQ(parallel.point, serial.point) << "threads=" << threads;
+    EXPECT_EQ(parallel.lower, serial.lower) << "threads=" << threads;
+    EXPECT_EQ(parallel.upper, serial.upper) << "threads=" << threads;
   }
 }
 
@@ -235,7 +237,7 @@ TEST(MlParallelTest, FairnessIndexViewMatchesMaterializedResample) {
   for (size_t i = 0; i < rows.size(); ++i) gathered[i] = predictions[rows[i]];
   double reference = ComputeFairnessIndex(materialized, gathered,
                                           Statistic::kFpr);
-  EXPECT_DOUBLE_EQ(view, reference);
+  EXPECT_EQ(view, reference);
 }
 
 TEST(MlParallelTest, PercentileFromSortedInterpolates) {
@@ -281,8 +283,8 @@ TEST(MlParallelTest, BootstrapIntervalUsesInterpolatedPercentiles) {
 
   BootstrapInterval interval =
       BootstrapFairnessIndex(test, predictions, Statistic::kFpr, options);
-  EXPECT_DOUBLE_EQ(interval.lower, expected_lower);
-  EXPECT_DOUBLE_EQ(interval.upper, expected_upper);
+  EXPECT_EQ(interval.lower, expected_lower);
+  EXPECT_EQ(interval.upper, expected_upper);
 }
 
 }  // namespace
