@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "fairness/fairness_index.h"
 #include "ml/metrics.h"
 
@@ -70,12 +71,14 @@ std::string JsonPathFromArgs(int argc, char** argv) {
 
 int IntFlagValue(int argc, char** argv, const std::string& flag,
                  int fallback) {
-  const std::string value = FlagValue(argc, argv, flag);
-  if (value.empty()) return fallback;
-  char* end = nullptr;
-  long parsed = std::strtol(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') return fallback;
-  return static_cast<int>(parsed);
+  if (!HasFlag(argc, argv, flag)) return fallback;
+  const StatusOr<int> parsed = ParseNumber<int>(FlagValue(argc, argv, flag));
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s: %s\n", argv[0],
+                 parsed.status().WithContext("bad " + flag).ToString().c_str());
+    std::exit(64);
+  }
+  return parsed.value();
 }
 
 bool HasFlag(int argc, char** argv, const std::string& flag) {

@@ -35,7 +35,9 @@ EvalResult Evaluate(const EncodedMatrix& train, const EncodedMatrix& test,
                     ModelType type, uint64_t seed = 7, int threads = 1);
 
 // Integer flag value (e.g. "--threads 8"): `fallback` when the flag is
-// absent or not a number.
+// absent. A value that is not wholly an int (ParseNumber: no spaces, no
+// '+', nothing left over, in int's range), or a flag with no value, exits
+// 64 with "bad <flag>: ..." on stderr.
 int IntFlagValue(int argc, char** argv, const std::string& flag,
                  int fallback);
 

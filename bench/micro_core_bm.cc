@@ -1,17 +1,25 @@
 // Google-benchmark micro benchmarks for the core operations: region
 // counting, hierarchy node materialization, neighbor-count computation
-// (naive vs optimized) and full IBS identification. These quantify the
-// constant factors behind the Fig. 9 curves.
+// (naive vs optimized), the whole-lattice identify sweep, and full IBS
+// identification. These quantify the constant factors behind the Fig. 9
+// curves.
 
 #include <benchmark/benchmark.h>
+
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
 
 #include "core/hierarchy.h"
 #include "core/ibs_identify.h"
 #include "core/imbalance.h"
+#include "data/columnar.h"
 #include "datagen/adult.h"
 #include "datagen/compas.h"
+#include "datagen/generator.h"
 #include "mining/region_miner.h"
 
 namespace remedy {
@@ -147,6 +155,43 @@ void BM_NeighborCountsOptimized(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * regions.size());
 }
 BENCHMARK(BM_NeighborCountsOptimized);
+
+// The identify sweep alone — every node of a built lattice through one
+// NodeSweep, no counting — on 1M Adult-schema rows at the Fig. 9 |X| = 8
+// (count_scale's schema and tau_c at a tenth of its rows), the lattice
+// built once by EagerBuild(1). Items are lattice entries swept.
+void BM_FullSweep(benchmark::State& state) {
+  static Hierarchy* hierarchy = [] {
+    SyntheticSpec spec = AdultSpec(1'000'000);
+    const DataSchema schema = spec.MakeSchema();
+    spec.protected_indices.clear();
+    for (const std::string& name : AdultScalabilityProtected(8)) {
+      spec.protected_indices.push_back(schema.AttributeIndex(name));
+    }
+    auto* store = new ColumnarShardStore(GenerateSyntheticStore(spec, 42));
+    auto* built = new Hierarchy(*store);
+    REMEDY_CHECK(built->EagerBuild(1).ok());
+    return built;
+  }();
+  IbsParams params;
+  params.imbalance_threshold = 0.5;
+  const std::vector<uint32_t> masks = hierarchy->BottomUpMasks();
+  int64_t entries = 0;
+  for (uint32_t mask : masks) {
+    entries += static_cast<int64_t>(hierarchy->NodeCounts(mask).size());
+  }
+  std::vector<std::pair<uint64_t, BiasedRegion>> biased;
+  for (auto _ : state) {
+    biased.clear();
+    NodeSweep sweep(*hierarchy, params);
+    for (uint32_t mask : masks) sweep.Sweep(mask, &biased);
+    benchmark::DoNotOptimize(biased.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * entries);
+  state.counters["entries"] = static_cast<double>(entries);
+}
+BENCHMARK(BM_FullSweep)->Unit(benchmark::kMillisecond);
 
 void BM_IdentifyIbs(benchmark::State& state) {
   const Dataset& data = CompasData();

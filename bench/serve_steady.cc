@@ -67,18 +67,6 @@ SyntheticSpec ServingSpec(int rows) {
   return spec;
 }
 
-// The full sweep the daemon's kFull mode runs per identify epoch.
-std::vector<BiasedRegion> FullSweep(Hierarchy& hierarchy,
-                                    const IbsParams& params) {
-  std::vector<BiasedRegion> ibs;
-  for (uint32_t mask : ScopeMasks(hierarchy, params.scope)) {
-    std::vector<BiasedRegion> in_node =
-        IdentifyIbsInNode(hierarchy, mask, params);
-    ibs.insert(ibs.end(), in_node.begin(), in_node.end());
-  }
-  return ibs;
-}
-
 // One small ingest batch: `rows` label observations spread over `leaves`
 // distinct existing subgroups — the steady-state shape where a delta batch
 // touches a handful of regions of a huge lattice.
@@ -190,10 +178,12 @@ int Run(int argc, char** argv) {
     hierarchy.ApplyDeltas(batch, /*insert_missing=*/true);
     apply_ms.push_back(apply_timer.Seconds() * 1e3);
 
-    // Full first: it reads the hierarchy without consuming the dirty set,
-    // so both paths see the identical epoch state.
+    // Full first (the sweep the daemon's kFull mode runs per identify
+    // epoch): it reads the hierarchy without consuming the dirty set, so
+    // both paths see the identical epoch state.
     WallTimer full_timer;
-    const std::vector<BiasedRegion> full = FullSweep(hierarchy, params);
+    const std::vector<BiasedRegion> full =
+        IdentifyIbsInScope(hierarchy, params);
     full_ms.push_back(full_timer.Seconds() * 1e3);
 
     WallTimer incr_timer;

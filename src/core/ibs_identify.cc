@@ -1,7 +1,6 @@
 #include "core/ibs_identify.h"
 
 #include <cmath>
-#include <iterator>
 
 #include "common/check.h"
 #include "common/pipeline_metrics.h"
@@ -41,41 +40,120 @@ RegionVerdict JudgeRegion(const RegionCounter& counter, uint32_t mask,
   return RegionVerdict::kBiased;
 }
 
-std::vector<BiasedRegion> IdentifyIbsInNode(Hierarchy& hierarchy,
-                                            uint32_t mask,
-                                            const IbsParams& params) {
-  NeighborhoodCalculator neighborhood(hierarchy, params.distance_threshold);
-  const bool use_optimized =
-      params.algorithm == IbsAlgorithm::kOptimized &&
-      neighborhood.SupportsOptimized(mask);
+NodeSweep::NodeSweep(Hierarchy& hierarchy, const IbsParams& params)
+    : hierarchy_(hierarchy),
+      params_(params),
+      neighborhood_(hierarchy, params.distance_threshold) {}
 
+int64_t NodeSweep::Sweep(
+    uint32_t mask, std::vector<std::pair<uint64_t, BiasedRegion>>* biased) {
+  const bool use_optimized = params_.algorithm == IbsAlgorithm::kOptimized &&
+                             neighborhood_.SupportsOptimized(mask);
   // NodeTable iteration is already in ascending key order, so the sweep is
   // deterministic without re-sorting, and each entry carries its counts —
   // no second lookup per region.
-  const NodeTable& node = hierarchy.NodeCounts(mask);
-  NodeTableParents parents(hierarchy, mask);
-  std::vector<BiasedRegion> biased;
-  // Batch the per-region tallies locally and publish once per node, so the
-  // inner sweep costs no atomics.
-  int64_t reuse = 0;
-  int64_t naive = 0;
-  for (const auto& [key, counts] : node) {
-    BiasedRegion region;
-    const RegionVerdict verdict =
-        ScoreRegion(hierarchy, neighborhood, use_optimized, mask, key, counts,
-                    params, parents, &region);
-    if (verdict == RegionVerdict::kSkipped) continue;
-    use_optimized ? ++reuse : ++naive;
-    if (verdict == RegionVerdict::kBiased) {
-      biased.push_back(std::move(region));
+  const NodeTable& node = hierarchy_.NodeCounts(mask);
+  const size_t first_biased = biased->size();
+  int64_t scored = 0;
+  if (use_optimized && !neighborhood_.WholeNodeNeighborhood(mask)) {
+    scored = SweepParentSums(mask, node, biased);
+  } else {
+    NodeTableParents parents(hierarchy_, mask);
+    for (const auto& [key, counts] : node) {
+      BiasedRegion region;
+      const RegionVerdict verdict =
+          ScoreRegion(hierarchy_, neighborhood_, use_optimized, mask, key,
+                      counts, params_, parents, &region);
+      if (verdict == RegionVerdict::kSkipped) continue;
+      ++scored;
+      if (verdict == RegionVerdict::kBiased) {
+        biased->emplace_back(key, std::move(region));
+      }
     }
   }
+  // Tallied per node, so the inner sweep costs no atomics.
   const PipelineMetrics& metrics = PipelineMetrics::Get();
   metrics.ibs_nodes_visited->Increment();
-  metrics.ibs_hits->Increment(static_cast<int64_t>(biased.size()));
-  if (reuse > 0) metrics.ibs_neighbor_reuse->Increment(reuse);
-  if (naive > 0) metrics.ibs_neighbor_naive->Increment(naive);
-  return biased;
+  metrics.ibs_hits->Increment(
+      static_cast<int64_t>(biased->size() - first_biased));
+  if (scored > 0) {
+    (use_optimized ? metrics.ibs_neighbor_reuse : metrics.ibs_neighbor_naive)
+        ->Increment(scored);
+  }
+  return scored;
+}
+
+int64_t NodeSweep::SweepParentSums(
+    uint32_t mask, const NodeTable& node,
+    std::vector<std::pair<uint64_t, BiasedRegion>>* biased) {
+  // |r_n| = sum over the dominating regions R_d (one deterministic element
+  // removed) - |R_d| * |r|. A level-1 node's one dominating region is the
+  // whole dataset, shared by every region. (At T = 1 such a node is in the
+  // whole-node regime; only a T within SupportsOptimized's tolerance below
+  // 1 brings it here.)
+  const RegionCounter& counter = hierarchy_.counter();
+  sums_.assign(node.size(), RegionCounts{});
+  RegionCounts shared;
+  int64_t num_dominating = 0;
+  for (uint32_t bits = mask; bits != 0; bits &= bits - 1) {
+    const uint32_t parent_mask = mask & ~(bits & (~bits + 1));
+    ++num_dominating;
+    if (parent_mask == 0) {
+      shared = hierarchy_.TotalCounts();
+    } else {
+      counter.AddParentCounts(node, mask, hierarchy_.NodeCounts(parent_mask),
+                              parent_mask, sums_.data());
+    }
+  }
+  int64_t scored = 0;
+  const std::vector<NodeTable::Entry>& entries = node.entries();
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const auto& [key, counts] = entries[i];
+    if (counts.Total() <= params_.min_region_size) continue;
+    ++scored;
+    const RegionCounts neighbor_counts{
+        shared.positives + sums_[i].positives -
+            num_dominating * counts.positives,
+        shared.negatives + sums_[i].negatives -
+            num_dominating * counts.negatives};
+    BiasedRegion region;
+    if (JudgeRegion(counter, mask, key, counts, neighbor_counts, params_,
+                    &region) == RegionVerdict::kBiased) {
+      biased->emplace_back(key, std::move(region));
+    }
+  }
+  return scored;
+}
+
+namespace {
+
+std::vector<BiasedRegion> WithoutKeys(
+    std::vector<std::pair<uint64_t, BiasedRegion>> keyed) {
+  std::vector<BiasedRegion> regions;
+  regions.reserve(keyed.size());
+  for (auto& [key, region] : keyed) regions.push_back(std::move(region));
+  return regions;
+}
+
+}  // namespace
+
+std::vector<BiasedRegion> IdentifyIbsInNode(Hierarchy& hierarchy,
+                                            uint32_t mask,
+                                            const IbsParams& params) {
+  std::vector<std::pair<uint64_t, BiasedRegion>> keyed;
+  NodeSweep(hierarchy, params).Sweep(mask, &keyed);
+  return WithoutKeys(std::move(keyed));
+}
+
+std::vector<BiasedRegion> IdentifyIbsInScope(Hierarchy& hierarchy,
+                                             const IbsParams& params) {
+  NodeSweep sweep(hierarchy, params);
+  std::vector<std::pair<uint64_t, BiasedRegion>> keyed;
+  for (uint32_t mask : ScopeMasks(hierarchy, params.scope)) {
+    REMEDY_TRACE_SPAN_ARG("ibs/node", mask);
+    sweep.Sweep(mask, &keyed);
+  }
+  return WithoutKeys(std::move(keyed));
 }
 
 namespace {
@@ -86,15 +164,7 @@ StatusOr<std::vector<BiasedRegion>> IdentifyWithHierarchy(
   // A spilled store maps its shard files here, so a missing or truncated
   // spill is a clean error from IdentifyIbs instead of a crash mid-count.
   RETURN_IF_ERROR(hierarchy.PrepareCounting());
-  std::vector<BiasedRegion> ibs;
-  for (uint32_t mask : ScopeMasks(hierarchy, params.scope)) {
-    REMEDY_TRACE_SPAN_ARG("ibs/node", mask);
-    std::vector<BiasedRegion> node_biased =
-        IdentifyIbsInNode(hierarchy, mask, params);
-    ibs.insert(ibs.end(), std::make_move_iterator(node_biased.begin()),
-               std::make_move_iterator(node_biased.end()));
-  }
-  return ibs;
+  return IdentifyIbsInScope(hierarchy, params);
 }
 
 }  // namespace

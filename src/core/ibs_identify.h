@@ -1,6 +1,8 @@
 #ifndef REMEDY_CORE_IBS_IDENTIFY_H_
 #define REMEDY_CORE_IBS_IDENTIFY_H_
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -59,10 +61,18 @@ StatusOr<std::vector<BiasedRegion>> IdentifyIbs(
     const ColumnarShardStore& store, const IbsParams& params);
 
 // Same, but reusing a caller-owned hierarchy (so the remedy loop can share
-// memoized node counts across nodes of one pass).
+// memoized node counts across nodes of one pass). One NodeSweep::Sweep of
+// node `mask`; a caller sweeping many nodes keeps one NodeSweep instead.
 std::vector<BiasedRegion> IdentifyIbsInNode(Hierarchy& hierarchy,
                                             uint32_t mask,
                                             const IbsParams& params);
+
+// The IBS of a caller-owned hierarchy over `params.scope`, ordered as
+// IdentifyIbs orders it: one NodeSweep over ScopeMasks. The daemon's full
+// identify mode runs it on its live lattice. A spilled store's hierarchy
+// needs Hierarchy::PrepareCounting first, as IdentifyIbs does.
+std::vector<BiasedRegion> IdentifyIbsInScope(Hierarchy& hierarchy,
+                                             const IbsParams& params);
 
 // Outcome of scoring one region: too small to judge, judged clean, or
 // judged biased (out filled).
@@ -76,10 +86,11 @@ RegionVerdict JudgeRegion(const RegionCounter& counter, uint32_t mask,
                           const RegionCounts& neighbor_counts,
                           const IbsParams& params, BiasedRegion* out);
 
-// Scores the region at `key` of node `mask` exactly as the full
-// IdentifyIbsInNode sweep does — the one scoring implementation both the
-// full and the incremental identify paths run, which is what makes their
-// outputs bit-identical by construction (same inputs, same float ops).
+// Scores the region at `key` of node `mask` region by region: the route of
+// the incremental identify path's gathered sets, and of NodeSweep for the
+// naive ablation and the T >= diameter regime. Its neighbor counts are the
+// exact integers NodeSweep's parent-sum walk produces, and both judge with
+// JudgeRegion, so the full and incremental paths are bit-identical.
 // `use_optimized` must be `params.algorithm == kOptimized &&
 // neighborhood.SupportsOptimized(mask)`, i.e. the caller resolves the
 // strategy once per node. `parent_counts` is the dominating-region source
@@ -100,6 +111,48 @@ RegionVerdict ScoreRegion(Hierarchy& hierarchy,
   return JudgeRegion(hierarchy.counter(), mask, key, counts, neighbor_counts,
                      params, out);
 }
+
+// The whole-node sweep of one identify pass: scores every region of a
+// node's table in ascending key order and emits (key, region) for each
+// biased verdict. Every full identify runs it — IdentifyIbs, the remedy
+// loops, the incremental path's full pass and whole-node re-scores. Build
+// one per pass and sweep each node with it: its NeighborhoodCalculator
+// walks every value pair of every protected attribute when built. Counts
+// may change between sweeps (the remedy loops apply deltas per node).
+//
+// Under T = 1 on nominal attributes (SupportsOptimized and not
+// WholeNodeNeighborhood) the node's dominating-region sums come from one
+// galloping merge-walk per parent node (RegionCounter::AddParentCounts)
+// into a per-entry array; each region then costs a subtraction and
+// JudgeRegion, with no parent key packed or searched per region. The
+// naive ablation and the T >= diameter regime score region by region
+// (ScoreRegion). The sums are the exact integers of the per-region
+// dominating-region sum, so the output is bit-identical to it.
+class NodeSweep {
+ public:
+  // `hierarchy` must outlive the sweep.
+  NodeSweep(Hierarchy& hierarchy, const IbsParams& params);
+
+  // Sweeps node `mask`: appends (region key, region) of each biased region
+  // to `biased`, ascending by key, and returns how many regions it scored
+  // (those with more than min_region_size instances). Publishes the
+  // ibs/* node counters.
+  int64_t Sweep(uint32_t mask,
+                std::vector<std::pair<uint64_t, BiasedRegion>>* biased);
+
+  NeighborhoodCalculator& neighborhood() { return neighborhood_; }
+
+ private:
+  // The T = 1 parent-sum sweep of `node` (node `mask`'s table).
+  int64_t SweepParentSums(
+      uint32_t mask, const NodeTable& node,
+      std::vector<std::pair<uint64_t, BiasedRegion>>* biased);
+
+  Hierarchy& hierarchy_;
+  IbsParams params_;
+  NeighborhoodCalculator neighborhood_;
+  std::vector<RegionCounts> sums_;  // per entry of the node being swept
+};
 
 // Node masks visited under `scope`, in traversal order.
 std::vector<uint32_t> ScopeMasks(const Hierarchy& hierarchy, IbsScope scope);

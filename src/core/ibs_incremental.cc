@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <iterator>
 
 #include "common/check.h"
 #include "common/clock.h"
@@ -97,8 +96,10 @@ class GatheredParents {
   }
 
   const RegionCounts& operator()(uint32_t parent_mask, uint64_t parent_key) {
+    // A parent drops one position of its child's mask, so the index is
+    // below 32; the `& 31` tells GCC's -Warray-bounds as much.
     const std::vector<NodeTable::Entry>* gathered =
-        gathered_[std::countr_zero(mask_ ^ parent_mask)];
+        gathered_[std::countr_zero(mask_ ^ parent_mask) & 31];
     if (gathered != nullptr && !gathered->empty()) {
       const NodeTable::Entry* entry =
           FloorEntry(gathered->data(), gathered->size(), parent_key);
@@ -137,16 +138,12 @@ std::vector<BiasedRegion> IncrementalIbsState::FullPass(
   cache_.clear();
   std::vector<BiasedRegion> out;
   for (uint32_t mask : ScopeMasks(hierarchy, params.scope)) {
-    std::vector<BiasedRegion> node_biased =
-        IdentifyIbsInNode(hierarchy, mask, params);
     NodeCache& cached = cache_[mask];
-    cached.biased.reserve(node_biased.size());
-    for (const BiasedRegion& region : node_biased) {
-      cached.biased.emplace_back(
-          hierarchy.counter().KeyFor(region.pattern, mask), region);
-    }
-    out.insert(out.end(), std::make_move_iterator(node_biased.begin()),
-               std::make_move_iterator(node_biased.end()));
+    // A sweep per node, which frees its sum buffer after each node: one
+    // held across the pass read about 20 MB more peak RSS in the serving
+    // daemon (heap layout; the live data is the same).
+    NodeSweep(hierarchy, params).Sweep(mask, &cached.biased);
+    for (const auto& [key, region] : cached.biased) out.push_back(region);
   }
   have_cache_ = true;
   pending_reason_.clear();
@@ -179,7 +176,8 @@ std::vector<BiasedRegion> IncrementalIbsState::Identify(
     }
   }
 
-  NeighborhoodCalculator neighborhood(hierarchy, params.distance_threshold);
+  NodeSweep sweep(hierarchy, params);
+  NeighborhoodCalculator& neighborhood = sweep.neighborhood();
   const std::vector<uint32_t> masks = ScopeMasks(hierarchy, params.scope);
 
   // Phase 1: each scoped node's re-evaluation set — the dirty keys (own
@@ -279,11 +277,8 @@ std::vector<BiasedRegion> IncrementalIbsState::Identify(
     };
     if (node_work.kind == NodeWork::Kind::kWhole) {
       // The full sweep of this node: a parent's gathered set would miss
-      // for most of its keys, so read parents from their tables.
-      NodeTableParents parents(hierarchy, mask);
-      for (const auto& [key, counts] : hierarchy.NodeCounts(mask)) {
-        score(key, counts, parents);
-      }
+      // for most of its keys, so the sweep walks the parents' tables.
+      stats_.rescored_regions += sweep.Sweep(mask, &fresh);
     } else {
       GatheredParents parents(hierarchy, mask, work_by_mask);
       fresh.reserve(cached.biased.size());

@@ -39,16 +39,16 @@ struct IncrementalIdentifyStats {
 //     FrontierBound (1 + sum (c_i - 1) at T = 1 on nominal attributes)
 //     reaches its entry count, as on a wide batch or the seed batch — is
 //     not expanded, sorted or gathered at all: phase 2 sweeps its NodeTable
-//     directly (a "wide node re-score"), so a pass never costs more than a
-//     full sweep plus the narrow nodes' sets, and no lattice-sized
-//     transient is ever held.
+//     directly with the full identify's NodeSweep (a "wide node
+//     re-score"), so a pass never costs more than a full sweep plus the
+//     narrow nodes' sets, and no lattice-sized transient is ever held.
 //  2. Score: each gathered region runs ScoreRegion with parent keys
 //     re-packed from its digits (KeyDigits/PackDigits); a dominating
 //     region's counts come from the parent node's gathered set — under T = 1
 //     on nominal attributes every parent of a re-scored region is itself
 //     dirty or on the frontier — else from the parent's NodeTable (Leaf/Top
-//     scopes, whole-node parents under steady totals, and every parent of a
-//     node swept whole, as in the full sweep). A Pattern is decoded
+//     scopes, whole-node parents under steady totals). A node swept whole
+//     runs NodeSweep, which walks its parents' tables. A Pattern is decoded
 //     only for a biased verdict, and untouched cached verdicts are moved,
 //     not copied, through the per-node merge.
 //
@@ -59,8 +59,10 @@ struct IncrementalIdentifyStats {
 // bit-identical to a from-scratch sweep of IdentifyIbsInNode over
 // ScopeMasks — same regions, same floats, same order — because:
 //
-//  * every re-scored region runs the exact ScoreRegion the full sweep runs,
-//    on the same counts (a gathered set holds copies of table entries);
+//  * every re-scored region gets the neighbor counts the full sweep
+//    computes — exact integer sums of the same dominating regions (or the
+//    same naive enumeration), from the same counts (a gathered set holds
+//    copies of table entries) — and is judged by the same JudgeRegion;
 //  * a region is re-scored iff its verdict's inputs could have changed: its
 //    own counts changed (it is dirty), or a region within distance T of it
 //    changed (the dirty frontier expanded one neighborhood hop — the metric

@@ -30,7 +30,10 @@ double ImbalanceScore(int64_t positives, int64_t negatives);
 //  * Optimized: reuse the counts of the dominating regions R_d one level up:
 //      |r_n^±| = Σ_{r_k ∈ R_d} |r_k^±|  −  |R_d| · |r^±|      (T = 1)
 //    and for T = |X| the neighboring region is everything but r, so node
-//    totals (= dataset totals) minus r. Only d·T parent lookups per region.
+//    totals (= dataset totals) minus r. One dominating region per
+//    deterministic attribute of r. The per-region form below looks each
+//    one up; a whole-node sweep (NodeSweep, core/ibs_identify.h) instead
+//    walks each parent node once, merging it against the node's table.
 //
 // The optimized strategy assumes the paper's basic unit-distance setting
 // (every pair of distinct values one unit apart); the naive strategy also
@@ -46,12 +49,13 @@ class NeighborhoodCalculator {
   // Naive neighbor counts of region `pattern` (mask = its node).
   RegionCounts NaiveNeighborCounts(const Pattern& pattern);
 
-  // Optimized neighbor counts of region `key` of node `mask` — the one
-  // implementation of the dominating-region sum. `parent_counts(parent_mask,
-  // parent_key)` returns the counts of one dominating region one level up
-  // (never called for level 0, whose counts are TotalCounts()); the full
-  // sweep reads them from the parents' NodeTables (NodeTableParents), the
-  // incremental pass from the parent node's gathered re-evaluation set.
+  // Optimized neighbor counts of region `key` of node `mask`, region by
+  // region — the incremental pass's gathered sets and the Pattern form
+  // below use it; whole-node sweeps sum the same parents by merge-walk
+  // (NodeSweep). `parent_counts(parent_mask, parent_key)` returns the
+  // counts of one dominating region one level up (never called for level
+  // 0, whose counts are TotalCounts()): from the parent node's gathered
+  // re-evaluation set or from the parents' NodeTables (NodeTableParents).
   // Each parent key is re-packed from the region's digits, no Pattern
   // involved. Requires SupportsOptimized(mask).
   template <typename ParentCounts>
@@ -132,10 +136,14 @@ class NeighborhoodCalculator {
   std::vector<std::vector<std::pair<double, int>>> steps_;
 };
 
-// Parent-count source of the dominating-region sum that reads the parents'
-// NodeTables, resolving each parent node once, on first use (so a sweep
-// builds lazily exactly the parents it reads). Dies on a missing parent
-// region: a parent contains its child, so it exists whenever the child does.
+// Parent-count source of the per-region dominating-region sum that
+// binary-searches the parents' NodeTables, resolving each parent node once,
+// on first use (so a caller builds lazily exactly the parents it reads).
+// Serves the Pattern form of OptimizedNeighborCounts and the incremental
+// pass's parents that have no gathered set; whole-node sweeps walk the
+// parents instead (RegionCounter::AddParentCounts). Dies, in every build
+// type, on a missing parent region: a parent contains its child, so it
+// exists whenever the child does.
 class NodeTableParents {
  public:
   NodeTableParents(Hierarchy& hierarchy, uint32_t mask)

@@ -336,28 +336,25 @@ size_t GallopTo(const std::vector<NodeTable::Entry>& entries, size_t from,
          entries.begin();
 }
 
-}  // namespace
-
-std::vector<uint32_t> RegionCounter::RollUpSlots(const NodeTable& child,
-                                                 uint32_t child_mask,
-                                                 const NodeTable& parent,
-                                                 uint32_t parent_mask) const {
-  REMEDY_CHECK(parent.size() <= UINT32_MAX) << "node too large to slot-map";
-  const auto [low_radix, card_p] = RollUpRadix(child_mask, parent_mask);
+// The rollup walk from each entry of `child` (in order) to the `parent`
+// entry its key projects to, calling visit(child index, parent index).
+// Child keys ascend by (high, v_p, low) and project to high * low_radix +
+// low, so the projections of one `high` block fill one contiguous parent
+// range and ascend within each v_p run: restart at the block's first
+// parent entry when a run ends, else gallop on from the last match. Dies
+// when `parent` lacks a projection.
+template <typename Visit>
+void WalkRollUp(const NodeTable& child, const NodeTable& parent,
+                uint64_t low_radix, uint64_t card_p, Visit&& visit) {
+  const std::vector<NodeTable::Entry>& down = child.entries();
   const std::vector<NodeTable::Entry>& up = parent.entries();
-  std::vector<uint32_t> slots;
-  slots.reserve(child.size());
-  // Child keys ascend by (high, v_p, low) and project to high * low_radix +
-  // low, so the projections of one `high` block fill one contiguous parent
-  // range and ascend within each v_p run: restart at the block's first
-  // parent entry when a run ends, else gallop on from the last match.
   uint64_t block_high = UINT64_MAX;
   size_t block = 0;
   size_t cursor = 0;
   uint64_t previous = 0;
-  for (const NodeTable::Entry& entry : child) {
-    const uint64_t low = entry.first % low_radix;
-    const uint64_t high = entry.first / low_radix / card_p;
+  for (size_t i = 0; i < down.size(); ++i) {
+    const uint64_t low = down[i].first % low_radix;
+    const uint64_t high = down[i].first / low_radix / card_p;
     const uint64_t key = high * low_radix + low;
     if (high != block_high) {
       block = cursor = GallopTo(up, cursor, high * low_radix);
@@ -367,11 +364,39 @@ std::vector<uint32_t> RegionCounter::RollUpSlots(const NodeTable& child,
     }
     cursor = GallopTo(up, cursor, key);
     REMEDY_CHECK(cursor < up.size() && up[cursor].first == key)
-        << "parent node lacks the projection of child key " << entry.first;
-    slots.push_back(static_cast<uint32_t>(cursor));
+        << "parent node lacks the projection of child key " << down[i].first;
+    visit(i, cursor);
     previous = key;
   }
+}
+
+}  // namespace
+
+std::vector<uint32_t> RegionCounter::RollUpSlots(const NodeTable& child,
+                                                 uint32_t child_mask,
+                                                 const NodeTable& parent,
+                                                 uint32_t parent_mask) const {
+  REMEDY_CHECK(parent.size() <= UINT32_MAX) << "node too large to slot-map";
+  const auto [low_radix, card_p] = RollUpRadix(child_mask, parent_mask);
+  std::vector<uint32_t> slots;
+  slots.reserve(child.size());
+  WalkRollUp(child, parent, low_radix, card_p, [&](size_t, size_t slot) {
+    slots.push_back(static_cast<uint32_t>(slot));
+  });
   return slots;
+}
+
+void RegionCounter::AddParentCounts(const NodeTable& child,
+                                    uint32_t child_mask,
+                                    const NodeTable& parent,
+                                    uint32_t parent_mask,
+                                    RegionCounts* sums) const {
+  const auto [low_radix, card_p] = RollUpRadix(child_mask, parent_mask);
+  const std::vector<NodeTable::Entry>& up = parent.entries();
+  WalkRollUp(child, parent, low_radix, card_p, [&](size_t i, size_t slot) {
+    sums[i].positives += up[slot].second.positives;
+    sums[i].negatives += up[slot].second.negatives;
+  });
 }
 
 uint64_t RegionCounter::ProjectKey(uint64_t key, uint32_t from_mask,

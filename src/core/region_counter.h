@@ -150,6 +150,15 @@ class RegionCounter {
                                     const NodeTable& parent,
                                     uint32_t parent_mask) const;
 
+  // The same walk, adding instead of recording: sums[i] (one per entry of
+  // `child`) += the counts of the `parent` entry that child entry i
+  // projects to. One call per parent node gives the optimized identify's
+  // dominating-region sums for a whole node (see core/ibs_identify.h).
+  // Dies, in every build type, when `parent` lacks a projection.
+  void AddParentCounts(const NodeTable& child, uint32_t child_mask,
+                       const NodeTable& parent, uint32_t parent_mask,
+                       RegionCounts* sums) const;
+
   // Projects a node-`from_mask` region key onto node `to_mask` (a subset of
   // `from_mask`) by dropping the digits of the removed attributes — the
   // multi-digit generalization of the RollUp projection, used to route a

@@ -217,17 +217,19 @@ Dataset RemedyRebuild(const Dataset& train, const RemedyParams& params,
   }
 
   Hierarchy hierarchy(working);
+  NodeSweep sweep(hierarchy, params.ibs);
+  std::vector<std::pair<uint64_t, BiasedRegion>> biased;
   for (uint32_t mask : ScopeMasks(hierarchy, params.ibs.scope)) {
     REMEDY_TRACE_SPAN_ARG("remedy/node", mask);
-    std::vector<BiasedRegion> biased =
-        IdentifyIbsInNode(hierarchy, mask, params.ibs);
+    biased.clear();
+    sweep.Sweep(mask, &biased);
     if (biased.empty()) continue;
 
     auto rows_by_key = hierarchy.counter().CollectRows(working, mask);
     std::vector<RegionPlan> plans(biased.size());
     for (size_t i = 0; i < biased.size(); ++i) {
       REMEDY_TRACE_SPAN("remedy/plan_region");
-      const BiasedRegion& region = biased[i];
+      const auto& [key, region] = biased[i];
       RegionUpdate update =
           ComputeUpdate(params.technique, region.counts.positives,
                         region.counts.negatives, region.neighbor_ratio);
@@ -238,7 +240,6 @@ Dataset RemedyRebuild(const Dataset& train, const RemedyParams& params,
       if (update.delta_positives == 0 && update.delta_negatives == 0) {
         continue;  // rounding left nothing to do
       }
-      const uint64_t key = hierarchy.counter().KeyFor(region.pattern, mask);
       const std::vector<int>& region_rows = rows_by_key.at(key);
       std::vector<int> positive_rows, negative_rows;
       for (int row : region_rows) {
@@ -303,7 +304,7 @@ struct WorkingSet {
 // root, where a region's leaf support approaches the whole table).
 std::vector<std::vector<int>> GatherRegionRows(
     const WorkingSet& ws, const Hierarchy& hierarchy, uint32_t mask,
-    const std::vector<BiasedRegion>& biased) {
+    const std::vector<std::pair<uint64_t, BiasedRegion>>& biased) {
   const RegionCounter& counter = hierarchy.counter();
   const uint32_t leaf = hierarchy.LeafMask();
   const int num_protected = counter.NumProtected();
@@ -327,7 +328,7 @@ std::vector<std::vector<int>> GatherRegionRows(
       std::vector<int> free_positions;
       for (int p = 0; p < num_protected; ++p) {
         if (mask & (1u << p)) {
-          values[p] = biased[i].pattern.Value(p);
+          values[p] = biased[i].second.pattern.Value(p);
         } else {
           free_positions.push_back(p);
         }
@@ -355,7 +356,7 @@ std::vector<std::vector<int>> GatherRegionRows(
     std::unordered_map<uint64_t, size_t> wanted;
     wanted.reserve(biased.size() * 2);
     for (size_t i = 0; i < biased.size(); ++i) {
-      wanted.emplace(counter.KeyFor(biased[i].pattern, mask), i);
+      wanted.emplace(biased[i].first, i);
     }
     for (const auto& [leaf_key, bucket] : ws.leaf_rows) {
       auto it = wanted.find(counter.ProjectKey(leaf_key, leaf, mask));
@@ -400,10 +401,12 @@ StatusOr<Dataset> RemedyIncremental(const Dataset& train,
   }
 
   std::unique_ptr<ThreadPool> pool;
+  NodeSweep sweep(hierarchy, params.ibs);
+  std::vector<std::pair<uint64_t, BiasedRegion>> biased;
   for (uint32_t mask : ScopeMasks(hierarchy, params.ibs.scope)) {
     REMEDY_TRACE_SPAN_ARG("remedy/node", mask);
-    std::vector<BiasedRegion> biased =
-        IdentifyIbsInNode(hierarchy, mask, params.ibs);
+    biased.clear();
+    sweep.Sweep(mask, &biased);
     if (biased.empty()) continue;
 
     std::vector<std::vector<int>> region_rows =
@@ -420,7 +423,7 @@ StatusOr<Dataset> RemedyIncremental(const Dataset& train,
             : -1;
     auto plan_one = [&](int64_t i) {
       REMEDY_TRACE_SPAN("remedy/plan_region");
-      const BiasedRegion& region = biased[i];
+      const auto& [key, region] = biased[i];
       RegionUpdate update =
           ComputeUpdate(params.technique, region.counts.positives,
                         region.counts.negatives, region.neighbor_ratio);
@@ -441,7 +444,6 @@ StatusOr<Dataset> RemedyIncremental(const Dataset& train,
                     static_cast<int64_t>(negative_rows.size()) ==
                         region.counts.negatives)
           << "delta-maintained counts diverged from the row index";
-      const uint64_t key = counter.KeyFor(region.pattern, mask);
       Rng rng(RemedyRegionSeed(params.seed, mask, key));
       RankFn rank = [&ws](const std::vector<int>& rows, int label) {
         return BorderlineRanker::RankWithScores(ws.scores, rows, label);

@@ -656,27 +656,25 @@ StatusOr<RemedyDeltaPlan> CountPlanner::Plan(const NodeTable& census) {
   RETURN_IF_ERROR(hierarchy.EagerBuild(1));
   const int num_protected = schema_.NumProtected();
 
+  NodeSweep sweep(hierarchy, params_.ibs);
+  std::vector<std::pair<uint64_t, BiasedRegion>> biased;
   for (uint32_t mask : ScopeMasks(hierarchy, params_.ibs.scope)) {
     REMEDY_TRACE_SPAN_ARG("remedy/node", mask);
-    const std::vector<BiasedRegion> biased =
-        IdentifyIbsInNode(hierarchy, mask, params_.ibs);
+    biased.clear();
+    sweep.Sweep(mask, &biased);
     if (biased.empty()) continue;
 
-    // Route every leaf to the biased region it projects into; identify
+    // Route every leaf to the biased region it projects into; the sweep
     // emits a node's regions ascending by key.
-    std::vector<uint64_t> region_keys;
-    region_keys.reserve(biased.size());
-    for (const BiasedRegion& region : biased) {
-      region_keys.push_back(counter_.KeyFor(region.pattern, mask));
-    }
-    REMEDY_DCHECK(std::is_sorted(region_keys.begin(), region_keys.end()));
     std::vector<std::vector<int>> region_leaves(biased.size());
     for (size_t l = 0; l < keys_.size(); ++l) {
       const uint64_t key =
           counter_.PackDigits(&digits_[l * num_protected], mask);
-      auto it = std::lower_bound(region_keys.begin(), region_keys.end(), key);
-      if (it != region_keys.end() && *it == key) {
-        region_leaves[it - region_keys.begin()].push_back(static_cast<int>(l));
+      auto it = std::lower_bound(
+          biased.begin(), biased.end(), key,
+          [](const auto& entry, uint64_t k) { return entry.first < k; });
+      if (it != biased.end() && it->first == key) {
+        region_leaves[it - biased.begin()].push_back(static_cast<int>(l));
       }
     }
 
@@ -687,7 +685,7 @@ StatusOr<RemedyDeltaPlan> CountPlanner::Plan(const NodeTable& census) {
             : -1;
     std::vector<SlicePlan> plans(biased.size());
     for (size_t i = 0; i < biased.size(); ++i) {
-      const BiasedRegion& region = biased[i];
+      const auto& [region_key, region] = biased[i];
       const RegionUpdate update =
           ComputeUpdate(params_.technique, region.counts.positives,
                         region.counts.negatives, region.neighbor_ratio);
@@ -703,7 +701,7 @@ StatusOr<RemedyDeltaPlan> CountPlanner::Plan(const NodeTable& census) {
       REMEDY_DCHECK(positives.total == region.counts.positives &&
                     negatives.total == region.counts.negatives)
           << "runs diverged from the lattice counts";
-      Rng rng(RemedyRegionSeed(params_.seed, mask, region_keys[i]));
+      Rng rng(RemedyRegionSeed(params_.seed, mask, region_key));
       ASSIGN_OR_RETURN(plans[i], PlanRegion(update, positives, negatives, rng,
                                             add_cap));
     }

@@ -7,7 +7,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <iterator>
 #include <unordered_map>
 #include <utility>
 
@@ -582,12 +581,7 @@ void ServeDaemon::PublishSnapshot() {
       identify_health_.cached_regions = st.cached_regions;
       identify_health_.fallback_reason = ibs_state_.last_fallback_reason();
     } else {
-      for (uint32_t mask : ScopeMasks(*hierarchy_, options_.ibs.scope)) {
-        std::vector<BiasedRegion> in_node =
-            IdentifyIbsInNode(*hierarchy_, mask, options_.ibs);
-        ibs.insert(ibs.end(), std::make_move_iterator(in_node.begin()),
-                   std::make_move_iterator(in_node.end()));
-      }
+      ibs = IdentifyIbsInScope(*hierarchy_, options_.ibs);
     }
     // The online monitor: digest the identified subgroup set (node mask +
     // region key per subgroup) and flag epoch-over-epoch changes.

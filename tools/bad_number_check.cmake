@@ -1,9 +1,11 @@
-# bad_number_check driver: every numeric flag of the CLIs and the soak
-# harness goes through ParseNumber, so a value that is not wholly a number
-# must stop the run with exit 64 (usage error) and name the flag, before
-# any data is read — never parse as 0 or as a numeric prefix. Invoked by
+# bad_number_check script: every numeric flag of the CLIs, the soak
+# harness and the benches (bench::IntFlagValue) goes through ParseNumber,
+# so a value that is not wholly a number must stop the run with exit 64
+# (usage error) and name the flag, before any data is read — never parse
+# as 0 or as a numeric prefix or fall back to a default. Invoked by
 # ctest as
-#   cmake -DBIN=<remedy_cli|remedy_serve|soak> -DARGS=<leading args>
+#   cmake -DBIN=<remedy_cli|remedy_serve|soak|serve_steady>
+#         -DARGS=<leading args>
 #         -DFLAGS=<flag;flag;...> [-DSPLIT=1] -P bad_number_check.cmake
 # The flag and its value go as one `--flag=value` argument, or as two
 # arguments `--flag value` with SPLIT=1 (for parsers without the `=` form).
