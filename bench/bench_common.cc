@@ -59,8 +59,12 @@ void PrintBanner(const std::string& experiment, const std::string& paper_ref,
 }
 
 std::string FlagValue(int argc, char** argv, const std::string& flag) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (flag == argv[i]) return argv[i + 1];
+  const std::string joined = flag + "=";
+  for (int i = 1; i < argc; ++i) {
+    if (flag == argv[i] && i + 1 < argc) return argv[i + 1];
+    if (std::string(argv[i]).rfind(joined, 0) == 0) {
+      return argv[i] + joined.size();
+    }
   }
   return "";
 }
@@ -83,7 +87,9 @@ int IntFlagValue(int argc, char** argv, const std::string& flag,
 
 bool HasFlag(int argc, char** argv, const std::string& flag) {
   for (int i = 1; i < argc; ++i) {
-    if (flag == argv[i]) return true;
+    if (flag == argv[i] || std::string(argv[i]).rfind(flag + "=", 0) == 0) {
+      return true;
+    }
   }
   return false;
 }

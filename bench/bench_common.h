@@ -45,8 +45,9 @@ int IntFlagValue(int argc, char** argv, const std::string& flag,
 void PrintBanner(const std::string& experiment, const std::string& paper_ref,
                  const std::string& expectation);
 
-// Returns the value following `flag` (e.g. "--metrics-json out.json"), or
-// "" when the flag is absent or has no value.
+// Returns the value of `flag` given as `--flag value` or `--flag=value`
+// (e.g. "--metrics-json out.json"), or "" when the flag is absent or has
+// no value.
 std::string FlagValue(int argc, char** argv, const std::string& flag);
 
 // Returns the value following a `--json <path>` argument, or "" when the
@@ -54,7 +55,8 @@ std::string FlagValue(int argc, char** argv, const std::string& flag);
 // next to their console tables.
 std::string JsonPathFromArgs(int argc, char** argv);
 
-// True when `flag` (e.g. "--smoke") appears among the arguments.
+// True when `flag` (e.g. "--smoke"), alone or as `--flag=value`, appears
+// among the arguments.
 bool HasFlag(int argc, char** argv, const std::string& flag);
 
 // Peak resident set size of this process so far, in bytes (getrusage

@@ -1,82 +1,23 @@
 // remedy_cli: command-line front end for auditing and remedying CSV
-// datasets — the adoption path for users with their own data.
-//
-//   remedy_cli audit  <csv> --protected race,gender [--label y]
-//                     [--positive 1] [--tau-c 0.1] [--tau-d 0.1] [--T 1]
-//   remedy_cli plan   <csv> --protected race,gender
-//                     [--technique ps|us|os|massage] [--tau-c 0.1] [--T 1]
-//   remedy_cli remedy <csv> --protected race,gender --out remedied.csv
-//                     [--technique ps|us|os|massage] [--tau-c 0.1] [--T 1]
-//                     [--remedy-backend rebuild|incremental|streaming]
-//                     [--report] [--report-json[=file]]
-//   remedy_cli identify <csv> --protected race,gender [--tau-c 0.1] [--T 1]
-//                     [--store-dir dir [--mmap]]
-//
-// `identify` prints the biased regions counting from the columnar shard
-// store. `--store-dir dir` spills the encoded store to per-shard files
-// under `dir` and counts memory-mapped off those files (the out-of-core
-// path: peak memory stays at one in-flight shard). `--mmap` re-opens a
-// store already spilled to `--store-dir` instead of re-encoding the input
-// (the input is still loaded for its schema); `--mmap` alone is a usage
-// error.
-//
-// `<csv>` is a file path, or one of the built-in generators `@adult`,
-// `@compas`, `@lawschool` (optionally `@adult:10000` for a row count).
-// Generator input is serialized to CSV text and re-ingested through the
-// regular loader, so the run exercises — and meters — the same pipeline a
-// real file would. `--protected` defaults to the generator's protected set.
-//
-// Shared ingestion flags:
-//   --on-bad-row fail|quarantine|drop   what to do with malformed records
-//                                       (default: fail)
-//   --max-quarantine-frac x             circuit breaker for quarantine mode
-//                                       (default: 0.05)
-//
-// Remedy write path (remedy command; docs/REMEDY.md):
-//   --remedy-backend rebuild|incremental|streaming
-//       which RemedyBackend rewrites the dataset (default: incremental).
-//       rebuild and incremental are row-faithful and byte-identical to
-//       each other; streaming plans on the canonical materialization of
-//       the leaf counts (the daemon's form) and writes canonical rows.
-//       An unknown name exits 64. streaming does not support --report.
-//
-// Observability (any command):
-//   --trace-out=file.json    record tracing spans, write Chrome trace JSON
-//   --metrics                print the pipeline metrics table on exit
-//   --metrics-json[=file]    dump the metrics snapshot as JSON (stdout when
-//                            no file is given)
-//
-// Flags may appear anywhere and accept both `--flag value` and
-// `--flag=value`. A numeric flag whose value is not wholly a number exits
-// 64.
-//
-// `audit` trains a decision tree on a 70/30 split, prints the fairness
-// audit (unfair subgroups + IBS alignment), and exits non-zero if any
-// significant unfair subgroup was found — handy as a CI data-quality gate.
-// `plan` previews the biased regions and the updates the remedy would
-// apply, without writing anything.
-// `remedy` rewrites the full dataset's biased regions and writes the result;
-// with --report it also prints the per-region before/after audit trail.
-//
-// Exit codes: 0 success; 1 usage error; 2 audit gate tripped; then one code
-// per error class so scripts can react to the cause — 64 invalid argument,
-// 65 corrupt data (incl. the quarantine circuit breaker), 70 internal,
-// 74 I/O, 75 resource exhausted.
+// datasets — the adoption path for users with their own data. The
+// commands (audit, plan, remedy, identify), every flag and the exit codes
+// are documented in docs/CLI.md; the flag table is CliFlags below.
 
 #include <signal.h>
 
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
+#include "cli/cli_common.h"
+#include "cli/flags.h"
 #include "common/csv.h"
 #include "common/metrics.h"
 #include "common/rng.h"
@@ -91,9 +32,6 @@
 #include "data/columnar.h"
 #include "data/loader.h"
 #include "data/profile.h"
-#include "datagen/adult.h"
-#include "datagen/compas.h"
-#include "datagen/law_school.h"
 #include "fairness/report.h"
 #include "ml/model_factory.h"
 
@@ -101,68 +39,25 @@ namespace {
 
 using namespace remedy;
 
-// sysexits-flavored mapping so callers can distinguish "your flags are
-// wrong" from "your data is rotten" from "the disk hiccuped".
-int ExitCodeFor(StatusCode code) {
-  switch (code) {
-    case StatusCode::kOk:
-      return 0;
-    case StatusCode::kInvalidArgument:
-      return 64;
-    case StatusCode::kDataCorruption:
-    case StatusCode::kOutOfRange:
-      return 65;
-    case StatusCode::kIoError:
-      return 74;
-    case StatusCode::kResourceExhausted:
-      return 75;
-    case StatusCode::kInternal:
-      return 70;
-  }
-  return 70;
-}
-
-int Fail(const char* what, const Status& status) {
-  std::fprintf(stderr, "%s: %s\n", what, status.ToString().c_str());
-  return ExitCodeFor(status.code());
-}
-
-Status WriteTextFile(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return IoError("cannot open " + path + " for writing");
-  const size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  const int rc = std::fclose(f);
-  if (written != text.size() || rc != 0) {
-    return IoError("short write to " + path);
-  }
-  return OkStatus();
-}
-
 struct CliArgs {
   std::string command;
   std::string input;
   std::string output;
   LoaderOptions loader;
+  std::optional<std::string> protected_list;  // unset: the generator's set
   double tau_c = 0.1;
   double tau_d = 0.1;
   double distance = 1.0;
   RemedyTechnique technique = RemedyTechnique::kPreferentialSampling;
-  // Raw --remedy-backend value; parsed in RunRemedyCommand so an unknown
-  // name exits 64 (invalid argument) rather than 1 (usage).
-  std::string remedy_backend_name;
+  std::optional<RemedyBackendKind> remedy_backend;  // unset: incremental
   uint64_t seed = 23;
   std::string trace_out;
   bool metrics_table = false;
-  bool metrics_json = false;
-  std::string metrics_json_path;  // empty with metrics_json: stdout
+  std::optional<std::string> metrics_json;  // "": stdout
   bool report = false;
-  bool report_json = false;
-  std::string report_json_path;  // empty with report_json: stdout
-  bool protected_given = false;
+  std::optional<std::string> report_json;  // "": stdout
   std::string store_dir;  // identify: spill here, count mmap-backed
   bool mmap_existing = false;  // identify: reuse an already-spilled store
-  bool valid = false;
-  Status flag_error;  // a malformed flag value: exits 64, not usage
 };
 
 // --- interrupt flushing ----------------------------------------------
@@ -188,14 +83,14 @@ void FlushOnInterrupt(int sig) {
       std::fprintf(stderr, "  trace %s: %s\n", args->trace_out.c_str(),
                    written.ok() ? "written" : written.ToString().c_str());
     }
-    if (args->metrics_json) {
-      if (args->metrics_json_path.empty()) {
+    if (args->metrics_json.has_value()) {
+      if (args->metrics_json->empty()) {
         std::printf(
             "%s\n", MetricsToJson(MetricsRegistry::Global().Snapshot()).c_str());
       } else {
-        Status written = WriteMetricsJsonFile(args->metrics_json_path);
+        Status written = WriteMetricsJsonFile(*args->metrics_json);
         std::fprintf(stderr, "  metrics %s: %s\n",
-                     args->metrics_json_path.c_str(),
+                     args->metrics_json->c_str(),
                      written.ok() ? "written" : written.ToString().c_str());
       }
     }
@@ -230,211 +125,103 @@ struct ScopedQuarantineExport {
   ~ScopedQuarantineExport() { g_quarantine.store(nullptr); }
 };
 
-void PrintUsage() {
-  std::fprintf(
-      stderr,
-      "usage:\n"
-      "  remedy_cli audit  <csv> --protected a,b[,..] [--label col]\n"
-      "             [--positive v] [--tau-c x] [--tau-d x] [--T x]\n"
-      "  remedy_cli plan   <csv> --protected a,b[,..] [--label col]\n"
-      "             [--positive v] [--tau-c x] [--T x]\n"
-      "             [--technique ps|us|os|massage]\n"
-      "  remedy_cli remedy <csv> --protected a,b[,..] --out file.csv\n"
-      "             [--label col] [--positive v] [--tau-c x] [--T x]\n"
-      "             [--technique ps|us|os|massage] [--seed n]\n"
-      "             [--remedy-backend rebuild|incremental|streaming]\n"
-      "             [--report] [--report-json[=file]]\n"
-      "  remedy_cli identify <csv> --protected a,b[,..] [--label col]\n"
-      "             [--positive v] [--tau-c x] [--T x]\n"
-      "             [--store-dir dir [--mmap]]\n"
-      "  <csv>:  a file path, or @adult | @compas | @lawschool\n"
-      "          (append :N for N rows, e.g. @adult:10000)\n"
-      "  shared: [--on-bad-row fail|quarantine|drop]\n"
-      "          [--max-quarantine-frac x]\n"
-      "          [--trace-out=file.json] [--metrics]\n"
-      "          [--metrics-json[=file]]\n");
+std::vector<Flag> CliFlags(CliArgs& args) {
+  return {
+      StringFlag("--protected", &args.protected_list, "a,b[,..]",
+                 "protected attributes (required for file input)"),
+      StringFlag("--label", &args.loader.label_column, "col", "label column"),
+      StringFlag("--positive", &args.loader.positive_label, "v",
+                 "positive label value"),
+      StringFlag("--out", &args.output, "file.csv", "remedy: output path"),
+      NumberFlag("--tau-c", &args.tau_c, "x", "imbalance threshold"),
+      NumberFlag("--tau-d", &args.tau_d, "x",
+                 "audit: discrimination threshold"),
+      NumberFlag("--T", &args.distance, "x", "neighborhood distance threshold"),
+      NumberFlag("--seed", &args.seed, "n", "remedy: sampling seed"),
+      ChoiceFlag("--technique", &args.technique, TechniqueChoices(),
+                 "plan, remedy: remedy technique"),
+      ChoiceFlag("--remedy-backend", &args.remedy_backend,
+                 RemedyBackendChoices(), "remedy: backend"),
+      ChoiceFlag("--on-bad-row", &args.loader.on_bad_row,
+                 Choices<BadRowPolicy>{
+                     {"fail", BadRowPolicy::kFail},
+                     {"quarantine", BadRowPolicy::kQuarantine},
+                     {"drop", BadRowPolicy::kDrop}},
+                 "malformed-record policy"),
+      NumberFlag("--max-quarantine-frac", &args.loader.max_quarantine_fraction,
+                 "x", "quarantine circuit breaker"),
+      StringFlag("--store-dir", &args.store_dir, "dir",
+                 "identify: spill the store here and count it mapped"),
+      BoolFlag("--mmap", &args.mmap_existing,
+               "identify: re-open the store in --store-dir"),
+      StringFlag("--trace-out", &args.trace_out, "file.json",
+                 "write a Chrome trace"),
+      BoolFlag("--metrics", &args.metrics_table, "print the metrics table"),
+      OptionalPathFlag("--metrics-json", &args.metrics_json, "file",
+                       "dump the metrics as JSON (bare: stdout)"),
+      BoolFlag("--report", &args.report, "remedy: print the audit trail"),
+      OptionalPathFlag("--report-json", &args.report_json, "file",
+                       "remedy: the audit trail as JSON (bare: stdout)"),
+  };
 }
 
-bool ParseTechnique(const std::string& name, RemedyTechnique* technique) {
-  if (name == "ps") {
-    *technique = RemedyTechnique::kPreferentialSampling;
-  } else if (name == "us") {
-    *technique = RemedyTechnique::kUndersample;
-  } else if (name == "os") {
-    *technique = RemedyTechnique::kOversample;
-  } else if (name == "massage") {
-    *technique = RemedyTechnique::kMassaging;
-  } else {
-    return false;
-  }
-  return true;
-}
+constexpr char kUsage[] =
+    "usage: remedy_cli audit|plan|remedy|identify <csv> [flags]\n"
+    "  <csv>: a file path, or @adult | @compas | @lawschool\n"
+    "         (append :N for N rows, e.g. @adult:10000)\n"
+    "flags (docs/CLI.md):\n";
 
-bool ParseBadRowPolicy(const std::string& name, BadRowPolicy* policy) {
-  if (name == "fail") {
-    *policy = BadRowPolicy::kFail;
-  } else if (name == "quarantine") {
-    *policy = BadRowPolicy::kQuarantine;
-  } else if (name == "drop") {
-    *policy = BadRowPolicy::kDrop;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-CliArgs ParseArgs(int argc, char** argv) {
-  CliArgs args;
-  std::vector<std::string> positional;
-  for (int i = 1; i < argc; ++i) {
-    std::string flag = argv[i];
-    if (flag.rfind("--", 0) != 0) {
-      positional.push_back(std::move(flag));
-      continue;
-    }
-    // Split --flag=value; flags without '=' read the next argv slot when
-    // they require a value.
-    std::optional<std::string> inline_value;
-    const size_t eq = flag.find('=');
-    if (eq != std::string::npos) {
-      inline_value = flag.substr(eq + 1);
-      flag = flag.substr(0, eq);
-    }
-    auto value_of = [&]() -> std::optional<std::string> {
-      if (inline_value.has_value()) return inline_value;
-      if (i + 1 < argc) return std::string(argv[++i]);
-      return std::nullopt;
-    };
-    std::optional<std::string> value;
-    // Parses *value into `out`, recording a malformed number.
-    auto number = [&](auto* out) {
-      auto parsed = ParseNumber<std::remove_pointer_t<decltype(out)>>(*value);
-      if (!parsed.ok()) {
-        args.flag_error = parsed.status().WithContext("bad " + flag);
-        return false;
-      }
-      *out = parsed.value();
-      return true;
-    };
-    if (flag == "--protected" && (value = value_of())) {
-      args.loader.protected_attributes = Split(*value, ',');
-      args.protected_given = true;
-    } else if (flag == "--label" && (value = value_of())) {
-      args.loader.label_column = *value;
-    } else if (flag == "--positive" && (value = value_of())) {
-      args.loader.positive_label = *value;
-    } else if (flag == "--out" && (value = value_of())) {
-      args.output = *value;
-    } else if (flag == "--tau-c" && (value = value_of())) {
-      if (!number(&args.tau_c)) return args;
-    } else if (flag == "--tau-d" && (value = value_of())) {
-      if (!number(&args.tau_d)) return args;
-    } else if (flag == "--T" && (value = value_of())) {
-      if (!number(&args.distance)) return args;
-    } else if (flag == "--seed" && (value = value_of())) {
-      if (!number(&args.seed)) return args;
-    } else if (flag == "--technique" && (value = value_of())) {
-      if (!ParseTechnique(*value, &args.technique)) return args;
-    } else if (flag == "--remedy-backend" && (value = value_of())) {
-      args.remedy_backend_name = *value;
-    } else if (flag == "--on-bad-row" && (value = value_of())) {
-      if (!ParseBadRowPolicy(*value, &args.loader.on_bad_row)) {
-        std::fprintf(stderr, "--on-bad-row wants fail|quarantine|drop\n");
-        return args;
-      }
-    } else if (flag == "--max-quarantine-frac" && (value = value_of())) {
-      if (!number(&args.loader.max_quarantine_fraction)) return args;
-    } else if (flag == "--store-dir" && (value = value_of())) {
-      args.store_dir = *value;
-    } else if (flag == "--mmap") {
-      args.mmap_existing = true;
-    } else if (flag == "--trace-out" && (value = value_of())) {
-      args.trace_out = *value;
-    } else if (flag == "--metrics") {
-      args.metrics_table = true;
-    } else if (flag == "--metrics-json") {
-      args.metrics_json = true;
-      // Optional value: `--metrics-json=file`, or `--metrics-json file`
-      // when the next slot is not a flag; bare means stdout.
-      if (inline_value.has_value()) {
-        args.metrics_json_path = *inline_value;
-      } else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        args.metrics_json_path = argv[++i];
-      }
-    } else if (flag == "--report") {
-      args.report = true;
-    } else if (flag == "--report-json") {
-      args.report_json = true;
-      if (inline_value.has_value()) {
-        args.report_json_path = *inline_value;
-      } else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        args.report_json_path = argv[++i];
-      }
-    } else {
-      std::fprintf(stderr, "unknown or incomplete flag: %s\n", flag.c_str());
-      return args;
-    }
-  }
-  if (positional.size() != 2) {
-    std::fprintf(stderr, "expected a command and an input\n");
-    return args;
-  }
+// The rules between flags and positionals; a usage error, or "".
+std::string CheckArgs(CliArgs& args,
+                      const std::vector<std::string>& positional) {
+  if (positional.size() != 2) return "expected a command and an input";
   args.command = positional[0];
   args.input = positional[1];
+  if (args.protected_list.has_value()) {
+    args.loader.protected_attributes = Split(*args.protected_list, ',');
+  }
   const bool generated = !args.input.empty() && args.input[0] == '@';
-  if (!args.protected_given && !generated) {
-    std::fprintf(stderr, "--protected is required for file input\n");
-    return args;
+  if (!args.protected_list.has_value() && !generated) {
+    return "--protected is required for file input";
   }
   if (args.command == "remedy" && args.output.empty()) {
-    std::fprintf(stderr, "remedy needs --out\n");
-    return args;
+    return "remedy needs --out";
   }
   if (args.mmap_existing && args.store_dir.empty()) {
-    std::fprintf(stderr, "--mmap needs --store-dir\n");
-    return args;
+    return "--mmap needs --store-dir";
   }
   if (!args.store_dir.empty() && args.command != "identify") {
-    std::fprintf(stderr, "--store-dir is an identify flag\n");
-    return args;
+    return "--store-dir is an identify flag";
   }
-  if (!args.remedy_backend_name.empty() && args.command != "remedy") {
-    std::fprintf(stderr, "--remedy-backend is a remedy flag\n");
-    return args;
+  if (args.remedy_backend.has_value() && args.command != "remedy") {
+    return "--remedy-backend is a remedy flag";
   }
-  args.valid = args.command == "audit" || args.command == "plan" ||
-               args.command == "remedy" || args.command == "identify";
-  return args;
+  if (args.command != "audit" && args.command != "plan" &&
+      args.command != "remedy" && args.command != "identify") {
+    return "unknown command " + args.command;
+  }
+  return "";
+}
+
+// The JSON of an optional-value flag: to stdout when `path` is empty,
+// otherwise to `path`, announced as "wrote <what> <path>".
+Status EmitJson(const std::string& json, const std::string& path,
+                const char* what) {
+  if (path.empty()) {
+    std::printf("%s\n", json.c_str());
+    return OkStatus();
+  }
+  RETURN_IF_ERROR(WriteTextFile(path, json));
+  std::printf("wrote %s %s\n", what, path.c_str());
+  return OkStatus();
 }
 
 // Expands an `@name[:rows]` input: generates the named synthetic dataset,
 // serializes it to CSV text, and re-parses that text — so generator runs
 // exercise (and meter) the same ingestion path as file runs.
-StatusOr<CsvTable> GenerateInput(const std::string& input, CliArgs* args) {
-  std::string name = input.substr(1);
-  int rows = 0;  // 0: the generator's Table II default
-  const size_t colon = name.find(':');
-  if (colon != std::string::npos) {
-    StatusOr<int> parsed = ParseNumber<int>(name.substr(colon + 1));
-    rows = parsed.ok() ? parsed.value() : 0;
-    if (rows <= 0) {
-      return InvalidArgumentError("bad row count in generator input '" +
-                                  input + "'");
-    }
-    name = name.substr(0, colon);
-  }
-  Dataset generated;
-  if (name == "adult") {
-    generated = rows > 0 ? MakeAdult(rows) : MakeAdult();
-  } else if (name == "compas") {
-    generated = rows > 0 ? MakeCompas(rows) : MakeCompas();
-  } else if (name == "lawschool") {
-    generated = rows > 0 ? MakeLawSchool(rows) : MakeLawSchool();
-  } else {
-    return InvalidArgumentError("unknown generator '" + input +
-                                "' (want @adult, @compas or @lawschool)");
-  }
-  if (!args->protected_given) {
+StatusOr<CsvTable> GenerateInput(CliArgs* args) {
+  ASSIGN_OR_RETURN(Dataset generated, GenerateInputDataset(args->input));
+  if (!args->protected_list.has_value()) {
     for (int index : generated.schema().protected_indices()) {
       args->loader.protected_attributes.push_back(
           generated.schema().attribute(index).name());
@@ -571,18 +358,10 @@ int RunRemedyCommand(const CliArgs& args, const Dataset& data) {
   params.technique = args.technique;
   params.seed = args.seed;
 
-  // Resolve --remedy-backend here (not in ParseArgs) so an unknown name
-  // exits 64 like every other invalid-argument error, with the suggestion
-  // list from ParseRemedyBackend in the message.
-  RemedyBackendKind backend_kind = RemedyBackendKind::kIncremental;
-  if (!args.remedy_backend_name.empty()) {
-    StatusOr<RemedyBackendKind> parsed =
-        ParseRemedyBackend(args.remedy_backend_name);
-    if (!parsed.ok()) return Fail("bad --remedy-backend", parsed.status());
-    backend_kind = parsed.value();
-  }
+  const RemedyBackendKind backend_kind =
+      args.remedy_backend.value_or(RemedyBackendKind::kIncremental);
   if (backend_kind == RemedyBackendKind::kStreaming &&
-      (args.report || args.report_json)) {
+      (args.report || args.report_json.has_value())) {
     return Fail("bad --remedy-backend",
                 InvalidArgumentError(
                     "the streaming backend plans on leaf counts and cannot "
@@ -595,22 +374,16 @@ int RunRemedyCommand(const CliArgs& args, const Dataset& data) {
 
   Dataset remedied;
   RemedyStats stats;
-  if (args.report || args.report_json) {
+  if (args.report || args.report_json.has_value()) {
     StatusOr<PipelineReport> audited =
         RunAuditedRemedy(data, params, &remedied);
     if (!audited.ok()) return Fail("remedy failed", audited.status());
     const PipelineReport& report = audited.value();
     stats = report.stats;
     if (args.report) PrintPipelineReport(report, std::cout);
-    if (args.report_json) {
-      const std::string json = report.ToJson();
-      if (args.report_json_path.empty()) {
-        std::printf("%s\n", json.c_str());
-      } else {
-        Status written = WriteTextFile(args.report_json_path, json);
-        if (!written.ok()) return Fail("report write failed", written);
-        std::printf("wrote report %s\n", args.report_json_path.c_str());
-      }
+    if (args.report_json.has_value()) {
+      Status written = EmitJson(report.ToJson(), *args.report_json, "report");
+      if (!written.ok()) return Fail("report write failed", written);
     }
   } else {
     std::unique_ptr<RemedyBackend> backend = RemedyBackend::Create(backend_kind);
@@ -641,7 +414,7 @@ int RunCommand(CliArgs& args) {
   ScopedQuarantineExport exported(&quarantine);
   StatusOr<Dataset> loaded = [&]() -> StatusOr<Dataset> {
     if (!args.input.empty() && args.input[0] == '@') {
-      ASSIGN_OR_RETURN(CsvTable table, GenerateInput(args.input, &args));
+      ASSIGN_OR_RETURN(CsvTable table, GenerateInput(&args));
       return BuildDataset(table, args.loader, &report, &quarantine);
     }
     return LoadCsvDataset(args.input, args.loader, &report, &quarantine);
@@ -682,12 +455,11 @@ int RunCommand(CliArgs& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  CliArgs args = ParseArgs(argc, argv);
-  if (!args.flag_error.ok()) return Fail("bad flag", args.flag_error);
-  if (!args.valid) {
-    PrintUsage();
-    return 1;
-  }
+  CliArgs args;
+  const int usage = ParseCommandLine(argc, argv, CliFlags(args),
+                                     std::bind_front(CheckArgs, std::ref(args)),
+                                     kUsage, 1);
+  if (usage != 0) return usage;
 
   // Blocked here (and inherited by every thread the run spawns), consumed
   // by the watcher: an interrupt flushes trace/metrics/quarantine instead
@@ -724,19 +496,14 @@ int main(int argc, char** argv) {
   if (args.metrics_table) {
     PrintMetricsTable(MetricsRegistry::Global().Snapshot(), std::cout);
   }
-  if (args.metrics_json) {
-    if (args.metrics_json_path.empty()) {
-      std::printf("%s\n",
-                  MetricsToJson(MetricsRegistry::Global().Snapshot()).c_str());
-    } else {
-      Status written = WriteMetricsJsonFile(args.metrics_json_path);
-      if (!written.ok()) {
-        std::fprintf(stderr, "metrics write failed: %s\n",
-                     written.ToString().c_str());
-        if (rc == 0) rc = ExitCodeFor(written.code());
-      } else {
-        std::printf("wrote metrics %s\n", args.metrics_json_path.c_str());
-      }
+  if (args.metrics_json.has_value()) {
+    Status written =
+        EmitJson(MetricsToJson(MetricsRegistry::Global().Snapshot()),
+                 *args.metrics_json, "metrics");
+    if (!written.ok()) {
+      std::fprintf(stderr, "metrics write failed: %s\n",
+                   written.ToString().c_str());
+      if (rc == 0) rc = ExitCodeFor(written.code());
     }
   }
   g_work_done.store(true);

@@ -10,38 +10,8 @@
 // durable state `--state-dir` already holds (checkpoint + WAL tail),
 // then ingests and serves.
 //
-// Ingest flags:
-//   --seed             submit the schema dataset's own rows as the first
-//                      batch (cold starts only make sense with data)
-//   --batch FILE       ingest one CSV delta batch (repeatable; see
-//                      docs/SERVICE.md for the batch format). Backpressure
-//                      rejections are retried after the daemon's hint.
-//   --demo N           synthesize N small delta batches against the schema
-//                      dataset's leaves and ingest them (self-contained
-//                      smoke workload, no files needed)
-//   --kill-after N     after N applied demo/batch ingests, exit WITHOUT
-//                      checkpointing (simulates a crash; the next start
-//                      must replay the WAL). Testing hook.
-//
-// Remedy flags (docs/REMEDY.md):
-//   --remedy TECH      after ingest drains, plan + commit one remedy
-//                      round through the configured backend (TECH is
-//                      ps|us|os|massage)
-//   --auto-remedy      monitor policy hook: every identify epoch with a
-//                      non-empty IBS triggers a remedy round on a
-//                      dedicated thread, up to --remedy-rounds per quiet
-//                      period (ingest refills the budget)
-//   --remedy-backend B rebuild|incremental|streaming (default streaming)
-//   --remedy-seed N    RNG seed of the remedy planner (default 23)
-//   --remedy-rounds N  auto-remedy round budget (default 4)
-//   --kill-after-remedy  exit WITHOUT checkpointing once the remedy phase
-//                      is done (crash simulation: recovery must replay the
-//                      remedy records). Testing hook.
-//
-// Daemon tuning: --queue-capacity N, --retry-after-ms MS, --watchdog N,
-// --checkpoint-every N, --identify-every N, --identify-mode MODE
-// (full|incremental, default incremental — see docs/SERVICE.md),
-// --threads N; audit params --tau-c X, --T X, --min-region N.
+// Every flag is documented in docs/CLI.md; the flag table is ServeFlags
+// below.
 //
 // Lifecycle: without --serve the daemon ingests the requested batches,
 // prints health, drains + checkpoints and exits. With --serve it then
@@ -58,250 +28,130 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
-#include "common/csv.h"
-#include "common/metrics.h"
+#include "cli/cli_common.h"
+#include "cli/flags.h"
 #include "common/rng.h"
-#include "core/remedy_backend.h"
 #include "common/status.h"
 #include "common/string_util.h"
 #include "core/hierarchy.h"
 #include "data/loader.h"
-#include "datagen/adult.h"
-#include "datagen/compas.h"
-#include "datagen/law_school.h"
 #include "serve/daemon.h"
 
 namespace {
 
 using namespace remedy;
 
-int ExitCodeFor(StatusCode code) {
-  switch (code) {
-    case StatusCode::kOk:
-      return 0;
-    case StatusCode::kInvalidArgument:
-      return 64;
-    case StatusCode::kDataCorruption:
-    case StatusCode::kOutOfRange:
-      return 65;
-    case StatusCode::kIoError:
-      return 74;
-    case StatusCode::kResourceExhausted:
-      return 75;
-    case StatusCode::kInternal:
-      return 70;
-  }
-  return 70;
-}
-
-int Fail(const char* what, const Status& status) {
-  std::fprintf(stderr, "%s: %s\n", what, status.ToString().c_str());
-  return ExitCodeFor(status.code());
-}
-
 struct ServeArgs {
-  bool valid = false;
   std::string input;
-  std::string state_dir;
+  std::vector<std::string> protected_lists;  // each a,b,...; none: generator's
   std::vector<std::string> batch_files;
   bool seed = false;
   int demo_batches = 0;
   int kill_after = 0;
   bool serve = false;
   std::string health_out;
-  bool remedy_once = false;
+  std::optional<RemedyTechnique> remedy;  // set: one remedy round
+  std::optional<RemedyBackendKind> remedy_backend;
   bool kill_after_remedy = false;
-  std::string remedy_backend_name;  // parsed in Run: bad names exit 64
-  std::string identify_mode_name;   // parsed in Run: bad names exit 64
   ServeOptions options;
   LoaderOptions loader;
-  bool protected_given = false;
-  Status flag_error;  // a malformed numeric value: exits 64, not usage
 };
 
-void PrintUsage() {
-  std::fprintf(
-      stderr,
-      "usage: remedy_serve <@adult[:N]|@compas[:N]|@lawschool[:N]|schema.csv>"
-      " --state-dir DIR\n"
-      "  [--protected a,b,...] [--label col] [--seed] [--batch file]...\n"
-      "  [--demo N] [--kill-after N] [--serve] [--health-out file]\n"
-      "  [--remedy ps|us|os|massage] [--auto-remedy]\n"
-      "  [--remedy-backend rebuild|incremental|streaming]\n"
-      "  [--remedy-seed N] [--remedy-rounds N] [--kill-after-remedy]\n"
-      "  [--queue-capacity N] [--retry-after-ms MS] [--watchdog N]\n"
-      "  [--checkpoint-every N] [--identify-every N]\n"
-      "  [--identify-mode full|incremental] [--threads N]\n"
-      "  [--tau-c X] [--T X] [--min-region N]\n");
+std::vector<Flag> ServeFlags(ServeArgs& args) {
+  ServeOptions& options = args.options;
+  return {
+      StringFlag("--state-dir", &options.state_dir, "DIR",
+                 "WAL and checkpoint directory (required)"),
+      RepeatedFlag("--protected", &args.protected_lists, "a,b,...",
+                   "protected attributes (required for file input)"),
+      StringFlag("--label", &args.loader.label_column, "col", "label column"),
+      BoolFlag("--seed", &args.seed, "ingest the schema dataset first"),
+      RepeatedFlag("--batch", &args.batch_files, "file",
+                   "ingest a CSV delta batch (repeatable)"),
+      NumberFlag("--demo", &args.demo_batches, "N", "ingest N demo batches"),
+      NumberFlag("--kill-after", &args.kill_after, "N",
+                 "crash after N ingests (no checkpoint)"),
+      BoolFlag("--serve", &args.serve, "stay up until SIGINT/SIGTERM"),
+      StringFlag("--health-out", &args.health_out, "file",
+                 "write the final health JSON"),
+      ChoiceFlag("--remedy", &args.remedy, TechniqueChoices(),
+                 "commit one remedy round after ingest"),
+      BoolFlag("--auto-remedy", &options.auto_remedy,
+               "remedy on every non-empty IBS epoch"),
+      ChoiceFlag("--remedy-backend", &args.remedy_backend,
+                 RemedyBackendChoices(), "remedy planner"),
+      NumberFlag("--remedy-seed", &options.remedy.seed, "N",
+                 "remedy planner seed"),
+      NumberFlag("--remedy-rounds", &options.auto_remedy_max_rounds, "N",
+                 "auto-remedy round budget"),
+      BoolFlag("--kill-after-remedy", &args.kill_after_remedy,
+               "crash after the remedy phase (no checkpoint)"),
+      NumberFlag("--queue-capacity", &options.queue_capacity, "N",
+                 "ingest queue capacity in batches"),
+      NumberFlag("--retry-after-ms", &options.retry_after_ms, "MS",
+                 "backpressure retry hint"),
+      NumberFlag("--watchdog", &options.watchdog_trip_threshold, "N",
+                 "apply failures before read-only"),
+      NumberFlag("--checkpoint-every", &options.checkpoint_every_batches, "N",
+                 "checkpoint every N batches (0: on shutdown)"),
+      NumberFlag("--identify-every", &options.identify_every_epochs, "N",
+                 "identify every N epochs (0: never)"),
+      ChoiceFlag("--identify-mode", &options.identify_mode,
+                 Choices<IdentifyMode>{
+                     {"full", IdentifyMode::kFull},
+                     {"incremental", IdentifyMode::kIncremental}},
+                 "per-epoch identify"),
+      NumberFlag("--threads", &options.build_threads, "N",
+                 "recovery build fan-out"),
+      NumberFlag("--tau-c", &options.ibs.imbalance_threshold, "X",
+                 "imbalance threshold"),
+      NumberFlag("--T", &options.ibs.distance_threshold, "X",
+                 "neighborhood distance threshold"),
+      NumberFlag("--min-region", &options.ibs.min_region_size, "N",
+                 "smallest region audited"),
+  };
 }
 
-ServeArgs ParseArgs(int argc, char** argv) {
-  ServeArgs args;
-  std::vector<std::string> positional;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    std::string value;
-    bool has_value = false;
-    const size_t eq = arg.find('=');
-    if (arg.rfind("--", 0) == 0 && eq != std::string::npos) {
-      value = arg.substr(eq + 1);
-      arg = arg.substr(0, eq);
-      has_value = true;
-    }
-    auto value_of = [&]() -> std::string {
-      if (has_value) return value;
-      if (i + 1 < argc) return argv[++i];
-      std::fprintf(stderr, "%s needs a value\n", arg.c_str());
-      return "";
-    };
-    // Parses the flag's value into `out`, recording a malformed number.
-    auto number = [&](auto* out) {
-      auto parsed = ParseNumber<std::remove_pointer_t<decltype(out)>>(
-          value_of());
-      if (!parsed.ok()) {
-        args.flag_error = parsed.status().WithContext("bad " + arg);
-        return false;
-      }
-      *out = parsed.value();
-      return true;
-    };
-    if (arg == "--state-dir") {
-      args.state_dir = value_of();
-    } else if (arg == "--protected") {
-      for (const std::string& name : Split(value_of(), ',')) {
-        args.loader.protected_attributes.push_back(name);
-      }
-      args.protected_given = true;
-    } else if (arg == "--label") {
-      args.loader.label_column = value_of();
-    } else if (arg == "--seed") {
-      args.seed = true;
-    } else if (arg == "--batch") {
-      args.batch_files.push_back(value_of());
-    } else if (arg == "--demo") {
-      if (!number(&args.demo_batches)) return args;
-    } else if (arg == "--kill-after") {
-      if (!number(&args.kill_after)) return args;
-    } else if (arg == "--serve") {
-      args.serve = true;
-    } else if (arg == "--health-out") {
-      args.health_out = value_of();
-    } else if (arg == "--remedy") {
-      const std::string technique = value_of();
-      if (technique == "ps") {
-        args.options.remedy.technique =
-            RemedyTechnique::kPreferentialSampling;
-      } else if (technique == "us") {
-        args.options.remedy.technique = RemedyTechnique::kUndersample;
-      } else if (technique == "os") {
-        args.options.remedy.technique = RemedyTechnique::kOversample;
-      } else if (technique == "massage") {
-        args.options.remedy.technique = RemedyTechnique::kMassaging;
-      } else {
-        std::fprintf(stderr, "--remedy wants ps|us|os|massage\n");
-        return args;
-      }
-      args.remedy_once = true;
-    } else if (arg == "--auto-remedy") {
-      args.options.auto_remedy = true;
-    } else if (arg == "--remedy-backend") {
-      args.remedy_backend_name = value_of();
-    } else if (arg == "--remedy-seed") {
-      if (!number(&args.options.remedy.seed)) return args;
-    } else if (arg == "--remedy-rounds") {
-      if (!number(&args.options.auto_remedy_max_rounds)) return args;
-    } else if (arg == "--kill-after-remedy") {
-      args.kill_after_remedy = true;
-    } else if (arg == "--queue-capacity") {
-      uint64_t capacity = 0;
-      if (!number(&capacity)) return args;
-      args.options.queue_capacity = static_cast<size_t>(capacity);
-    } else if (arg == "--retry-after-ms") {
-      if (!number(&args.options.retry_after_ms)) return args;
-    } else if (arg == "--watchdog") {
-      if (!number(&args.options.watchdog_trip_threshold)) return args;
-    } else if (arg == "--checkpoint-every") {
-      if (!number(&args.options.checkpoint_every_batches)) return args;
-    } else if (arg == "--identify-every") {
-      if (!number(&args.options.identify_every_epochs)) return args;
-    } else if (arg == "--identify-mode") {
-      args.identify_mode_name = value_of();
-    } else if (arg == "--threads") {
-      if (!number(&args.options.build_threads)) return args;
-    } else if (arg == "--tau-c") {
-      if (!number(&args.options.ibs.imbalance_threshold)) return args;
-    } else if (arg == "--T") {
-      if (!number(&args.options.ibs.distance_threshold)) return args;
-    } else if (arg == "--min-region") {
-      if (!number(&args.options.ibs.min_region_size)) return args;
-    } else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
-      return args;
-    } else {
-      positional.push_back(arg);
-    }
-  }
-  if (positional.size() != 1) {
-    std::fprintf(stderr, "exactly one schema input is required\n");
-    return args;
-  }
+constexpr char kUsage[] =
+    "usage: remedy_serve <@adult[:N]|@compas[:N]|@lawschool[:N]|schema.csv>"
+    " --state-dir DIR [flags]\n"
+    "flags (docs/CLI.md):\n";
+
+// The rules between flags and positionals; a usage error, or "".
+std::string CheckArgs(ServeArgs& args,
+                      const std::vector<std::string>& positional) {
+  if (positional.size() != 1) return "exactly one schema input is required";
   args.input = positional[0];
-  if (args.state_dir.empty()) {
-    std::fprintf(stderr, "--state-dir is required\n");
-    return args;
+  if (args.options.state_dir.empty()) return "--state-dir is required";
+  for (const std::string& list : args.protected_lists) {
+    for (const std::string& name : Split(list, ',')) {
+      args.loader.protected_attributes.push_back(name);
+    }
   }
   const bool generated = args.input[0] == '@';
-  if (!args.protected_given && !generated) {
-    std::fprintf(stderr, "--protected is required for file input\n");
-    return args;
+  if (args.protected_lists.empty() && !generated) {
+    return "--protected is required for file input";
   }
-  if (args.kill_after_remedy && !args.remedy_once &&
+  if (args.kill_after_remedy && !args.remedy.has_value() &&
       !args.options.auto_remedy) {
-    std::fprintf(stderr,
-                 "--kill-after-remedy needs --remedy or --auto-remedy\n");
-    return args;
+    return "--kill-after-remedy needs --remedy or --auto-remedy";
   }
-  if (args.remedy_once || args.options.auto_remedy ||
-      !args.remedy_backend_name.empty()) {
+  if (args.remedy.has_value()) args.options.remedy.technique = *args.remedy;
+  if (args.remedy_backend.has_value()) {
+    args.options.remedy_backend = *args.remedy_backend;
+  }
+  if (args.remedy.has_value() || args.options.auto_remedy ||
+      args.remedy_backend.has_value()) {
     args.options.enable_remedy = true;
   }
-  args.options.state_dir = args.state_dir;
-  args.valid = true;
-  return args;
-}
-
-// Loads the schema dataset: a generator name or a CSV file, through the
-// same loader remedy_cli uses.
-StatusOr<Dataset> LoadSchemaDataset(ServeArgs* args) {
-  if (args->input[0] != '@') {
-    LoaderReport report;
-    return LoadCsvDataset(args->input, args->loader, &report, nullptr);
-  }
-  std::string name = args->input.substr(1);
-  int rows = 0;
-  const size_t colon = name.find(':');
-  if (colon != std::string::npos) {
-    StatusOr<int> parsed = ParseNumber<int>(name.substr(colon + 1));
-    rows = parsed.ok() ? parsed.value() : 0;
-    if (rows <= 0) {
-      return InvalidArgumentError("bad row count in generator input '" +
-                                  args->input + "'");
-    }
-    name = name.substr(0, colon);
-  }
-  if (name == "adult") return rows > 0 ? MakeAdult(rows) : MakeAdult();
-  if (name == "compas") return rows > 0 ? MakeCompas(rows) : MakeCompas();
-  if (name == "lawschool") {
-    return rows > 0 ? MakeLawSchool(rows) : MakeLawSchool();
-  }
-  return InvalidArgumentError("unknown generator '" + args->input +
-                              "' (want @adult, @compas or @lawschool)");
+  return "";
 }
 
 // Submits pre-aggregated deltas, waiting out backpressure: a
@@ -344,15 +194,6 @@ std::vector<Hierarchy::LeafDelta> DemoBatch(
   return deltas;
 }
 
-Status WriteTextFile(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return IoError("cannot open " + path);
-  const size_t n = std::fwrite(text.data(), 1, text.size(), f);
-  const int rc = std::fclose(f);
-  if (n != text.size() || rc != 0) return IoError("write failed: " + path);
-  return OkStatus();
-}
-
 void PrintSnapshot(const ServeDaemon& daemon) {
   std::shared_ptr<const EpochSnapshot> snap = daemon.Snapshot();
   std::printf("epoch %llu: %lld+ / %lld- instances, %zu biased region(s)%s\n",
@@ -369,31 +210,19 @@ bool SignalPending(const sigset_t& set) {
   return sigtimedwait(&set, nullptr, &zero) > 0;
 }
 
-int Run(ServeArgs& args, const sigset_t& signals) {
-  if (!args.remedy_backend_name.empty()) {
-    StatusOr<RemedyBackendKind> parsed =
-        ParseRemedyBackend(args.remedy_backend_name);
-    if (!parsed.ok()) return Fail("bad --remedy-backend", parsed.status());
-    args.options.remedy_backend = parsed.value();
-  }
-  if (!args.identify_mode_name.empty()) {
-    if (args.identify_mode_name == "full") {
-      args.options.identify_mode = IdentifyMode::kFull;
-    } else if (args.identify_mode_name == "incremental") {
-      args.options.identify_mode = IdentifyMode::kIncremental;
-    } else {
-      return Fail("bad --identify-mode",
-                  InvalidArgumentError("'" + args.identify_mode_name +
-                                       "' is not a mode; the modes are "
-                                       "full|incremental"));
-    }
-  }
-  StatusOr<Dataset> schema_data = LoadSchemaDataset(&args);
+int Run(const ServeArgs& args, const sigset_t& signals) {
+  // The schema dataset: a generator or a CSV file, through the same loader
+  // remedy_cli uses.
+  LoaderReport report;
+  StatusOr<Dataset> schema_data =
+      args.input[0] == '@'
+          ? GenerateInputDataset(args.input)
+          : LoadCsvDataset(args.input, args.loader, &report, nullptr);
   if (!schema_data.ok()) return Fail("schema load failed", schema_data.status());
   const Dataset& data = schema_data.value();
   std::printf("schema: %d attributes, %d protected; state dir %s\n",
               data.schema().NumAttributes(), data.schema().NumProtected(),
-              args.state_dir.c_str());
+              args.options.state_dir.c_str());
 
   StatusOr<std::unique_ptr<ServeDaemon>> started =
       ServeDaemon::Start(data.schema(), args.options);
@@ -428,7 +257,7 @@ int Run(ServeArgs& args, const sigset_t& signals) {
           std::chrono::milliseconds(args.options.retry_after_ms));
       s = daemon.IngestCsvFile(file);
     }
-    if (!s.ok()) return Fail(("batch " + file + " rejected").c_str(), s);
+    if (!s.ok()) return Fail("batch " + file + " rejected", s);
     std::printf("ingested batch %s\n", file.c_str());
     interrupted_ingest = !after_ingest();
   }
@@ -473,7 +302,7 @@ int Run(ServeArgs& args, const sigset_t& signals) {
   PrintSnapshot(daemon);
 
   // --- remedy phase: after ingest has drained (docs/REMEDY.md) --------
-  if (args.remedy_once && !daemon.read_only()) {
+  if (args.remedy.has_value() && !daemon.read_only()) {
     RemedyParams params = args.options.remedy;
     params.ibs = args.options.ibs;
     // A concurrent auto-remedy round can make this plan stale; re-plan.
@@ -510,7 +339,7 @@ int Run(ServeArgs& args, const sigset_t& signals) {
     std::printf("auto-remedy quiesced: %lld remedy commit(s)\n",
                 static_cast<long long>(daemon.remedy_commits()));
   }
-  if (args.remedy_once || args.options.auto_remedy) PrintSnapshot(daemon);
+  if (args.remedy.has_value() || args.options.auto_remedy) PrintSnapshot(daemon);
   if (args.kill_after_remedy) {
     // Crash simulation mirroring --kill-after: the remedy records are
     // durable in the WAL but no checkpoint covers them; the next start
@@ -556,12 +385,11 @@ int Run(ServeArgs& args, const sigset_t& signals) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ServeArgs args = ParseArgs(argc, argv);
-  if (!args.flag_error.ok()) return Fail("bad flag", args.flag_error);
-  if (!args.valid) {
-    PrintUsage();
-    return 1;
-  }
+  ServeArgs args;
+  const int usage = ParseCommandLine(argc, argv, ServeFlags(args),
+                                     std::bind_front(CheckArgs, std::ref(args)),
+                                     kUsage, 1);
+  if (usage != 0) return usage;
   // Block SIGINT/SIGTERM in every thread (the apply thread inherits this
   // mask), then consume them synchronously: sigwait in --serve mode, a
   // non-blocking pending probe between ingests otherwise. Either way the

@@ -1,11 +1,25 @@
 #include "core/imbalance.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
 
 namespace remedy {
+namespace {
+
+// Slack on the squared distance budget, absorbing rounding in the
+// per-attribute sums.
+constexpr double kSquaredSlack = 1e-9;
+
+// The squared-distance budget of threshold T: a region is within T of
+// another when their squared distance is at most this. Every enumeration
+// and both fast-path predicates read this one budget, so the strategies
+// cannot disagree about which regions are neighbors.
+double SquaredBudget(double distance_threshold) {
+  return distance_threshold * distance_threshold + kSquaredSlack;
+}
+
+}  // namespace
 
 double ImbalanceScore(int64_t positives, int64_t negatives) {
   if (negatives == 0) return kAllPositiveRatio;
@@ -72,8 +86,7 @@ void NeighborhoodCalculator::AccumulateNeighbors(
   const AttributeSchema& attr =
       schema.attribute(schema.protected_indices()[position]);
   const int original_value = original.Value(position);
-  const double budget =
-      distance_threshold_ * distance_threshold_ + 1e-9;
+  const double budget = SquaredBudget(distance_threshold_);
   for (int value = 0; value < attr.Cardinality(); ++value) {
     double d = attr.Distance(original_value, value);
     double next_squared = squared_distance + d * d;
@@ -98,7 +111,7 @@ int64_t NeighborhoodCalculator::FrontierBound(uint32_t mask) {
     // First use: per position, each squared step within the budget with
     // the most values any one value has at it. Sweeps never get here.
     const DataSchema& schema = hierarchy_.schema();
-    const double budget = distance_threshold_ * distance_threshold_ + 1e-9;
+    const double budget = SquaredBudget(distance_threshold_);
     steps_.resize(static_cast<size_t>(schema.NumProtected()));
     for (int i = 0; i < schema.NumProtected(); ++i) {
       const AttributeSchema& attr =
@@ -141,7 +154,7 @@ double NeighborhoodCalculator::BoundFrom(uint32_t mask, int position,
   const int n = static_cast<int>(steps_.size());
   while (position < n && !(mask & (1u << position))) ++position;
   if (position == n) return 1.0;
-  const double budget = distance_threshold_ * distance_threshold_ + 1e-9;
+  const double budget = SquaredBudget(distance_threshold_);
   double total = BoundFrom(mask, position + 1, squared_distance);  // kept
   for (const auto& [step, count] : steps_[position]) {
     if (squared_distance + step > budget) break;
@@ -151,8 +164,7 @@ double NeighborhoodCalculator::BoundFrom(uint32_t mask, int position,
 }
 
 bool NeighborhoodCalculator::WholeNodeNeighborhood(uint32_t mask) const {
-  const double squared_t = distance_threshold_ * distance_threshold_;
-  return squared_t + 1e-9 >= SquaredDiameter(mask);
+  return SquaredBudget(distance_threshold_) >= SquaredDiameter(mask);
 }
 
 void NeighborhoodCalculator::AppendNeighborKeys(uint32_t mask, uint64_t key,
@@ -179,7 +191,7 @@ void NeighborhoodCalculator::CollectNeighborKeys(
     const int* digits, const uint64_t* weights, const int* det_positions,
     int num_positions, int next_position, double squared_distance,
     uint64_t key, std::vector<uint64_t>* keys) {
-  const double budget = distance_threshold_ * distance_threshold_ + 1e-9;
+  const double budget = SquaredBudget(distance_threshold_);
   // Once no further value change fits the budget, every remaining position
   // keeps its value: the key is complete.
   if (next_position == num_positions ||
@@ -212,8 +224,12 @@ bool NeighborhoodCalculator::SupportsOptimized(uint32_t mask) const {
   if (WholeNodeNeighborhood(mask)) return true;  // T = |X| regime
   // The dominating-region identity holds for T = 1 in the unit-distance
   // setting: the distance-1 neighbors are exactly the regions that change
-  // one attribute, which is what R_d sums (minus the over-counted r).
-  if (std::abs(distance_threshold_ - 1.0) > 1e-9) return false;
+  // one attribute, which is what R_d sums (minus the over-counted r). T
+  // counts as 1 when the budget admits a unit step and T^2 exceeds 1 by no
+  // more than the slack, so the naive walk on the same budget enumerates
+  // exactly those regions too.
+  const double budget = SquaredBudget(distance_threshold_);
+  if (budget < 1.0 || budget > 1.0 + 2 * kSquaredSlack) return false;
   for (size_t i = 0; i < ordinal_.size(); ++i) {
     if ((mask & (1u << i)) && ordinal_[i]) return false;
   }

@@ -4,13 +4,16 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <random>
 #include <set>
 #include <sstream>
+#include <string>
 
 #include <atomic>
 #include <vector>
 
+#include "cli/flags.h"
 #include "common/csv.h"
 #include "common/rng.h"
 #include "common/string_util.h"
@@ -227,6 +230,171 @@ TEST(StringUtilTest, ParseNumberConsumesTheWholeToken) {
   EXPECT_FALSE(ParseNumber<int>("1.5").ok());
   EXPECT_FALSE(ParseNumber<uint64_t>("-1").ok());
   EXPECT_FALSE(ParseNumber<int>("99999999999").ok());  // out of range
+}
+
+// A flag table of every kind, parsed from `args` (argv[0] prepended).
+struct FlagFixture {
+  std::string name;
+  double tau = 0.1;
+  bool verbose = false;
+  std::vector<std::string> batches;
+  std::optional<std::string> report;
+  int mode = 0;
+
+  std::vector<Flag> Table() {
+    return {StringFlag("--name", &name, "n", "a string"),
+            NumberFlag("--tau", &tau, "x", "a number"),
+            BoolFlag("--verbose", &verbose, "a bool"),
+            RepeatedFlag("--batch", &batches, "file", "repeatable"),
+            OptionalPathFlag("--report", &report, "file", "optional value"),
+            ChoiceFlag("--mode", &mode, Choices<int>{{"a", 1}, {"b", 2}},
+                       "a choice")};
+  }
+
+  ParsedFlags Parse(std::vector<std::string> args) {
+    args.insert(args.begin(), "prog");
+    std::vector<char*> argv;
+    for (std::string& arg : args) argv.push_back(arg.data());
+    return ParseFlags(static_cast<int>(argv.size()), argv.data(), Table());
+  }
+};
+
+TEST(FlagsTest, EqualsAndSpaceFormsAgree) {
+  FlagFixture split, joined;
+  const ParsedFlags a = split.Parse(
+      {"--name", "x", "--tau", "0.3", "--mode", "b", "--batch", "f.csv"});
+  const ParsedFlags b =
+      joined.Parse({"--name=x", "--tau=0.3", "--mode=b", "--batch=f.csv"});
+  for (const ParsedFlags* parsed : {&a, &b}) {
+    EXPECT_TRUE(parsed->bad_value.ok());
+    EXPECT_EQ(parsed->usage_error, "");
+    EXPECT_TRUE(parsed->positional.empty());
+  }
+  EXPECT_EQ(split.name, "x");
+  EXPECT_EQ(joined.name, "x");
+  EXPECT_EQ(split.tau, 0.3);
+  EXPECT_EQ(joined.tau, 0.3);
+  EXPECT_EQ(split.mode, 2);
+  EXPECT_EQ(joined.mode, 2);
+  EXPECT_EQ(split.batches, joined.batches);
+  // Only the first '=' splits: the value keeps the rest.
+  FlagFixture eq;
+  eq.Parse({"--name=a=b"});
+  EXPECT_EQ(eq.name, "a=b");
+}
+
+TEST(FlagsTest, OptionalValueFlags) {
+  FlagFixture absent;
+  absent.Parse({});
+  EXPECT_FALSE(absent.report.has_value());
+
+  FlagFixture bare;  // at the end of argv
+  bare.Parse({"--report"});
+  EXPECT_EQ(bare.report, "");
+
+  FlagFixture before_flag;  // a following flag is not a value
+  before_flag.Parse({"--report", "--verbose"});
+  EXPECT_EQ(before_flag.report, "");
+  EXPECT_TRUE(before_flag.verbose);
+
+  FlagFixture joined;
+  joined.Parse({"--report=out.json"});
+  EXPECT_EQ(joined.report, "out.json");
+
+  FlagFixture next_slot;  // the next argument, when it is not a flag
+  const ParsedFlags parsed = next_slot.Parse({"--report", "out.json", "in"});
+  EXPECT_EQ(next_slot.report, "out.json");
+  EXPECT_EQ(parsed.positional, std::vector<std::string>({"in"}));
+
+  FlagFixture empty;
+  empty.Parse({"--report="});
+  EXPECT_EQ(empty.report, "");
+}
+
+TEST(FlagsTest, RepeatedFlagKeepsEveryOccurrence) {
+  FlagFixture flags;
+  flags.Parse({"--batch", "a.csv", "--batch=b.csv", "--batch", "a.csv"});
+  EXPECT_EQ(flags.batches,
+            std::vector<std::string>({"a.csv", "b.csv", "a.csv"}));
+  FlagFixture name;  // a plain string flag keeps the last one
+  name.Parse({"--name", "x", "--name", "y"});
+  EXPECT_EQ(name.name, "y");
+}
+
+TEST(FlagsTest, PositionalsInterleaveWithFlags) {
+  FlagFixture flags;
+  const ParsedFlags parsed =
+      flags.Parse({"audit", "--tau", "0.2", "in.csv", "--verbose", "-x"});
+  EXPECT_EQ(parsed.positional,
+            std::vector<std::string>({"audit", "in.csv", "-x"}));
+  EXPECT_EQ(flags.tau, 0.2);
+  EXPECT_TRUE(flags.verbose);
+}
+
+TEST(FlagsTest, UnknownFlagIsAUsageError) {
+  FlagFixture flags;
+  const ParsedFlags parsed = flags.Parse({"--bogus=1", "--verbose"});
+  EXPECT_EQ(parsed.usage_error, "unknown flag --bogus");
+  EXPECT_TRUE(parsed.bad_value.ok());
+  EXPECT_FALSE(flags.verbose);  // the parse stops at the first error
+}
+
+TEST(FlagsTest, MissingValueIsAUsageErrorNamingTheFlag) {
+  for (const char* flag : {"--name", "--tau", "--batch", "--mode"}) {
+    FlagFixture flags;
+    const ParsedFlags parsed = flags.Parse({"in", flag});
+    EXPECT_EQ(parsed.usage_error, std::string(flag) + " needs a value");
+    EXPECT_TRUE(parsed.bad_value.ok()) << flag;
+  }
+  // A value-taking flag takes the next argument whatever it looks like.
+  FlagFixture flags;
+  EXPECT_EQ(flags.Parse({"--name", "--verbose"}).usage_error, "");
+  EXPECT_EQ(flags.name, "--verbose");
+  EXPECT_FALSE(flags.verbose);
+}
+
+TEST(FlagsTest, MalformedValuesAreInvalidArguments) {
+  for (std::vector<std::string> args :
+       {std::vector<std::string>{"--tau=12x"}, {"--tau", ""}, {"--tau="},
+        {"--mode=c"}, {"--mode", ""}}) {
+    FlagFixture flags;
+    args.push_back("--verbose");
+    const ParsedFlags parsed = flags.Parse(args);
+    EXPECT_EQ(parsed.bad_value.code(), StatusCode::kInvalidArgument)
+        << args[0];
+    EXPECT_EQ(parsed.usage_error, "");
+    EXPECT_FALSE(flags.verbose) << args[0];
+  }
+  FlagFixture flags;
+  EXPECT_EQ(flags.Parse({"--mode", "c"}).bad_value.ToString(),
+            "INVALID_ARGUMENT: bad --mode: 'c' is not one of a|b");
+  EXPECT_EQ(flags.Parse({"--tau", "12x"}).bad_value.ToString(),
+            "INVALID_ARGUMENT: bad --tau: '12x' is not a number");
+  EXPECT_EQ(flags.tau, 0.1);
+}
+
+TEST(FlagsTest, BoolFlags) {
+  FlagFixture absent;
+  absent.Parse({"in"});
+  EXPECT_FALSE(absent.verbose);
+  FlagFixture given;
+  const ParsedFlags parsed = given.Parse({"--verbose", "in"});
+  EXPECT_TRUE(given.verbose);
+  EXPECT_EQ(parsed.positional, std::vector<std::string>({"in"}));
+  FlagFixture suffixed;  // an '=' suffix is ignored, never an error
+  EXPECT_EQ(suffixed.Parse({"--verbose=0"}).usage_error, "");
+  EXPECT_TRUE(suffixed.verbose);
+}
+
+TEST(FlagsTest, UsageListsEveryRow) {
+  FlagFixture flags;
+  const std::string usage = FlagUsage(flags.Table());
+  for (const char* head :
+       {"--name n ", "--tau x ", "--verbose ", "--batch file ",
+        "--report[=file] ", "--mode a|b "}) {
+    EXPECT_NE(usage.find(head), std::string::npos) << head;
+  }
+  EXPECT_EQ(std::count(usage.begin(), usage.end(), '\n'), 6);
 }
 
 TEST(CsvTest, ParseWithHeader) {

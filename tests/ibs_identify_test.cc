@@ -547,18 +547,67 @@ TEST(NodeSweepTest, LeafAndTopScopes) {
 }
 
 TEST(NodeSweepTest, LevelOneNodesJustBelowUnitDistance) {
-  // SupportsOptimized accepts T within 1e-9 of 1, but the whole-node test
-  // needs T^2 + 1e-9 >= 1: just below 1, level-1 nodes take the
-  // parent-sum walk, whose one dominating region is the level-0 totals.
+  // One budget decides both predicates. Within its slack below 1 a level-1
+  // node (diameter one unit step) is in the whole-node regime; further
+  // below, the budget admits no unit step and no node takes an optimized
+  // path. The sweep matches the per-region route either way.
   const Dataset data = RandomLatticeData(9, {4, 3, 5}, 1500);
   Hierarchy hierarchy(data);
-  IbsParams params = SweepParams(1.0 - 6e-10);
-  NeighborhoodCalculator neighborhood(hierarchy, params.distance_threshold);
-  ASSERT_TRUE(neighborhood.SupportsOptimized(0b1));
-  ASSERT_FALSE(neighborhood.WholeNodeNeighborhood(0b1));
-  EXPECT_GT(CheckSweep(hierarchy, ScopeMasks(hierarchy, IbsScope::kTop),
-                       params, nullptr, "just below 1"),
-            0u);
+  for (double t : {1.0 - 4e-10, 1.0 - 6e-10}) {
+    const bool within_slack = t > 1.0 - 5e-10;
+    NeighborhoodCalculator neighborhood(hierarchy, t);
+    EXPECT_EQ(neighborhood.SupportsOptimized(0b1), within_slack) << t;
+    EXPECT_EQ(neighborhood.WholeNodeNeighborhood(0b1), within_slack) << t;
+    EXPECT_EQ(neighborhood.SupportsOptimized(0b11), within_slack) << t;
+    CheckSweep(hierarchy, ScopeMasks(hierarchy, IbsScope::kTop),
+               SweepParams(t), nullptr, "just below 1");
+  }
+}
+
+TEST(IbsIdentifyTest, NaiveAndOptimizedAgreeJustAroundUnitDistance) {
+  // (a0, b0)'s three unit-distance neighbors hold (6, 24). Just below 1
+  // the budget admits no unit step, so neither strategy may count them;
+  // just above, both must. A T within 1e-9 of 1 once took the optimized
+  // path while the naive walk's budget dropped the unit steps: at
+  // T = 1 - 6e-10 this probe read optimized (6, 24) against naive (0, 0).
+  const Dataset data = GridDataset({{{8, 2}, {2, 8}},
+                                    {{2, 8}, {5, 5}},
+                                    {{2, 8}, {5, 5}}});
+  Hierarchy hierarchy(data);
+  for (double t : {1.0 - 6e-10, 1.0, 1.0 + 6e-10}) {
+    NeighborhoodCalculator neighborhood(hierarchy, t);
+    const RegionCounts expected =
+        t < 1.0 ? RegionCounts{} : RegionCounts{6, 24};
+    EXPECT_EQ(neighborhood.NaiveNeighborCounts(Pattern({0, 0})), expected)
+        << t;
+    if (neighborhood.SupportsOptimized(0b11)) {
+      EXPECT_EQ(neighborhood.OptimizedNeighborCounts(Pattern({0, 0}),
+                                                     RegionCounts{8, 2}),
+                expected)
+          << t;
+    }
+    IbsParams params;
+    params.imbalance_threshold = 0.5;
+    params.min_region_size = 1;
+    params.distance_threshold = t;
+    params.algorithm = IbsAlgorithm::kNaive;
+    const std::vector<BiasedRegion> naive = IdentifyIbs(data, params).value();
+    params.algorithm = IbsAlgorithm::kOptimized;
+    const std::vector<BiasedRegion> optimized =
+        IdentifyIbs(data, params).value();
+    ASSERT_EQ(naive.size(), optimized.size()) << t;
+    for (size_t i = 0; i < naive.size(); ++i) {
+      EXPECT_EQ(naive[i].pattern, optimized[i].pattern) << t;
+      EXPECT_EQ(naive[i].neighbor_counts, optimized[i].neighbor_counts) << t;
+    }
+    if (t >= 1.0) {
+      EXPECT_TRUE(std::any_of(optimized.begin(), optimized.end(),
+                              [](const BiasedRegion& r) {
+                                return r.pattern == Pattern({0, 0});
+                              }))
+          << t;
+    }
+  }
 }
 
 TEST(NodeSweepDeathTest, MissingParentProjectionDies) {

@@ -12,9 +12,9 @@
 #             pipe-joined — `rebuild|incremental|streaming` — in
 #             docs/CLI.md and docs/REMEDY.md, so a backend added to the
 #             registry cannot ship undocumented;
-#   flags     every `"--flag"` literal in examples/remedy_cli.cpp and
+#   flags     every row of the flag tables in examples/remedy_cli.cpp and
 #             examples/remedy_serve.cpp has a backticked `--flag` mention
-#             in docs/CLI.md, and every documented flag exists in the code
+#             in docs/CLI.md, and every documented flag exists in a table
 #             (symmetric, so renames cannot leave stale docs behind).
 #
 # Exits 1 printing the drift. Wired up as the `docs_check` ctest and the
@@ -101,12 +101,10 @@ require_literal "$remedy_names" "$cli_doc" "docs/CLI.md (remedy backends)"
 require_literal "$remedy_names" "$remedy_doc" "docs/REMEDY.md (remedy backends)"
 
 # --- CLI-flag drift --------------------------------------------------------
-# Code side: exact `"--flag"` string literals in the two CLI front ends
-# (comparison operands only — prose mentions always break the pattern with
-# a space before the closing quote). The bare "--" prefix-check literal is
-# dropped by the length filter (but `--T`, length 3, must survive it).
-grep -ho '"--[A-Za-z-]*"' "$cli_src" "$serve_src" \
-  | sed 's/"//g' | awk 'length > 2' | sort -u > "$tmpdir/flags_code"
+# Code side: the flag table rows of the two CLI front ends, each of which
+# begins `<Kind>Flag("--name", ...` (src/cli/flags.h).
+sed -n 's/^ *[A-Za-z]*Flag("\(--[A-Za-z-]*\)".*/\1/p' "$cli_src" "$serve_src" \
+  | sort -u > "$tmpdir/flags_code"
 
 # Docs side: backtick-opened `--flag tokens anywhere in docs/CLI.md. The
 # closing backtick is NOT required, so table cells like `--tau-c x` or
@@ -116,7 +114,7 @@ grep -o '`--[A-Za-z-]*' "$cli_doc" \
   | sed 's/`//g' | sort -u > "$tmpdir/flags_docs"
 
 if [ ! -s "$tmpdir/flags_code" ]; then
-  echo "docs-check: extracted no CLI flags from the examples (pattern drift?)" >&2
+  echo "docs-check: extracted no flag table rows from the examples (pattern drift?)" >&2
   exit 1
 fi
 

@@ -27,19 +27,18 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
+#include "cli/flags.h"
 #include "common/check.h"
 #include "common/fault_injection.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/status.h"
-#include "common/string_util.h"
 #include "core/hierarchy.h"
 #include "data/schema.h"
 #include "serve/daemon.h"
@@ -135,52 +134,29 @@ int Violation(const char* what) {
   return 1;
 }
 
-// 0 when the flags parse; 64 with "bad --flag: ..." on stderr when a
-// numeric value is not wholly a number; 2 for any other usage error.
-int ParseArgs(int argc, char** argv, SoakArgs& args) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : "";
-    };
-    // Parses the next argument into `out`; false on a malformed number.
-    auto number = [&](auto* out) {
-      auto parsed = ParseNumber<std::remove_pointer_t<decltype(out)>>(next());
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "soak: %s\n",
-                     parsed.status().WithContext("bad " + arg).ToString()
-                         .c_str());
-        return false;
-      }
-      *out = parsed.value();
-      return true;
-    };
-    bool parsed = true;
-    if (arg == "--state-dir") {
-      args.state_dir = next();
-    } else if (arg == "--cycles") {
-      parsed = number(&args.cycles);
-    } else if (arg == "--batches") {
-      parsed = number(&args.batches);
-    } else if (arg == "--kill-every") {
-      parsed = number(&args.kill_every);
-    } else if (arg == "--fault-prob") {
-      parsed = number(&args.fault_prob);
-    } else if (arg == "--seed") {
-      parsed = number(&args.seed);
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
-      return 2;
-    }
-    if (!parsed) return 64;
+std::vector<Flag> SoakFlags(SoakArgs& args) {
+  return {
+      StringFlag("--state-dir", &args.state_dir, "DIR",
+                 "daemon state directory (required)"),
+      NumberFlag("--cycles", &args.cycles, "N", "process lifetimes"),
+      NumberFlag("--batches", &args.batches, "N", "batches per lifetime"),
+      NumberFlag("--kill-every", &args.kill_every, "K",
+                 "every K-th lifetime ends in a simulated SIGKILL"),
+      NumberFlag("--fault-prob", &args.fault_prob, "P",
+                 "probability of each injected fault"),
+      NumberFlag("--seed", &args.seed, "S", "workload and fault seed"),
+  };
+}
+
+// The rules between flags and positionals; a usage error, or "".
+std::string CheckArgs(const SoakArgs& args,
+                      const std::vector<std::string>& positional) {
+  if (!positional.empty()) return "unexpected argument " + positional[0];
+  if (args.state_dir.empty()) return "--state-dir is required";
+  if (args.cycles <= 0 || args.batches <= 0) {
+    return "--cycles and --batches must be positive";
   }
-  if (args.state_dir.empty()) {
-    std::fprintf(stderr,
-                 "usage: soak --state-dir DIR [--cycles N] [--batches N] "
-                 "[--kill-every K] [--fault-prob P] [--seed S]\n");
-    return 2;
-  }
-  return args.cycles > 0 && args.batches > 0 ? 0 : 2;
+  return "";
 }
 
 int RunSoak(const SoakArgs& args) {
@@ -358,8 +334,9 @@ int RunSoak(const SoakArgs& args) {
 
 int main(int argc, char** argv) {
   SoakArgs args;
-  if (const int usage = ParseArgs(argc, argv, args); usage != 0) {
-    return usage;
-  }
+  const int usage = ParseCommandLine(argc, argv, SoakFlags(args),
+                                     std::bind_front(CheckArgs, std::cref(args)),
+                                     "usage: soak --state-dir DIR [flags]\n", 2);
+  if (usage != 0) return usage;
   return RunSoak(args);
 }
