@@ -28,7 +28,6 @@
 #include "core/ibs_identify.h"
 #include "core/pipeline_report.h"
 #include "core/remedy.h"
-#include "core/remedy_backend.h"
 #include "data/columnar.h"
 #include "data/loader.h"
 #include "data/profile.h"
@@ -49,7 +48,6 @@ struct CliArgs {
   double tau_d = 0.1;
   double distance = 1.0;
   RemedyTechnique technique = RemedyTechnique::kPreferentialSampling;
-  std::optional<RemedyBackendKind> remedy_backend;  // unset: incremental
   uint64_t seed = 23;
   std::string trace_out;
   bool metrics_table = false;
@@ -140,8 +138,6 @@ std::vector<Flag> CliFlags(CliArgs& args) {
       NumberFlag("--seed", &args.seed, "n", "remedy: sampling seed"),
       ChoiceFlag("--technique", &args.technique, TechniqueChoices(),
                  "plan, remedy: remedy technique"),
-      ChoiceFlag("--remedy-backend", &args.remedy_backend,
-                 RemedyBackendChoices(), "remedy: backend"),
       ChoiceFlag("--on-bad-row", &args.loader.on_bad_row,
                  Choices<BadRowPolicy>{
                      {"fail", BadRowPolicy::kFail},
@@ -192,9 +188,6 @@ std::string CheckArgs(CliArgs& args,
   }
   if (!args.store_dir.empty() && args.command != "identify") {
     return "--store-dir is an identify flag";
-  }
-  if (args.remedy_backend.has_value() && args.command != "remedy") {
-    return "--remedy-backend is a remedy flag";
   }
   if (args.command != "audit" && args.command != "plan" &&
       args.command != "remedy" && args.command != "identify") {
@@ -358,20 +351,6 @@ int RunRemedyCommand(const CliArgs& args, const Dataset& data) {
   params.technique = args.technique;
   params.seed = args.seed;
 
-  const RemedyBackendKind backend_kind =
-      args.remedy_backend.value_or(RemedyBackendKind::kIncremental);
-  if (backend_kind == RemedyBackendKind::kStreaming &&
-      (args.report || args.report_json.has_value())) {
-    return Fail("bad --remedy-backend",
-                InvalidArgumentError(
-                    "the streaming backend plans on leaf counts and cannot "
-                    "produce an audited before/after report; use "
-                    "--remedy-backend rebuild or incremental with --report"));
-  }
-  params.engine = backend_kind == RemedyBackendKind::kRebuild
-                      ? RemedyEngine::kRebuild
-                      : RemedyEngine::kIncremental;
-
   Dataset remedied;
   RemedyStats stats;
   if (args.report || args.report_json.has_value()) {
@@ -386,18 +365,14 @@ int RunRemedyCommand(const CliArgs& args, const Dataset& data) {
       if (!written.ok()) return Fail("report write failed", written);
     }
   } else {
-    std::unique_ptr<RemedyBackend> backend = RemedyBackend::Create(backend_kind);
-    RemedySource source;
-    source.dataset = &data;
-    StatusOr<Dataset> result = backend->Remedy(source, params, &stats);
+    StatusOr<Dataset> result = RemedyDataset(data, params, &stats);
     if (!result.ok()) return Fail("remedy failed", result.status());
     remedied = std::move(result).value();
   }
   std::printf(
-      "remedied %d regions (skipped %d) via the %s backend: +%lld / -%lld "
-      "instances, %lld labels flipped; %d -> %d rows\n",
+      "remedied %d regions (skipped %d) via the incremental backend: +%lld "
+      "/ -%lld instances, %lld labels flipped; %d -> %d rows\n",
       stats.regions_processed, stats.regions_skipped,
-      RemedyBackendName(backend_kind),
       static_cast<long long>(stats.instances_added),
       static_cast<long long>(stats.instances_removed),
       static_cast<long long>(stats.labels_flipped), data.NumRows(),

@@ -58,7 +58,6 @@ struct ServeArgs {
   bool serve = false;
   std::string health_out;
   std::optional<RemedyTechnique> remedy;  // set: one remedy round
-  std::optional<RemedyBackendKind> remedy_backend;
   bool kill_after_remedy = false;
   ServeOptions options;
   LoaderOptions loader;
@@ -85,8 +84,6 @@ std::vector<Flag> ServeFlags(ServeArgs& args) {
                  "commit one remedy round after ingest"),
       BoolFlag("--auto-remedy", &options.auto_remedy,
                "remedy on every non-empty IBS epoch"),
-      ChoiceFlag("--remedy-backend", &args.remedy_backend,
-                 RemedyBackendChoices(), "remedy planner"),
       NumberFlag("--remedy-seed", &options.remedy.seed, "N",
                  "remedy planner seed"),
       NumberFlag("--remedy-rounds", &options.auto_remedy_max_rounds, "N",
@@ -144,11 +141,7 @@ std::string CheckArgs(ServeArgs& args,
     return "--kill-after-remedy needs --remedy or --auto-remedy";
   }
   if (args.remedy.has_value()) args.options.remedy.technique = *args.remedy;
-  if (args.remedy_backend.has_value()) {
-    args.options.remedy_backend = *args.remedy_backend;
-  }
-  if (args.remedy.has_value() || args.options.auto_remedy ||
-      args.remedy_backend.has_value()) {
+  if (args.remedy.has_value() || args.options.auto_remedy) {
     args.options.enable_remedy = true;
   }
   return "";
@@ -292,6 +285,7 @@ int Run(const ServeArgs& args, const sigset_t& signals) {
     std::printf("kill-after: exiting without checkpoint (wal retains %s)\n",
                 flushed.ok() ? "all applied batches" : "the durable prefix");
     std::printf("final: %s\n", daemon.HealthJson().c_str());
+    std::fflush(stdout);  // _Exit drops buffered output
     std::_Exit(0);  // ~ServeDaemon would checkpoint; a crash doesn't.
   }
 
@@ -351,6 +345,7 @@ int Run(const ServeArgs& args, const sigset_t& signals) {
       Status written = WriteTextFile(args.health_out, health + "\n");
       if (!written.ok()) return Fail("health write failed", written);
     }
+    std::fflush(stdout);  // _Exit drops buffered output
     std::_Exit(0);
   }
 

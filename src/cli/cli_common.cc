@@ -73,14 +73,4 @@ Choices<RemedyTechnique> TechniqueChoices() {
           {"massage", RemedyTechnique::kMassaging}};
 }
 
-Choices<RemedyBackendKind> RemedyBackendChoices() {
-  Choices<RemedyBackendKind> choices;
-  for (RemedyBackendKind kind :
-       {RemedyBackendKind::kRebuild, RemedyBackendKind::kIncremental,
-        RemedyBackendKind::kStreaming}) {
-    choices.emplace_back(RemedyBackendName(kind), kind);
-  }
-  return choices;
-}
-
 }  // namespace remedy

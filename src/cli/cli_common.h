@@ -8,7 +8,6 @@
 #include "cli/flags.h"
 #include "common/status.h"
 #include "core/remedy.h"
-#include "core/remedy_backend.h"
 #include "data/dataset.h"
 
 namespace remedy {
@@ -29,9 +28,8 @@ Status WriteTextFile(const std::string& path, const std::string& text);
 // unknown name or a row count that is not a positive number.
 StatusOr<Dataset> GenerateInputDataset(const std::string& input);
 
-// The remedy techniques and backends by their command-line names.
+// The remedy techniques by their command-line names.
 Choices<RemedyTechnique> TechniqueChoices();
-Choices<RemedyBackendKind> RemedyBackendChoices();
 
 }  // namespace remedy
 

@@ -18,8 +18,8 @@ namespace remedy {
 //
 // Naming convention: "<family>/<event>", lower_snake within segments.
 // Families: lattice (hierarchy construction), ibs (subgroup
-// identification), remedy (dataset repair), remedy_backend (the pluggable
-// remedy write path, including the daemon's streaming commits), loader +
+// identification), remedy (dataset repair), remedy_backend (the leaf-count
+// remedy planner and the daemon's streaming commits), loader +
 // csv (ingestion), threadpool, fault (fault injection), ml (model
 // training / tuning), fairness (bootstrap confidence intervals), wal (the
 // streaming service's write-ahead delta log), serve (the streaming
@@ -101,7 +101,7 @@ namespace remedy {
   X(remedy_rebuild_passes, "remedy/rebuild_passes", "passes",                 \
     "remedy passes that fell back to a full lattice rebuild")                 \
   X(remedy_backend_plans, "remedy_backend/plans", "plans",                    \
-    "delta plans computed by RemedyBackend::PlanDeltas")                      \
+    "delta plans computed by PlanRemedyDeltas")                               \
   X(remedy_backend_deltas_planned, "remedy_backend/deltas_planned",           \
     "deltas", "net leaf-count deltas emitted across all remedy plans")        \
   X(remedy_backend_streaming_commits, "remedy_backend/streaming_commits",     \
@@ -204,8 +204,8 @@ namespace remedy {
     "wall time of each incremental identify pass (full fallbacks "  \
     "not included)")                                                \
   X(remedy_backend_plan_ns, "remedy_backend/plan_ns", "ns",         \
-    "wall time of RemedyBackend::PlanDeltas (for streaming, the "   \
-    "count-native plan of the leaf census)")
+    "wall time of PlanRemedyDeltas (the count-native plan of the "  \
+    "leaf census)")
 
 // All pipeline instruments, registered once on first use. Call sites do
 //   PipelineMetrics::Get().ibs_nodes_visited->Increment(n);

@@ -87,23 +87,18 @@ int64_t NodeSweep::SweepParentSums(
     uint32_t mask, const NodeTable& node,
     std::vector<std::pair<uint64_t, BiasedRegion>>* biased) {
   // |r_n| = sum over the dominating regions R_d (one deterministic element
-  // removed) - |R_d| * |r|. A level-1 node's one dominating region is the
-  // whole dataset, shared by every region. (At T = 1 such a node is in the
-  // whole-node regime; only a T within SupportsOptimized's tolerance below
-  // 1 brings it here.)
+  // removed) - |R_d| * |r|. Every parent is a real node: a level-1 nominal
+  // node's diameter is one unit step, within any budget SupportsOptimized
+  // accepts, so it is always swept whole.
   const RegionCounter& counter = hierarchy_.counter();
   sums_.assign(node.size(), RegionCounts{});
-  RegionCounts shared;
   int64_t num_dominating = 0;
   for (uint32_t bits = mask; bits != 0; bits &= bits - 1) {
     const uint32_t parent_mask = mask & ~(bits & (~bits + 1));
     ++num_dominating;
-    if (parent_mask == 0) {
-      shared = hierarchy_.TotalCounts();
-    } else {
-      counter.AddParentCounts(node, mask, hierarchy_.NodeCounts(parent_mask),
-                              parent_mask, sums_.data());
-    }
+    REMEDY_DCHECK(parent_mask != 0) << "a level-1 node is swept whole";
+    counter.AddParentCounts(node, mask, hierarchy_.NodeCounts(parent_mask),
+                            parent_mask, sums_.data());
   }
   int64_t scored = 0;
   const std::vector<NodeTable::Entry>& entries = node.entries();
@@ -112,10 +107,8 @@ int64_t NodeSweep::SweepParentSums(
     if (counts.Total() <= params_.min_region_size) continue;
     ++scored;
     const RegionCounts neighbor_counts{
-        shared.positives + sums_[i].positives -
-            num_dominating * counts.positives,
-        shared.negatives + sums_[i].negatives -
-            num_dominating * counts.negatives};
+        sums_[i].positives - num_dominating * counts.positives,
+        sums_[i].negatives - num_dominating * counts.negatives};
     BiasedRegion region;
     if (JudgeRegion(counter, mask, key, counts, neighbor_counts, params_,
                     &region) == RegionVerdict::kBiased) {

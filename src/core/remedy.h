@@ -95,7 +95,7 @@ RegionUpdate ComputeUpdate(RemedyTechnique technique, int64_t positives,
 
 // Seed of the RNG stream of region `key` of node `mask` in a remedy pass
 // seeded with `seed`. Independent of row numbering and processing order, so
-// every engine (and the streaming backend's count planner) draws the same
+// every engine (and PlanRemedyDeltas' count planner) draws the same
 // sequence for the same region.
 uint64_t RemedyRegionSeed(uint64_t seed, uint32_t mask, uint64_t key);
 

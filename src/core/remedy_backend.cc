@@ -27,67 +27,14 @@ int64_t NowNanos() {
       .count();
 }
 
-Status ValidateSource(const RemedySource& source) {
-  if ((source.dataset == nullptr) == (source.leaf_counts == nullptr)) {
-    return InvalidArgumentError(
-        "RemedySource wants exactly one of dataset / leaf_counts");
-  }
-  if (source.leaf_counts != nullptr && source.schema == nullptr) {
-    return InvalidArgumentError(
-        "RemedySource::leaf_counts requires RemedySource::schema");
-  }
-  return OkStatus();
-}
-
-const DataSchema& SourceSchema(const RemedySource& source) {
-  return source.dataset != nullptr ? source.dataset->schema()
-                                   : *source.schema;
-}
-
-// The source's leaf census, whichever form it arrived in.
-NodeTable SourceLeafCounts(const RemedySource& source) {
-  return source.dataset != nullptr ? LeafCountsOf(*source.dataset)
-                                   : *source.leaf_counts;
-}
-
 int64_t TotalInstances(const NodeTable& counts) {
   int64_t total = 0;
   for (const auto& [key, region] : counts) total += region.Total();
   return total;
 }
 
-// rebuild / incremental: the two batch engines of RemedyDataset behind the
-// backend API. Row-faithful on a dataset source; a count source is
-// materialized first.
-class BatchRemedyBackend : public RemedyBackend {
- public:
-  explicit BatchRemedyBackend(RemedyBackendKind kind) : kind_(kind) {}
-
-  RemedyBackendKind kind() const override { return kind_; }
-
-  StatusOr<Dataset> Remedy(const RemedySource& source,
-                           const RemedyParams& params,
-                           RemedyStats* stats) const override {
-    RETURN_IF_ERROR(ValidateSource(source));
-    RemedyParams engine_params = params;
-    engine_params.engine = kind_ == RemedyBackendKind::kRebuild
-                               ? RemedyEngine::kRebuild
-                               : RemedyEngine::kIncremental;
-    if (source.dataset != nullptr) {
-      return RemedyDataset(*source.dataset, engine_params, stats);
-    }
-    ASSIGN_OR_RETURN(
-        Dataset materialized,
-        MaterializeLeafCounts(*source.schema, *source.leaf_counts));
-    return RemedyDataset(materialized, engine_params, stats);
-  }
-
- private:
-  const RemedyBackendKind kind_;
-};
-
 // ---------------------------------------------------------------------------
-// The streaming backend's count-native planner.
+// The count-native planner behind PlanRemedyDeltas.
 //
 // It computes what the row engine computes on MaterializeLeafCounts(census)
 // without making a row. Rows keep their canonical indices: the
@@ -328,9 +275,6 @@ class CountPlanner {
 };
 
 Status CountPlanner::Init(const NodeTable& census) {
-  if (schema_.NumProtected() == 0) {
-    return InvalidArgumentError("remedy needs protected attributes");
-  }
   for (const auto& [key, counts] : census) {
     if (counts.positives < 0 || counts.negatives < 0) {
       return InvalidArgumentError("cannot remedy negative counts at leaf key " +
@@ -348,9 +292,6 @@ Status CountPlanner::Init(const NodeTable& census) {
     digits_.resize(digits_.size() + schema_.NumProtected());
     counter_.KeyDigits(key, LeafMaskOf(schema_),
                        &digits_[digits_.size() - schema_.NumProtected()]);
-  }
-  if (next_row_ == 0) {
-    return InvalidArgumentError("cannot remedy an empty dataset");
   }
   counts_ = census_;
   return OkStatus();
@@ -722,97 +663,24 @@ StatusOr<RemedyDeltaPlan> CountPlanner::Plan(const NodeTable& census) {
   return plan;
 }
 
-// streaming: the daemon's form. Plans on the leaf census alone with the
-// count-native planner above; its output equals the row engine's on the
-// canonical materialization of that census (MaterializeLeafCounts), which
-// the parity suite in tests/remedy_backend_test.cc proves through the
-// rebuild backend.
-class StreamingRemedyBackend : public RemedyBackend {
- public:
-  RemedyBackendKind kind() const override {
-    return RemedyBackendKind::kStreaming;
-  }
-
-  // Plan, apply to the census, materialize once.
-  StatusOr<Dataset> Remedy(const RemedySource& source,
-                           const RemedyParams& params,
-                           RemedyStats* stats) const override {
-    RETURN_IF_ERROR(ValidateSource(source));
-    const DataSchema& schema = SourceSchema(source);
-    NodeTable counts = SourceLeafCounts(source);
-    ASSIGN_OR_RETURN(RemedyDeltaPlan plan,
-                     CountPlanner(schema, params).Plan(counts));
-    for (const Hierarchy::LeafDelta& delta : plan.deltas) {
-      counts.ApplyDelta(delta.leaf_key, delta.delta_positives,
-                        delta.delta_negatives);
-    }
-    if (stats != nullptr) *stats = plan.stats;
-    return MaterializeLeafCounts(schema, counts);
-  }
-
- protected:
-  StatusOr<RemedyDeltaPlan> PlanCensus(
-      const RemedySource& source, const NodeTable& census,
-      const RemedyParams& params) const override {
-    return CountPlanner(SourceSchema(source), params).Plan(census);
-  }
-};
-
 }  // namespace
 
-const char* RemedyBackendName(RemedyBackendKind kind) {
-  switch (kind) {
-    case RemedyBackendKind::kRebuild:
-      return "rebuild";
-    case RemedyBackendKind::kIncremental:
-      return "incremental";
-    case RemedyBackendKind::kStreaming:
-      return "streaming";
-  }
-  return "unknown";
-}
-
-StatusOr<RemedyBackendKind> ParseRemedyBackend(const std::string& name) {
-  if (name == "rebuild") return RemedyBackendKind::kRebuild;
-  if (name == "incremental") return RemedyBackendKind::kIncremental;
-  if (name == "streaming") return RemedyBackendKind::kStreaming;
-  return InvalidArgumentError("unknown remedy backend '" + name +
-                              "' (want rebuild|incremental|streaming)");
-}
-
-std::unique_ptr<RemedyBackend> RemedyBackend::Create(RemedyBackendKind kind) {
-  switch (kind) {
-    case RemedyBackendKind::kRebuild:
-    case RemedyBackendKind::kIncremental:
-      return std::make_unique<BatchRemedyBackend>(kind);
-    case RemedyBackendKind::kStreaming:
-      return std::make_unique<StreamingRemedyBackend>();
-  }
-  REMEDY_CHECK(false) << "unhandled RemedyBackendKind";
-  return nullptr;
-}
-
-StatusOr<RemedyDeltaPlan> RemedyBackend::PlanDeltas(
-    const RemedySource& source, const RemedyParams& params) const {
-  RETURN_IF_ERROR(ValidateSource(source));
+StatusOr<RemedyDeltaPlan> PlanRemedyDeltas(const DataSchema& schema,
+                                           const NodeTable& leaf_counts,
+                                           const RemedyParams& params) {
   const PipelineMetrics& metrics = PipelineMetrics::Get();
   const int64_t start_ns = NowNanos();
-  const NodeTable before = SourceLeafCounts(source);
-  if (TotalInstances(before) == 0) return RemedyDeltaPlan();  // no data yet
-  ASSIGN_OR_RETURN(RemedyDeltaPlan plan, PlanCensus(source, before, params));
+  if (TotalInstances(leaf_counts) == 0) return RemedyDeltaPlan();  // no data yet
+  // Checked before the planner's RegionCounter, which requires one.
+  if (schema.NumProtected() == 0) {
+    return InvalidArgumentError("remedy needs protected attributes");
+  }
+  ASSIGN_OR_RETURN(RemedyDeltaPlan plan,
+                   CountPlanner(schema, params).Plan(leaf_counts));
   metrics.remedy_backend_plans->Increment();
   metrics.remedy_backend_deltas_planned->Increment(
       static_cast<int64_t>(plan.deltas.size()));
   metrics.remedy_backend_plan_ns->Observe(NowNanos() - start_ns);
-  return plan;
-}
-
-StatusOr<RemedyDeltaPlan> RemedyBackend::PlanCensus(
-    const RemedySource& source, const NodeTable& census,
-    const RemedyParams& params) const {
-  RemedyDeltaPlan plan;
-  ASSIGN_OR_RETURN(Dataset remedied, Remedy(source, params, &plan.stats));
-  plan.deltas = DiffLeafCounts(census, LeafCountsOf(remedied));
   return plan;
 }
 
@@ -847,34 +715,6 @@ StatusOr<Dataset> MaterializeLeafCounts(const DataSchema& schema,
 NodeTable LeafCountsOf(const Dataset& data) {
   const RegionCounter counter(data.schema());
   return counter.CountNode(data, LeafMaskOf(data.schema()));
-}
-
-std::vector<Hierarchy::LeafDelta> DiffLeafCounts(const NodeTable& before,
-                                                 const NodeTable& after) {
-  std::vector<Hierarchy::LeafDelta> deltas;
-  auto a = before.begin();
-  auto b = after.begin();
-  auto emit = [&deltas](uint64_t key, int64_t delta_positives,
-                        int64_t delta_negatives) {
-    if (delta_positives != 0 || delta_negatives != 0) {
-      deltas.push_back({key, delta_positives, delta_negatives});
-    }
-  };
-  while (a != before.end() || b != after.end()) {
-    if (b == after.end() || (a != before.end() && a->first < b->first)) {
-      emit(a->first, -a->second.positives, -a->second.negatives);
-      ++a;
-    } else if (a == before.end() || b->first < a->first) {
-      emit(b->first, b->second.positives, b->second.negatives);
-      ++b;
-    } else {
-      emit(a->first, b->second.positives - a->second.positives,
-           b->second.negatives - a->second.negatives);
-      ++a;
-      ++b;
-    }
-  }
-  return deltas;
 }
 
 uint64_t LeafCountsDigest(const NodeTable& counts) {

@@ -682,13 +682,8 @@ StatusOr<RemedyCommitResult> ServeDaemon::SubmitRemedy(
 
   // Plan on the calling thread against the pinned, immutable cut: the
   // apply thread keeps committing ingest while this runs.
-  const std::unique_ptr<RemedyBackend> backend =
-      RemedyBackend::Create(options_.remedy_backend);
-  RemedySource source;
-  source.schema = &schema_;
-  source.leaf_counts = pinned->leaf_counts.get();
   ASSIGN_OR_RETURN(RemedyDeltaPlan plan,
-                   backend->PlanDeltas(source, params));
+                   PlanRemedyDeltas(schema_, *pinned->leaf_counts, params));
 
   RemedyCommitResult result;
   result.planned_epoch = pinned->epoch;
@@ -802,13 +797,11 @@ std::string ServeDaemon::HealthJson() const {
   std::string json = "{";
   json += "\"status\":\"" +
           std::string(is_read_only ? "read_only" : "serving") + "\",";
-  // Backend identity first, so operators can correlate this report with
-  // the recovery and parity guarantees of docs/SERVICE.md + docs/REMEDY.md.
+  // Remedy state first ("streaming": PlanRemedyDeltas plans on the leaf
+  // counts), so operators can correlate this report with the recovery and
+  // parity guarantees of docs/SERVICE.md + docs/REMEDY.md.
   json += "\"remedy_backend\":\"" +
-          std::string(RemedyEnabled()
-                          ? RemedyBackendName(options_.remedy_backend)
-                          : "disabled") +
-          "\",";
+          std::string(RemedyEnabled() ? "streaming" : "disabled") + "\",";
   json += "\"auto_remedy\":" +
           std::string(options_.auto_remedy ? "true" : "false") + ",";
   json += "\"remedy_commits\":" + std::to_string(remedy_commits) + ",";

@@ -84,15 +84,14 @@ struct ServeOptions {
   // Rollup fan-out of the recovery-time EagerBuild (<= 0 = all CPUs).
   int build_threads = 1;
 
-  // --- online remedy (the RemedyBackend seam; docs/REMEDY.md) ---------
+  // --- online remedy (PlanRemedyDeltas; docs/REMEDY.md) ---------------
 
   // Publish each epoch's leaf counts with its snapshot so SubmitRemedy can
   // plan against a pinned cut. Off by default: the copy costs one leaf
   // table per epoch. auto_remedy implies it.
   bool enable_remedy = false;
-  // Which RemedyBackend plans submitted remedies (docs/REMEDY.md). The
-  // streaming backend is the daemon-native one; rebuild/incremental plan
-  // on the same materialized counts and commit identically.
+  // Read by nothing: PlanRemedyDeltas is the daemon's one planner. Kept
+  // because perfbench/loadgen.cc assigns it; ROADMAP.md item 1 removes it.
   RemedyBackendKind remedy_backend = RemedyBackendKind::kStreaming;
   // Technique/seed/planning parameters of submitted and auto remedies.
   // The `ibs` field is overridden by ServeOptions::ibs at Start so the
@@ -175,9 +174,9 @@ class ServeDaemon {
 
   // --- remedy side (thread-safe; requires enable_remedy) ---------------
 
-  // Plans one remedy with the configured RemedyBackend against a pinned
-  // epoch snapshot (the newest, or `pinned` when given) and commits the
-  // plan as one WAL batch through the same all-or-nothing group-commit
+  // Plans one remedy with PlanRemedyDeltas against a pinned epoch
+  // snapshot's leaf counts (the newest, or `pinned` when given) and commits
+  // the plan as one WAL batch through the same all-or-nothing group-commit
   // path as ingest — crash-safe, and visible to readers only at the next
   // epoch. Planning runs on the calling thread, off the apply thread, so
   // ingest keeps committing while a remedy plans.

@@ -285,11 +285,25 @@ KeyedRegions PerRegionOracle(Hierarchy& hierarchy, uint32_t mask,
 
 // The brute force of node `mask`: every populated region's counts and its
 // neighboring region's (every row of another same-node region within
-// distance T) by scanning the rows.
+// distance T) by scanning the rows. "Within T" is the library's budget,
+// restated: squared distance at most T^2 + 1e-9.
 KeyedRegions BruteForceNode(const Dataset& data, const RegionCounter& counter,
                             uint32_t mask, const IbsParams& params) {
   const DataSchema& schema = data.schema();
   const int arity = schema.NumProtected();
+  const double budget =
+      params.distance_threshold * params.distance_threshold + 1e-9;
+  auto squared_distance = [&schema, arity](const Pattern& a,
+                                           const Pattern& b) {
+    double squared = 0.0;
+    for (int i = 0; i < arity; ++i) {
+      if (!a.IsDeterministic(i)) continue;
+      const double d = schema.attribute(schema.protected_indices()[i])
+                           .Distance(a.Value(i), b.Value(i));
+      squared += d * d;
+    }
+    return squared;
+  };
   auto row_pattern = [&](int r) {
     Pattern pattern(arity);
     for (int i = 0; i < arity; ++i) {
@@ -312,10 +326,7 @@ KeyedRegions BruteForceNode(const Dataset& data, const RegionCounter& counter,
       const Pattern other = row_pattern(r);
       RegionCounts* into = &counts;
       if (other != pattern) {
-        if (pattern.Distance(other, schema) >
-            params.distance_threshold + 1e-9) {
-          continue;
-        }
+        if (squared_distance(pattern, other) > budget) continue;
         into = &neighbor_counts;
       }
       ++(data.Label(r) == 1 ? into->positives : into->negatives);
@@ -388,7 +399,9 @@ IbsParams SweepParams(double distance_threshold) {
 // Random schemas of 2-8 protected attributes: even seeds dense (small
 // cardinalities, rows well above the leaf key space), odd seeds sparse
 // (cardinalities up to 41, most leaves empty). T = 1 runs the parent-sum
-// walk; T = |X| >= every node's diameter runs the whole-node regime.
+// walk; T = |X| >= every node's diameter runs the whole-node regime; T just
+// below 1, past the budget's slack, admits no unit step, so every node
+// takes the naive walk.
 class NodeSweepDifferentialTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(NodeSweepDifferentialTest, MatchesPerRegionRouteAndBruteForce) {
@@ -407,7 +420,7 @@ TEST_P(NodeSweepDifferentialTest, MatchesPerRegionRouteAndBruteForce) {
   // The brute force scans rows per region; keep it to the small lattices.
   const Dataset* brute = num_protected <= (dense ? 4 : 3) ? &data : nullptr;
   const std::string context = "seed " + std::to_string(seed);
-  for (double t : {1.0, static_cast<double>(num_protected)}) {
+  for (double t : {1.0, 1.0 - 6e-10, static_cast<double>(num_protected)}) {
     const IbsParams params = SweepParams(t);
     EXPECT_GT(CheckSweep(hierarchy, hierarchy.BottomUpMasks(), params, brute,
                          context + " T " + std::to_string(t)),

@@ -1,16 +1,15 @@
-// RemedyBackend seam tests (docs/REMEDY.md).
+// PlanRemedyDeltas tests (docs/REMEDY.md).
 //
-// The load-bearing half is the randomized parity suite: the streaming
-// backend's count-native delta plan, applied to the source leaf counts, must
-// land on the exact FNV-1a counts digest — and the exact RemedyStats — of
-// running the batch rebuild engine over the canonical materialization of
-// those same counts, for every technique, every planning thread count, and
-// censuses over 2-6 protected attributes. That identity is what lets the
-// daemon commit remedies as WAL deltas and still claim byte-equivalence with
-// the offline pipeline. The rest pins the Eq. 1 post-condition of the leaf
-// visit, censuses too large to materialize, the registry (names, parse
-// errors), the canonical materialization round-trip, and the DiffLeafCounts
-// algebra.
+// The load-bearing half is the randomized parity suite: the count-native
+// delta plan must equal — delta for delta, and with the exact RemedyStats —
+// the census diff of running the rebuild engine over the canonical
+// materialization of the same counts, for every technique, every planning
+// thread count, and censuses over 2-6 protected attributes. That identity is
+// what lets the daemon commit remedies as WAL deltas and still claim
+// byte-equivalence with the offline pipeline. The rest pins the Eq. 1
+// post-condition of the leaf visit, censuses too large to materialize, the
+// canonical materialization round-trip, and the algebra of the oracle's
+// census diff.
 
 #include "core/remedy_backend.h"
 
@@ -19,12 +18,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/fault_injection.h"
+#include "common/metrics.h"
+#include "common/pipeline_metrics.h"
 #include "common/rng.h"
 #include "core/hierarchy.h"
 #include "core/ibs_identify.h"
@@ -46,45 +48,6 @@ void ExpectIdenticalRows(const Dataset& a, const Dataset& b) {
   for (int r = 0; r < a.NumRows(); ++r) {
     ASSERT_EQ(a.Row(r), b.Row(r)) << "row " << r;
     ASSERT_EQ(a.Label(r), b.Label(r)) << "row " << r;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Registry: names, parsing, construction
-// ---------------------------------------------------------------------------
-
-TEST(RemedyBackendRegistryTest, NamesRoundTripThroughParse) {
-  for (RemedyBackendKind kind :
-       {RemedyBackendKind::kRebuild, RemedyBackendKind::kIncremental,
-        RemedyBackendKind::kStreaming}) {
-    StatusOr<RemedyBackendKind> parsed =
-        ParseRemedyBackend(RemedyBackendName(kind));
-    ASSERT_TRUE(parsed.ok()) << parsed.status();
-    EXPECT_EQ(parsed.value(), kind);
-  }
-}
-
-TEST(RemedyBackendRegistryTest, UnknownNameListsTheValidOnes) {
-  for (const std::string& bogus : {"", "Rebuild", "online", "stream"}) {
-    StatusOr<RemedyBackendKind> parsed = ParseRemedyBackend(bogus);
-    ASSERT_FALSE(parsed.ok()) << "'" << bogus << "' parsed";
-    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
-    // The message is the CLI's only hint; it must name every backend.
-    const std::string& message = parsed.status().message();
-    EXPECT_NE(message.find("rebuild"), std::string::npos) << message;
-    EXPECT_NE(message.find("incremental"), std::string::npos) << message;
-    EXPECT_NE(message.find("streaming"), std::string::npos) << message;
-  }
-}
-
-TEST(RemedyBackendRegistryTest, CreateReturnsTheAskedForKind) {
-  for (RemedyBackendKind kind :
-       {RemedyBackendKind::kRebuild, RemedyBackendKind::kIncremental,
-        RemedyBackendKind::kStreaming}) {
-    auto backend = RemedyBackend::Create(kind);
-    ASSERT_NE(backend, nullptr);
-    EXPECT_EQ(backend->kind(), kind);
-    EXPECT_STREQ(backend->name(), RemedyBackendName(kind));
   }
 }
 
@@ -138,8 +101,39 @@ TEST(MaterializeLeafCountsTest, RejectsUnprotectedSchemaAndNegativeCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// DiffLeafCounts algebra
+// The oracle's census diff
 // ---------------------------------------------------------------------------
+
+// Net signed deltas such that `before` + deltas = `after`, ascending by
+// key, zero-net entries omitted: the plan the parity oracle derives from
+// the rows the rebuild engine remedied.
+std::vector<Hierarchy::LeafDelta> DiffLeafCounts(const NodeTable& before,
+                                                 const NodeTable& after) {
+  std::vector<Hierarchy::LeafDelta> deltas;
+  auto a = before.begin();
+  auto b = after.begin();
+  auto emit = [&deltas](uint64_t key, int64_t delta_positives,
+                        int64_t delta_negatives) {
+    if (delta_positives != 0 || delta_negatives != 0) {
+      deltas.push_back({key, delta_positives, delta_negatives});
+    }
+  };
+  while (a != before.end() || b != after.end()) {
+    if (b == after.end() || (a != before.end() && a->first < b->first)) {
+      emit(a->first, -a->second.positives, -a->second.negatives);
+      ++a;
+    } else if (a == before.end() || b->first < a->first) {
+      emit(b->first, b->second.positives, b->second.negatives);
+      ++b;
+    } else {
+      emit(a->first, b->second.positives - a->second.positives,
+           b->second.negatives - a->second.negatives);
+      ++a;
+      ++b;
+    }
+  }
+  return deltas;
+}
 
 NodeTable Applied(const NodeTable& base,
                   const std::vector<Hierarchy::LeafDelta>& deltas) {
@@ -173,48 +167,20 @@ TEST(DiffLeafCountsTest, EqualTablesDiffToNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// PlanDeltas edge cases
+// Edge cases
 // ---------------------------------------------------------------------------
 
-TEST(RemedyBackendTest, EmptySourcePlansNothing) {
+TEST(PlanRemedyDeltasTest, EmptyCensusPlansNothing) {
   // The daemon may ask for a remedy before any batch arrived; that is a
   // no-op plan, not an error.
-  const DataSchema schema = SmallSchema();
-  NodeTable empty;
-  RemedySource source;
-  source.schema = &schema;
-  source.leaf_counts = &empty;
-  auto backend = RemedyBackend::Create(RemedyBackendKind::kStreaming);
-  StatusOr<RemedyDeltaPlan> plan = backend->PlanDeltas(source, RemedyParams());
+  StatusOr<RemedyDeltaPlan> plan =
+      PlanRemedyDeltas(SmallSchema(), NodeTable(), RemedyParams());
   ASSERT_TRUE(plan.ok()) << plan.status();
   EXPECT_TRUE(plan.value().deltas.empty());
 }
 
-TEST(RemedyBackendTest, SourceValidationRejectsAmbiguityAndAbsence) {
-  Dataset data = GridDataset({{{5, 5}}});
-  const NodeTable counts = LeafCountsOf(data);
-  auto backend = RemedyBackend::Create(RemedyBackendKind::kIncremental);
-
-  RemedySource none;  // neither form set
-  EXPECT_EQ(backend->Remedy(none, RemedyParams()).status().code(),
-            StatusCode::kInvalidArgument);
-
-  RemedySource both;  // both forms set
-  both.dataset = &data;
-  both.schema = &data.schema();
-  both.leaf_counts = &counts;
-  EXPECT_EQ(backend->Remedy(both, RemedyParams()).status().code(),
-            StatusCode::kInvalidArgument);
-
-  RemedySource counts_without_schema;
-  counts_without_schema.leaf_counts = &counts;
-  EXPECT_EQ(
-      backend->Remedy(counts_without_schema, RemedyParams()).status().code(),
-      StatusCode::kInvalidArgument);
-}
-
 // ---------------------------------------------------------------------------
-// Parity: streaming deltas == rebuild on the materialized dataset
+// Parity: planned deltas == rebuild on the materialized dataset
 // ---------------------------------------------------------------------------
 
 RemedyParams BiasedParams(RemedyTechnique technique, uint64_t seed,
@@ -226,6 +192,17 @@ RemedyParams BiasedParams(RemedyTechnique technique, uint64_t seed,
   params.seed = seed;
   params.planning_threads = threads;
   return params;
+}
+
+void ExpectSameDeltas(const std::vector<Hierarchy::LeafDelta>& a,
+                      const std::vector<Hierarchy::LeafDelta>& b,
+                      const std::string& context) {
+  ASSERT_EQ(a.size(), b.size()) << context;
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].leaf_key, b[i].leaf_key) << context;
+    EXPECT_EQ(a[i].delta_positives, b[i].delta_positives) << context;
+    EXPECT_EQ(a[i].delta_negatives, b[i].delta_negatives) << context;
+  }
 }
 
 void ExpectSameStats(const RemedyStats& a, const RemedyStats& b,
@@ -355,18 +332,16 @@ Census TruncatingCensus(Rng& rng) {
   return census;
 }
 
-class RemedyBackendParityTest
+class PlanRemedyDeltasParityTest
     : public ::testing::TestWithParam<std::tuple<RemedyTechnique, int>> {};
 
-TEST_P(RemedyBackendParityTest, StreamingDeltasMatchRebuildOnMaterialized) {
+TEST_P(PlanRemedyDeltasParityTest, DeltasMatchRebuildOnMaterialized) {
   auto [technique, threads] = GetParam();
 #ifdef REMEDY_TSAN_BUILD
   const int kDraws = 2;  // TSan is ~10x slower; the race surface is the same
 #else
   const int kDraws = 8;
 #endif
-  auto streaming = RemedyBackend::Create(RemedyBackendKind::kStreaming);
-  auto rebuild = RemedyBackend::Create(RemedyBackendKind::kRebuild);
   std::map<std::string, int> acted;
   int exhausted = 0;
   for (int draw = 0; draw < kDraws; ++draw) {
@@ -383,26 +358,27 @@ TEST_P(RemedyBackendParityTest, StreamingDeltasMatchRebuildOnMaterialized) {
       RemedyParams params = BiasedParams(technique, 23 + draw, threads);
       params.max_added_total = census.max_added_total;
 
-      RemedySource count_source;
-      count_source.schema = &census.schema;
-      count_source.leaf_counts = &census.counts;
       StatusOr<RemedyDeltaPlan> plan =
-          streaming->PlanDeltas(count_source, params);
+          PlanRemedyDeltas(census.schema, census.counts, params);
       ASSERT_TRUE(plan.ok()) << plan.status() << " " << context;
 
-      // Oracle: batch-rebuild the remedy over the canonical
-      // materialization of the same counts, then census the remedied rows.
+      // Oracle: rebuild the remedy over the canonical materialization of
+      // the same counts, then diff the census of the remedied rows.
       Dataset materialized =
           MaterializeLeafCounts(census.schema, census.counts).value();
-      RemedySource row_source;
-      row_source.dataset = &materialized;
+      RemedyParams rebuild = params;
+      rebuild.engine = RemedyEngine::kRebuild;
       RemedyStats oracle_stats;
       StatusOr<Dataset> remedied =
-          rebuild->Remedy(row_source, params, &oracle_stats);
+          RemedyDataset(materialized, rebuild, &oracle_stats);
       ASSERT_TRUE(remedied.ok()) << remedied.status() << " " << context;
+      const NodeTable remedied_counts = LeafCountsOf(remedied.value());
 
+      ExpectSameDeltas(plan.value().deltas,
+                       DiffLeafCounts(census.counts, remedied_counts),
+                       context);
       EXPECT_EQ(LeafCountsDigest(Applied(census.counts, plan.value().deltas)),
-                LeafCountsDigest(LeafCountsOf(remedied.value())))
+                LeafCountsDigest(remedied_counts))
           << context;
       ExpectSameStats(plan.value().stats, oracle_stats, context);
       if (!plan.value().deltas.empty()) ++acted[census.shape];
@@ -419,7 +395,7 @@ TEST_P(RemedyBackendParityTest, StreamingDeltasMatchRebuildOnMaterialized) {
   }
 }
 
-TEST(RemedyBackendTest, SymmetricCensusTiesLeafScoresPerBiasValue) {
+TEST(PlanRemedyDeltasTest, SymmetricCensusTiesLeafScoresPerBiasValue) {
   // The premise of the symmetric parity shape: the ranker cannot tell apart
   // two leaves of one bias value, so only the row index orders their
   // borderline picks.
@@ -440,7 +416,7 @@ TEST(RemedyBackendTest, SymmetricCensusTiesLeafScoresPerBiasValue) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    TechniqueThreadSweep, RemedyBackendParityTest,
+    TechniqueThreadSweep, PlanRemedyDeltasParityTest,
     ::testing::Combine(
         ::testing::Values(RemedyTechnique::kOversample,
                           RemedyTechnique::kUndersample,
@@ -453,42 +429,176 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
-// The row form is the plan applied to the census, materialized once.
-TEST(RemedyBackendTest, StreamingRowsMaterializeThePlannedCensus) {
-  Rng rng(5);
-  const Census census = WideCensus(rng, /*drained=*/true);
-  RemedySource source;
-  source.schema = &census.schema;
-  source.leaf_counts = &census.counts;
-  const RemedyParams params =
-      BiasedParams(RemedyTechnique::kPreferentialSampling, 23, 1);
-  auto streaming = RemedyBackend::Create(RemedyBackendKind::kStreaming);
-  StatusOr<RemedyDeltaPlan> plan = streaming->PlanDeltas(source, params);
-  RemedyStats stats;
-  StatusOr<Dataset> rows = streaming->Remedy(source, params, &stats);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  ASSERT_TRUE(rows.ok()) << rows.status();
-  ExpectIdenticalRows(
-      rows.value(),
-      MaterializeLeafCounts(census.schema,
-                            Applied(census.counts, plan.value().deltas))
-          .value());
-  ExpectSameStats(stats, plan.value().stats, "row form");
-}
-
-TEST(RemedyBackendTest, StreamingPlanCrossesTheRemedyFaultPoint) {
+TEST(PlanRemedyDeltasTest, PlanCrossesTheRemedyFaultPoint) {
   Rng rng(9);
   const Census census = SmallCensus(rng);
-  RemedySource source;
-  source.schema = &census.schema;
-  source.leaf_counts = &census.counts;
   FaultInjector injector;
   injector.FailAlways("remedy/apply", StatusCode::kResourceExhausted);
   StatusOr<RemedyDeltaPlan> plan =
-      RemedyBackend::Create(RemedyBackendKind::kStreaming)
-          ->PlanDeltas(source, RemedyParams());
+      PlanRemedyDeltas(census.schema, census.counts, RemedyParams());
   ASSERT_FALSE(plan.ok());
   EXPECT_EQ(plan.status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(PlanRemedyDeltasTest, RejectsUnprotectedSchemaAndNegativeCounts) {
+  DataSchema no_protected({AttributeSchema("x", {"x0", "x1"})}, {});
+  EXPECT_EQ(PlanRemedyDeltas(no_protected, NodeTable({{0, {3, 4}}}),
+                             RemedyParams())
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+
+  // The negative leaf is not the first one, and the census total is
+  // positive, so only the per-leaf check can catch it.
+  const NodeTable negative({{0, {20, 5}}, {1, {-1, 2}}, {2, {4, 30}}});
+  EXPECT_EQ(
+      PlanRemedyDeltas(SmallSchema(), negative, RemedyParams()).status().code(),
+      StatusCode::kInvalidArgument);
+}
+
+// perfbench reads remedy_backend/{plans,deltas_planned,plan_ns}: one plan,
+// its delta count and one timing per census planned, nothing for a no-op on
+// an empty census or a rejected one.
+TEST(PlanRemedyDeltasTest, RecordsOneMetricsSamplePerPlannedCensus) {
+  const PipelineMetrics& metrics = PipelineMetrics::Get();
+  const int64_t plans = metrics.remedy_backend_plans->Value();
+  const int64_t deltas = metrics.remedy_backend_deltas_planned->Value();
+  const int64_t timings = metrics.remedy_backend_plan_ns->Count();
+
+  Rng rng(9);
+  const Census census = SmallCensus(rng);
+  StatusOr<RemedyDeltaPlan> plan = PlanRemedyDeltas(
+      census.schema, census.counts,
+      BiasedParams(RemedyTechnique::kPreferentialSampling, 23, 1));
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_FALSE(plan.value().deltas.empty());
+  EXPECT_EQ(metrics.remedy_backend_plans->Value(), plans + 1);
+  EXPECT_EQ(metrics.remedy_backend_deltas_planned->Value(),
+            deltas + static_cast<int64_t>(plan.value().deltas.size()));
+  EXPECT_EQ(metrics.remedy_backend_plan_ns->Count(), timings + 1);
+
+  ASSERT_TRUE(
+      PlanRemedyDeltas(SmallSchema(), NodeTable(), RemedyParams()).ok());
+  EXPECT_FALSE(PlanRemedyDeltas(SmallSchema(), NodeTable({{0, {-1, 2}}}),
+                                RemedyParams())
+                   .ok());
+  EXPECT_EQ(metrics.remedy_backend_plans->Value(), plans + 1);
+  EXPECT_EQ(metrics.remedy_backend_plan_ns->Count(), timings + 1);
+}
+
+// What each technique may do to a leaf: oversampling only adds, under-
+// sampling only removes, massaging only moves rows between the labels of
+// one leaf. Whatever the technique, the net row change is added - removed.
+TEST(PlanRemedyDeltasTest, DeltaSignsFollowTheTechnique) {
+  for (RemedyTechnique technique :
+       {RemedyTechnique::kOversample, RemedyTechnique::kUndersample,
+        RemedyTechnique::kPreferentialSampling,
+        RemedyTechnique::kMassaging}) {
+    int acted = 0;
+    for (int draw = 0; draw < 6; ++draw) {
+      Rng rng(101 + draw);
+      const Census census = WideCensus(rng, /*drained=*/draw % 2 == 1);
+      const std::string context =
+          TechniqueName(technique) + " draw " + std::to_string(draw);
+      RemedyParams params = BiasedParams(technique, 23, 1);
+      params.max_added_total = census.max_added_total;
+      StatusOr<RemedyDeltaPlan> plan =
+          PlanRemedyDeltas(census.schema, census.counts, params);
+      ASSERT_TRUE(plan.ok()) << plan.status() << " " << context;
+      const RemedyStats& stats = plan.value().stats;
+      int64_t net_rows = 0;
+      int64_t moved_labels = 0;
+      for (const Hierarchy::LeafDelta& delta : plan.value().deltas) {
+        net_rows += delta.delta_positives + delta.delta_negatives;
+        switch (technique) {
+          case RemedyTechnique::kOversample:
+            EXPECT_GE(delta.delta_positives, 0) << context;
+            EXPECT_GE(delta.delta_negatives, 0) << context;
+            break;
+          case RemedyTechnique::kUndersample:
+            EXPECT_LE(delta.delta_positives, 0) << context;
+            EXPECT_LE(delta.delta_negatives, 0) << context;
+            break;
+          case RemedyTechnique::kMassaging:
+            EXPECT_EQ(delta.delta_positives, -delta.delta_negatives)
+                << context;
+            moved_labels += std::abs(delta.delta_positives);
+            break;
+          case RemedyTechnique::kPreferentialSampling:
+            break;
+        }
+      }
+      EXPECT_EQ(net_rows, stats.instances_added - stats.instances_removed)
+          << context;
+      if (technique == RemedyTechnique::kMassaging) {
+        EXPECT_EQ(stats.instances_added, 0) << context;
+        EXPECT_EQ(stats.instances_removed, 0) << context;
+        EXPECT_LE(moved_labels, stats.labels_flipped) << context;
+      }
+      if (!plan.value().deltas.empty()) ++acted;
+    }
+    EXPECT_GT(acted, 0) << TechniqueName(technique) << " never acted";
+  }
+}
+
+TEST(PlanRemedyDeltasTest, AddBudgetCapsTheRowsAdded) {
+  Rng rng(9);
+  const Census census = SmallCensus(rng);
+  RemedyParams params = BiasedParams(RemedyTechnique::kOversample, 23, 1);
+  params.max_added_total = -1;
+  StatusOr<RemedyDeltaPlan> uncapped =
+      PlanRemedyDeltas(census.schema, census.counts, params);
+  ASSERT_TRUE(uncapped.ok()) << uncapped.status();
+  const int64_t wanted = uncapped.value().stats.instances_added;
+  ASSERT_GT(wanted, 1);
+  EXPECT_FALSE(uncapped.value().stats.add_budget_exhausted);
+
+  for (int64_t cap : {int64_t{0}, wanted / 2, wanted - 1}) {
+    params.max_added_total = cap;
+    StatusOr<RemedyDeltaPlan> capped =
+        PlanRemedyDeltas(census.schema, census.counts, params);
+    ASSERT_TRUE(capped.ok()) << capped.status();
+    int64_t added = 0;
+    for (const Hierarchy::LeafDelta& delta : capped.value().deltas) {
+      added += delta.delta_positives + delta.delta_negatives;
+    }
+    EXPECT_EQ(added, capped.value().stats.instances_added) << "cap " << cap;
+    EXPECT_LE(added, cap) << "cap " << cap;
+    EXPECT_TRUE(capped.value().stats.add_budget_exhausted) << "cap " << cap;
+  }
+}
+
+// The daemon's census keeps leaves retracted to nothing as {0,0} entries;
+// they hold no rows, so they must not change the plan.
+TEST(PlanRemedyDeltasTest, DrainedLeavesPlanLikeAbsentOnes) {
+  int drained_total = 0;
+  for (int draw = 0; draw < 4; ++draw) {
+    Rng rng(301 + draw);
+    const Census census = WideCensus(rng, /*drained=*/true);
+    std::vector<NodeTable::Entry> populated;
+    int drained = 0;
+    for (const auto& [key, counts] : census.counts) {
+      if (counts.Total() == 0) {
+        ++drained;
+      } else {
+        populated.push_back({key, counts});
+      }
+    }
+    const RemedyParams params =
+        BiasedParams(RemedyTechnique::kPreferentialSampling, 23, 1);
+    StatusOr<RemedyDeltaPlan> with =
+        PlanRemedyDeltas(census.schema, census.counts, params);
+    StatusOr<RemedyDeltaPlan> without = PlanRemedyDeltas(
+        census.schema, NodeTable(std::move(populated)), params);
+    const std::string context = "draw " + std::to_string(draw) + " (" +
+                                std::to_string(drained) + " drained)";
+    ASSERT_TRUE(with.ok()) << with.status() << " " << context;
+    ASSERT_TRUE(without.ok()) << without.status() << " " << context;
+    ExpectSameDeltas(with.value().deltas, without.value().deltas, context);
+    ExpectSameStats(with.value().stats, without.value().stats, context);
+    drained_total += drained;
+  }
+  EXPECT_GT(drained_total, 0) << "no draw held a drained leaf";
 }
 
 // ---------------------------------------------------------------------------
@@ -506,12 +616,7 @@ void ExpectLeafVisitMeetsEq1(const DataSchema& schema, const NodeTable& counts,
   RemedyParams params = BiasedParams(technique, 23, 1);
   params.ibs.scope = IbsScope::kLeaf;
   params.max_added_total = -1;  // Eq. 1 without the safety valve
-  RemedySource source;
-  source.schema = &schema;
-  source.leaf_counts = &counts;
-  StatusOr<RemedyDeltaPlan> plan =
-      RemedyBackend::Create(RemedyBackendKind::kStreaming)
-          ->PlanDeltas(source, params);
+  StatusOr<RemedyDeltaPlan> plan = PlanRemedyDeltas(schema, counts, params);
   ASSERT_TRUE(plan.ok()) << plan.status() << " " << context;
   const NodeTable after = Applied(counts, plan.value().deltas);
 
@@ -561,7 +666,7 @@ void ExpectLeafVisitMeetsEq1(const DataSchema& schema, const NodeTable& counts,
   if (skipped_out != nullptr) *skipped_out = skipped;
 }
 
-TEST(RemedyBackendEq1Test, LeafRegionsEndAtTheirEq1Counts) {
+TEST(PlanRemedyDeltasEq1Test, LeafRegionsEndAtTheirEq1Counts) {
   for (RemedyTechnique technique :
        {RemedyTechnique::kOversample, RemedyTechnique::kUndersample,
         RemedyTechnique::kPreferentialSampling,
@@ -576,7 +681,7 @@ TEST(RemedyBackendEq1Test, LeafRegionsEndAtTheirEq1Counts) {
   }
 }
 
-TEST(RemedyBackendEq1Test, UnreachableRegionsCountAsSkipped) {
+TEST(PlanRemedyDeltasEq1Test, UnreachableRegionsCountAsSkipped) {
   // Leaf (0, 0) is all-negative and every neighbor is all-positive: its
   // target is "no negatives", which adding rows can never reach.
   const NodeTable counts({{0, {0, 40}},
@@ -601,7 +706,7 @@ DataSchema OneAttributeSchema() {
                     {1});
 }
 
-TEST(RemedyBackendInt64Test, BorderlinePlansOverBillionsOfInstances) {
+TEST(PlanRemedyDeltasInt64Test, BorderlinePlansOverBillionsOfInstances) {
   // 3 * 10^9 instances in one leaf: past Dataset's int row index, so no
   // materialization exists. The neighborhood is empty (all-positive by
   // Def. 3), so the whole negative class has to go. In the second census
@@ -611,17 +716,13 @@ TEST(RemedyBackendInt64Test, BorderlinePlansOverBillionsOfInstances) {
        {RegionCounts{2'000'000'000, 1'000'000'000},
         RegionCounts{1, 3'000'000'000}}) {
     const NodeTable counts({{0, leaf}});
-    RemedySource source;
-    source.schema = &schema;
-    source.leaf_counts = &counts;
     for (RemedyTechnique technique : {RemedyTechnique::kPreferentialSampling,
                                       RemedyTechnique::kMassaging}) {
       const std::string context = TechniqueName(technique) + " with " +
                                   std::to_string(leaf.positives) +
                                   " positives";
       StatusOr<RemedyDeltaPlan> plan =
-          RemedyBackend::Create(RemedyBackendKind::kStreaming)
-              ->PlanDeltas(source, BiasedParams(technique, 23, 1));
+          PlanRemedyDeltas(schema, counts, BiasedParams(technique, 23, 1));
       ASSERT_TRUE(plan.ok()) << plan.status() << " " << context;
       ASSERT_EQ(plan.value().deltas.size(), 1u) << context;
       EXPECT_EQ(plan.value().deltas[0].delta_positives, leaf.negatives)
@@ -640,7 +741,7 @@ TEST(RemedyBackendInt64Test, BorderlinePlansOverBillionsOfInstances) {
   }
 }
 
-TEST(RemedyBackendInt64Test, RandomPicksPastIntRangeAreOutOfRange) {
+TEST(PlanRemedyDeltasInt64Test, RandomPicksPastIntRangeAreOutOfRange) {
   const DataSchema schema = OneAttributeSchema();
   // Undersampling must draw from 3 * 10^9 negatives.
   const NodeTable one_leaf({{0, {1'000'000'000, 3'000'000'000}}});
@@ -652,34 +753,26 @@ TEST(RemedyBackendInt64Test, RandomPicksPastIntRangeAreOutOfRange) {
       {RemedyTechnique::kUndersample, &one_leaf},
       {RemedyTechnique::kOversample, &two_leaves}};
   for (const auto& [technique, counts] : cases) {
-    RemedySource source;
-    source.schema = &schema;
-    source.leaf_counts = counts;
     StatusOr<RemedyDeltaPlan> plan =
-        RemedyBackend::Create(RemedyBackendKind::kStreaming)
-            ->PlanDeltas(source, BiasedParams(technique, 23, 1));
+        PlanRemedyDeltas(schema, *counts, BiasedParams(technique, 23, 1));
     ASSERT_FALSE(plan.ok()) << TechniqueName(technique);
     EXPECT_EQ(plan.status().code(), StatusCode::kOutOfRange)
         << plan.status();
   }
 }
 
-// The two batch backends are row-faithful twins: same rows out, not just
-// the same census (the PR 2 identity, restated through the seam).
+// The two row engines are row-faithful twins: same rows out, not just the
+// same census (the PR 2 identity, through RemedyDataset).
 TEST(RemedyBackendTest, BatchBackendsAreByteIdenticalOnRows) {
   Dataset data = GridDataset({{{80, 10}, {12, 40}},
                               {{30, 30}, {5, 60}},
                               {{90, 9}, {20, 20}}});
-  RemedySource source;
-  source.dataset = &data;
-  const RemedyParams params =
+  RemedyParams params =
       BiasedParams(RemedyTechnique::kPreferentialSampling, 23, 2);
-  StatusOr<Dataset> a =
-      RemedyBackend::Create(RemedyBackendKind::kRebuild)
-          ->Remedy(source, params);
-  StatusOr<Dataset> b =
-      RemedyBackend::Create(RemedyBackendKind::kIncremental)
-          ->Remedy(source, params);
+  params.engine = RemedyEngine::kRebuild;
+  StatusOr<Dataset> a = RemedyDataset(data, params);
+  params.engine = RemedyEngine::kIncremental;
+  StatusOr<Dataset> b = RemedyDataset(data, params);
   ASSERT_TRUE(a.ok()) << a.status();
   ASSERT_TRUE(b.ok()) << b.status();
   ExpectIdenticalRows(a.value(), b.value());

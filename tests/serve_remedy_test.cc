@@ -147,11 +147,9 @@ TEST(ServeRemedyTest, CommitMatchesBatchRebuildOnTheMaterializedCut) {
   // batch rebuild engine run over the canonical materialization of the
   // pinned counts — byte-identical, by FNV-1a digest.
   Dataset materialized = MaterializeLeafCounts(schema, pre_counts).value();
-  RemedySource source;
-  source.dataset = &materialized;
-  StatusOr<Dataset> oracle =
-      RemedyBackend::Create(RemedyBackendKind::kRebuild)
-          ->Remedy(source, params);
+  RemedyParams rebuild = params;
+  rebuild.engine = RemedyEngine::kRebuild;
+  StatusOr<Dataset> oracle = RemedyDataset(materialized, rebuild);
   ASSERT_TRUE(oracle.ok()) << oracle.status();
   EXPECT_EQ(LeafCountsDigest(*post->leaf_counts),
             LeafCountsDigest(LeafCountsOf(oracle.value())))
@@ -228,16 +226,12 @@ TEST(ServeRemedyTest, AutoRemedyCommitsAReplayableSequenceAndQuiesces) {
   ASSERT_LE(commits, options.auto_remedy_max_rounds);
 
   // Replay the committed sequence offline: each round plans with the same
-  // backend/params against the previous round's census. The daemon's final
+  // params against the previous round's census. The daemon's final
   // census must match the replay digest-exactly, and every replayed round
   // must have had work to do (the daemon never commits an empty plan).
   RemedyParams params = options.remedy;
-  auto backend = RemedyBackend::Create(options.remedy_backend);
   for (int64_t round = 0; round < commits; ++round) {
-    RemedySource source;
-    source.schema = &schema;
-    source.leaf_counts = &cut;
-    StatusOr<RemedyDeltaPlan> plan = backend->PlanDeltas(source, params);
+    StatusOr<RemedyDeltaPlan> plan = PlanRemedyDeltas(schema, cut, params);
     ASSERT_TRUE(plan.ok()) << plan.status();
     ASSERT_FALSE(plan.value().deltas.empty())
         << "round " << round << " replayed empty; the daemon committed "

@@ -1,17 +1,12 @@
 #!/bin/sh
 # docs-check: fail on drift between the code's registered surfaces and the
-# docs that describe them. Three checks:
+# docs that describe them. Two checks:
 #
 #   metrics   every metric declared in the X-macro tables of
 #             src/common/pipeline_metrics.h
 #               X(field, "family/event", "unit", "help...")
 #             appears as the first backticked cell of a docs/METRICS.md
 #             table row, and vice versa;
-#   backends  the registered remedy backend names (the `if (name == "...")`
-#             lines of ParseRemedyBackend, in declaration order) appear
-#             pipe-joined — `rebuild|incremental|streaming` — in
-#             docs/CLI.md and docs/REMEDY.md, so a backend added to the
-#             registry cannot ship undocumented;
 #   flags     every row of the flag tables in examples/remedy_cli.cpp and
 #             examples/remedy_serve.cpp has a backticked `--flag` mention
 #             in docs/CLI.md, and every documented flag exists in a table
@@ -27,14 +22,11 @@ root="${1:-$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)}"
 header="$root/src/common/pipeline_metrics.h"
 doc="$root/docs/METRICS.md"
 cli_doc="$root/docs/CLI.md"
-remedy_doc="$root/docs/REMEDY.md"
-remedy_cc="$root/src/core/remedy_backend.cc"
 cli_src="$root/examples/remedy_cli.cpp"
 serve_src="$root/examples/remedy_serve.cpp"
 
 fail=0
-for f in "$header" "$doc" "$cli_doc" "$remedy_doc" "$remedy_cc" \
-         "$cli_src" "$serve_src"; do
+for f in "$header" "$doc" "$cli_doc" "$cli_src" "$serve_src"; do
   if [ ! -f "$f" ]; then
     echo "docs-check: missing $f" >&2
     fail=1
@@ -75,31 +67,6 @@ if [ -n "$stale" ]; then
   fail=1
 fi
 
-# --- backend-name drift ----------------------------------------------------
-# The authoritative name list of the backend registry is its Parse function's
-# `if (name == "...")` chain, read in declaration order and pipe-joined.
-# The joined form is exactly what the CLI help and the docs print, so a
-# plain substring check catches both a missing name and a reordered list.
-backend_list() {
-  sed -n 's/^ *if (name == "\([a-z]*\)").*/\1/p' "$1" | paste -sd'|' -
-}
-
-remedy_names="$(backend_list "$remedy_cc")"
-if [ -z "$remedy_names" ]; then
-  echo "docs-check: extracted no backend names (pattern drift in ParseRemedyBackend?)" >&2
-  exit 1
-fi
-
-require_literal() {
-  # require_literal <literal> <file> <what>
-  if ! grep -qF "$1" "$2"; then
-    echo "docs-check: $3 must spell out the registered list \`$1\` ($2)" >&2
-    fail=1
-  fi
-}
-require_literal "$remedy_names" "$cli_doc" "docs/CLI.md (remedy backends)"
-require_literal "$remedy_names" "$remedy_doc" "docs/REMEDY.md (remedy backends)"
-
 # --- CLI-flag drift --------------------------------------------------------
 # Code side: the flag table rows of the two CLI front ends, each of which
 # begins `<Kind>Flag("--name", ...` (src/cli/flags.h).
@@ -108,8 +75,7 @@ sed -n 's/^ *[A-Za-z]*Flag("\(--[A-Za-z-]*\)".*/\1/p' "$cli_src" "$serve_src" \
 
 # Docs side: backtick-opened `--flag tokens anywhere in docs/CLI.md. The
 # closing backtick is NOT required, so table cells like `--tau-c x` or
-# `--remedy-backend rebuild|incremental|streaming` count as documenting
-# their flag.
+# `--identify-mode full|incremental` count as documenting their flag.
 grep -o '`--[A-Za-z-]*' "$cli_doc" \
   | sed 's/`//g' | sort -u > "$tmpdir/flags_docs"
 
@@ -132,8 +98,7 @@ if [ -n "$flags_stale" ]; then
 fi
 
 if [ "$fail" -eq 0 ]; then
-  echo "docs-check: $(wc -l < "$tmpdir/code" | tr -d ' ') metrics," \
-       "$(wc -l < "$tmpdir/flags_code" | tr -d ' ') flags and the" \
-       "backend registry ($remedy_names) in sync"
+  echo "docs-check: $(wc -l < "$tmpdir/code" | tr -d ' ') metrics and" \
+       "$(wc -l < "$tmpdir/flags_code" | tr -d ' ') flags in sync"
 fi
 exit "$fail"

@@ -14,8 +14,8 @@
 //      digest, and the match retroactively settles the fate).
 //   2. Liveness: the daemon answers snapshot + identify + health queries
 //      after every batch, read-only or not.
-//   3. Monitoring: after the final recovery a deliberately skewed batch
-//      still trips the online IBS monitor.
+//   3. Monitoring: after the final recovery a batch built to change the
+//      set of biased regions changes it and trips the online IBS monitor.
 //
 // Exit 0 when every invariant held; 1 otherwise (the violation is printed);
 // 64 when a numeric flag value is malformed, 2 for other usage errors.
@@ -31,6 +31,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cli/flags.h"
@@ -40,6 +41,8 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/hierarchy.h"
+#include "core/imbalance.h"
+#include "core/region_counter.h"
 #include "data/schema.h"
 #include "serve/daemon.h"
 
@@ -127,6 +130,46 @@ Batch MakeBatch(Rng& rng, const std::vector<RegionCounts>& leaves,
     if (d.delta_positives != 0 || d.delta_negatives != 0) batch.push_back(d);
   }
   return batch;
+}
+
+// The subgroup set the online monitor digests: (node mask, region key) of
+// each biased region, in identify order.
+std::vector<std::pair<uint32_t, uint64_t>> Members(
+    const RegionCounter& counter, const std::vector<BiasedRegion>& ibs) {
+  std::vector<std::pair<uint32_t, uint64_t>> members;
+  for (const BiasedRegion& region : ibs) {
+    const uint32_t mask = region.pattern.DeterministicMask();
+    members.emplace_back(mask, counter.KeyFor(region.pattern, mask));
+  }
+  return members;
+}
+
+// A batch on leaf 0 that provably flips its membership in the set of biased
+// leaf regions. A biased leaf 0 is drained, and an empty region is never
+// audited. Otherwise leaf 0 becomes 500+ rows of one class: all negative
+// (score 0) when its neighborhood — the leaves one attribute away (T = 1,
+// nominal attributes) — is all positive (score kAllPositiveRatio, -1), and
+// all positive (-1) when it is not (score >= 0). Either way the two scores
+// differ by at least 1, far past tau_c.
+Batch SkewLeafZero(const RegionCounter& counter,
+                   const std::vector<RegionCounts>& leaves, bool biased) {
+  const RegionCounts& have = leaves[0];
+  if (biased) return {{0, -have.positives, -have.negatives}};
+  const uint32_t leaf_mask = 0b11;  // SoakSchema's two protected attributes
+  int zero[2] = {0, 0};
+  counter.KeyDigits(0, leaf_mask, zero);
+  RegionCounts neighborhood;
+  for (uint64_t key = 1; key < leaves.size(); ++key) {
+    int digits[2] = {0, 0};
+    counter.KeyDigits(key, leaf_mask, digits);
+    if ((digits[0] != zero[0]) + (digits[1] != zero[1]) != 1) continue;
+    neighborhood.positives += leaves[key].positives;
+    neighborhood.negatives += leaves[key].negatives;
+  }
+  if (ImbalanceScore(neighborhood) == kAllPositiveRatio) {
+    return {{0, -have.positives, 500}};
+  }
+  return {{0, 500, -have.negatives}};
 }
 
 int Violation(const char* what) {
@@ -301,17 +344,21 @@ int RunSoak(const SoakArgs& args) {
     return Violation("final recovery digest diverged from the applied log");
   }
 
-  // Shove one leaf far out of balance; the per-epoch audit must notice and
-  // the online monitor must count an alert for the changed subgroup set.
-  Batch skew;
-  skew.push_back({0, 500, 0});
-  skew.push_back({3, 0, 500});
+  // Skew leaf 0 so the subgroup set must change; the per-epoch audit must
+  // show the change and the online monitor must count an alert for it.
+  const RegionCounter counter(schema);
+  const auto before = Members(counter, daemon->QueryIbs());
+  const bool leaf_zero_biased =
+      std::find(before.begin(), before.end(),
+                std::pair<uint32_t, uint64_t>{0b11, 0}) != before.end();
+  OracleLeafCounts(applied_log, leaves);
+  const Batch skew = SkewLeafZero(counter, leaves, leaf_zero_biased);
   if (!daemon->Submit(skew).ok() || !daemon->Flush().ok()) {
     return Violation("post-soak daemon refused a clean batch");
   }
   applied_log.push_back(skew);
-  if (daemon->QueryIbs().empty()) {
-    return Violation("skewed batch did not surface in the IBS");
+  if (Members(counter, daemon->QueryIbs()) == before) {
+    return Violation("skewed batch left the subgroup set unchanged");
   }
   const std::string health = daemon->HealthJson();
   if (health.find("\"monitor_alerts\":0,") != std::string::npos) {
