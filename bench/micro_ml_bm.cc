@@ -1,5 +1,5 @@
 // Google-benchmark micro benchmarks for the model-training engine: the
-// EncodedMatrix cache, the deterministic parallel trainers (random forest
+// CSV-to-Dataset build, the EncodedMatrix cache, the deterministic parallel trainers (random forest
 // bagging, blocked logistic-regression gradients, batch-accumulated neural
 // network), the subgroup analysis behind the fairness index, forest
 // prediction, and the bootstrap replicate loop. These quantify the constant
@@ -14,6 +14,7 @@
 #include "common/check.h"
 #include "common/metrics.h"
 #include "data/encoding.h"
+#include "data/loader.h"
 #include "datagen/adult.h"
 #include "datagen/compas.h"
 #include "fairness/bootstrap.h"
@@ -50,6 +51,26 @@ std::vector<int> BiasedPredictions(const Dataset& data) {
   }
   return predictions;
 }
+
+// 200k Adult rows as a parsed CSV table: the benchmark pipeline's input.
+const CsvTable& AdultCsvTable() {
+  static const CsvTable* table = new CsvTable(MakeAdult(200000, 5).ToCsv());
+  return *table;
+}
+
+void BM_BuildDataset(benchmark::State& state) {
+  const CsvTable& table = AdultCsvTable();
+  LoaderOptions options;
+  options.label_column = table.header.back();
+  for (auto _ : state) {
+    StatusOr<Dataset> built = BuildDataset(table, options);
+    REMEDY_CHECK(built.ok()) << built.status().ToString();
+    benchmark::DoNotOptimize(built.value().NumRows());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(table.rows.size()));
+}
+BENCHMARK(BM_BuildDataset)->Unit(benchmark::kMillisecond);
 
 void BM_EncodedMatrixBuild(benchmark::State& state) {
   const Dataset& data = CompasData();

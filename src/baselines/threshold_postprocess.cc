@@ -115,8 +115,14 @@ double ThresholdPostprocessor::ThresholdFor(const Dataset& data,
   return it == thresholds_.end() ? 0.5 : it->second;
 }
 
-int ThresholdPostprocessor::Predict(const Dataset& data, int row) const {
-  return PredictProba(data, row) >= ThresholdFor(data, row) ? 1 : 0;
+std::vector<double> ThresholdPostprocessor::PredictProbaAll(
+    const Dataset& data) const {
+  return base_->PredictProbaAll(data);
+}
+
+std::vector<double> ThresholdPostprocessor::PredictProbaAllEncoded(
+    const EncodedMatrix& data) const {
+  return base_->PredictProbaAllEncoded(data);
 }
 
 }  // namespace remedy

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "fairness/divergence.h"
 #include "ml/classifier.h"
@@ -35,11 +36,13 @@ class ThresholdPostprocessor : public Classifier {
   void Fit(const Dataset& train) override;
 
   double PredictProba(const Dataset& data, int row) const override;
-  // Applies the row's subgroup threshold (0.5 for unseen subgroups).
-  int Predict(const Dataset& data, int row) const override;
+  std::vector<double> PredictProbaAll(const Dataset& data) const override;
+  std::vector<double> PredictProbaAllEncoded(
+      const EncodedMatrix& data) const override;
 
-  // Threshold calibrated for the subgroup of `row`, for inspection.
-  double ThresholdFor(const Dataset& data, int row) const;
+  // Threshold calibrated for the subgroup of `row` (0.5 for unseen or
+  // small subgroups); Predict and PredictAll apply it.
+  double ThresholdFor(const Dataset& data, int row) const override;
 
  private:
   ClassifierPtr base_;

@@ -31,7 +31,9 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
   return result;
 }
 
-std::string Trim(std::string_view text) {
+std::string Trim(std::string_view text) { return std::string(TrimView(text)); }
+
+std::string_view TrimView(std::string_view text) {
   size_t begin = 0;
   size_t end = text.size();
   while (begin < end && std::isspace(static_cast<unsigned char>(text[begin]))) {
@@ -40,7 +42,7 @@ std::string Trim(std::string_view text) {
   while (end > begin && std::isspace(static_cast<unsigned char>(text[end - 1]))) {
     --end;
   }
-  return std::string(text.substr(begin, end - begin));
+  return text.substr(begin, end - begin);
 }
 
 std::string FormatDouble(double value, int precision) {

@@ -19,6 +19,10 @@ std::string Join(const std::vector<std::string>& parts,
 // Removes leading and trailing ASCII whitespace.
 std::string Trim(std::string_view text);
 
+// Trim without the copy: the view of `text` between its leading and
+// trailing whitespace.
+std::string_view TrimView(std::string_view text);
+
 // Formats a double with `precision` digits after the decimal point.
 std::string FormatDouble(double value, int precision = 3);
 

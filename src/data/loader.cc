@@ -1,8 +1,10 @@
 #include "data/loader.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
-#include <map>
+#include <numeric>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/fault_injection.h"
@@ -16,86 +18,115 @@ namespace {
 
 constexpr char kOtherValue[] = "<other>";
 
-bool ParseNumber(const std::string& text, double* value) {
+// Parses the whole of `text` as a finite number. strtod also reads "nan",
+// "inf" and out-of-range magnitudes (as infinities); a column holding them
+// stays categorical, so the quantile cut points never see a NaN.
+bool ParseFiniteNumber(std::string_view text, double* value) {
   if (text.empty()) return false;
+  const std::string copy(text);
   char* end = nullptr;
-  *value = std::strtod(text.c_str(), &end);
-  return end == text.c_str() + text.size();
+  *value = std::strtod(copy.c_str(), &end);
+  return end == copy.c_str() + copy.size() && std::isfinite(*value);
+}
+
+// One column's trimmed values interned in one pass: each distinct value
+// once, in first-seen order, with its count, and every kept row's value id.
+// The views point into the CsvTable.
+struct InternedColumn {
+  std::vector<std::string_view> values;  // by id
+  std::vector<int> counts;               // by id
+  std::vector<int> ids;                  // by kept row
+};
+
+InternedColumn InternColumn(
+    const std::vector<const std::vector<std::string>*>& rows, int column) {
+  InternedColumn interned;
+  interned.ids.reserve(rows.size());
+  std::unordered_map<std::string_view, int> index;
+  for (const auto* row : rows) {
+    const std::string_view value = TrimView((*row)[column]);
+    const auto [it, inserted] =
+        index.try_emplace(value, static_cast<int>(interned.values.size()));
+    if (inserted) {
+      interned.values.push_back(value);
+      interned.counts.push_back(0);
+    }
+    ++interned.counts[it->second];
+    interned.ids.push_back(it->second);
+  }
+  return interned;
 }
 
 struct ColumnPlan {
   bool numeric = false;
   bool pooled = false;
   AttributeSchema schema;
-  Bucketizer bucketizer{"", {}};
-  // Categorical value -> code (codes for pooled values map to "<other>").
-  std::unordered_map<std::string, int> codes;
+  // Code of every interned value id (pooled values map to "<other>").
+  std::vector<int> codes;
 };
 
 // Decides the type and domain of one column from its (trimmed, non-missing)
 // values.
-ColumnPlan PlanColumn(const std::string& name,
-                      const std::vector<std::string>& values,
+ColumnPlan PlanColumn(const std::string& name, const InternedColumn& column,
                       const LoaderOptions& options) {
   ColumnPlan plan;
+  const int distinct = static_cast<int>(column.values.size());
+  plan.codes.resize(distinct);
 
   // Numeric if every value parses and the distinct count is large enough.
+  // Each distinct string parses once; "1" and "1.0" are one number.
+  std::vector<double> numbers(distinct);
   bool all_numeric = true;
-  std::vector<double> numbers;
-  numbers.reserve(values.size());
-  for (const std::string& value : values) {
-    double number;
-    if (!ParseNumber(value, &number)) {
-      all_numeric = false;
-      break;
-    }
-    numbers.push_back(number);
+  for (int id = 0; id < distinct && all_numeric; ++id) {
+    all_numeric = ParseFiniteNumber(column.values[id], &numbers[id]);
   }
   if (all_numeric) {
-    std::vector<double> distinct = numbers;
-    std::sort(distinct.begin(), distinct.end());
-    distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                   distinct.end());
-    if (static_cast<int>(distinct.size()) >
-        options.categorical_numeric_limit) {
+    std::vector<double> sorted = numbers;
+    std::sort(sorted.begin(), sorted.end());
+    const int distinct_numbers = static_cast<int>(
+        std::unique(sorted.begin(), sorted.end()) - sorted.begin());
+    if (distinct_numbers > options.categorical_numeric_limit) {
+      // The quantiles are taken over every row's number, in row order.
+      std::vector<double> row_numbers(column.ids.size());
+      for (size_t k = 0; k < column.ids.size(); ++k) {
+        row_numbers[k] = numbers[column.ids[k]];
+      }
+      const Bucketizer bucketizer =
+          Bucketizer::Quantile(name, row_numbers, options.numeric_buckets);
       plan.numeric = true;
-      plan.bucketizer =
-          Bucketizer::Quantile(name, numbers, options.numeric_buckets);
-      plan.schema = plan.bucketizer.MakeSchema();
+      plan.schema = bucketizer.MakeSchema();
+      for (int id = 0; id < distinct; ++id) {
+        plan.codes[id] = bucketizer.Code(numbers[id]);
+      }
       return plan;
     }
   }
 
-  // Categorical: domain = observed values by descending frequency, pooling
-  // the tail into "<other>" beyond max_categories.
-  std::map<std::string, int> frequency;
-  for (const std::string& value : values) ++frequency[value];
-  std::vector<std::pair<int, std::string>> ranked;
-  ranked.reserve(frequency.size());
-  for (const auto& [value, count] : frequency) {
-    ranked.emplace_back(count, value);
-  }
-  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) return a.first > b.first;
-    return a.second < b.second;
+  // Categorical: domain = observed values by descending frequency, ties by
+  // ascending value, pooling the tail into "<other>" beyond max_categories.
+  std::vector<int> ranked(distinct);
+  std::iota(ranked.begin(), ranked.end(), 0);
+  std::sort(ranked.begin(), ranked.end(), [&](int a, int b) {
+    if (column.counts[a] != column.counts[b]) {
+      return column.counts[a] > column.counts[b];
+    }
+    return column.values[a] < column.values[b];
   });
 
   std::vector<std::string> domain;
-  int keep = static_cast<int>(ranked.size());
+  int keep = distinct;
   if (keep > options.max_categories) {
     keep = options.max_categories - 1;  // reserve a slot for "<other>"
     plan.pooled = true;
   }
   for (int i = 0; i < keep; ++i) {
-    plan.codes[ranked[i].second] = i;
-    domain.push_back(ranked[i].second);
+    plan.codes[ranked[i]] = i;
+    domain.emplace_back(column.values[ranked[i]]);
   }
   if (plan.pooled) {
-    int other = static_cast<int>(domain.size());
+    const int other = static_cast<int>(domain.size());
     domain.push_back(kOtherValue);
-    for (size_t i = keep; i < ranked.size(); ++i) {
-      plan.codes[ranked[i].second] = other;
-    }
+    for (int i = keep; i < distinct; ++i) plan.codes[ranked[i]] = other;
   }
   plan.schema = AttributeSchema(name, std::move(domain));
   return plan;
@@ -145,6 +176,10 @@ StatusOr<Dataset> BuildDataset(const CsvTable& table,
                                QuarantineReport* quarantine) {
   REMEDY_FAULT_POINT("loader/build");
   REMEDY_TRACE_SPAN("loader/build_dataset");
+  if (options.max_categories < 1) {
+    // Every categorical domain needs at least its "<other>" slot.
+    return InvalidArgumentError("max_categories must be at least 1");
+  }
   LoaderReport report;
   RETURN_IF_ERROR(SettleBadRows(table, options, &report, quarantine));
   if (table.header.empty()) {
@@ -171,7 +206,8 @@ StatusOr<Dataset> BuildDataset(const CsvTable& table,
   for (const auto& row : table.rows) {
     bool missing = false;
     for (const std::string& field : row) {
-      if (Trim(field).empty() || Trim(field) == "?") {
+      const std::string_view value = TrimView(field);
+      if (value.empty() || value == "?") {
         missing = true;
         break;
       }
@@ -186,21 +222,23 @@ StatusOr<Dataset> BuildDataset(const CsvTable& table,
     return DataCorruptionError("no complete rows in the CSV");
   }
 
-  // Plan every feature column.
+  // Plan every feature column, then turn its value ids into codes.
   std::vector<ColumnPlan> plans;
   std::vector<int> feature_columns;
+  std::vector<std::vector<int>> column_codes;
   for (int c = 0; c < width; ++c) {
     if (c == label_column) continue;
     feature_columns.push_back(c);
-    std::vector<std::string> values;
-    values.reserve(rows.size());
-    for (const auto* row : rows) values.push_back(Trim((*row)[c]));
-    plans.push_back(PlanColumn(table.header[c], values, options));
-    if (plans.back().numeric) {
+    InternedColumn interned = InternColumn(rows, c);
+    plans.push_back(PlanColumn(table.header[c], interned, options));
+    const ColumnPlan& plan = plans.back();
+    for (int& id : interned.ids) id = plan.codes[id];
+    column_codes.push_back(std::move(interned.ids));
+    if (plan.numeric) {
       ++report.numeric_columns;
     } else {
       ++report.categorical_columns;
-      report.pooled_columns += plans.back().pooled;
+      report.pooled_columns += plan.pooled;
     }
   }
 
@@ -229,28 +267,11 @@ StatusOr<Dataset> BuildDataset(const CsvTable& table,
 
   // Encode the rows.
   int positives = 0;
-  for (const auto* row : rows) {
-    std::vector<int> codes(plans.size());
-    for (size_t i = 0; i < plans.size(); ++i) {
-      const std::string value = Trim((*row)[feature_columns[i]]);
-      const ColumnPlan& plan = plans[i];
-      if (plan.numeric) {
-        double number = 0.0;
-        if (!ParseNumber(value, &number)) {
-          // PlanColumn only types a column numeric when every value parsed,
-          // so reaching this means the table changed under us.
-          return InternalError("non-numeric value '" + value +
-                               "' in numeric column " + plan.schema.name());
-        }
-        codes[i] = plan.bucketizer.Code(number);
-      } else {
-        auto it = plan.codes.find(value);
-        // PlanColumn saw every value, so this lookup cannot miss.
-        codes[i] = it->second;
-      }
-    }
-    int label =
-        Trim((*row)[label_column]) == options.positive_label ? 1 : 0;
+  std::vector<int> codes(plans.size());
+  for (size_t k = 0; k < rows.size(); ++k) {
+    for (size_t i = 0; i < plans.size(); ++i) codes[i] = column_codes[i][k];
+    const int label =
+        TrimView((*rows[k])[label_column]) == options.positive_label ? 1 : 0;
     positives += label;
     dataset.AddRow(codes, label);
   }

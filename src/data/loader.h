@@ -16,11 +16,13 @@ namespace remedy {
 // School files, when available).
 //
 // Column typing follows the paper's "standard pre-processing": columns
-// whose non-empty values all parse as numbers and exceed
+// whose non-empty values all parse as finite numbers and exceed
 // `categorical_numeric_limit` distinct values are treated as continuous and
 // quantile-bucketized into `numeric_buckets` ordinal buckets; everything
-// else is categorical with the observed value set as its domain. Rows with
-// missing values (empty fields) are dropped, as in the paper.
+// else is categorical with the observed value set as its domain. A field
+// reading "nan", "inf" or a magnitude beyond double's range is not a finite
+// number, so its column stays categorical. Rows with missing values (empty
+// or "?" fields, after trimming whitespace) are dropped, as in the paper.
 //
 // Structurally malformed records (ragged width, unterminated quotes) are
 // governed by `on_bad_row`: fail the load, quarantine them with a report and
@@ -41,13 +43,15 @@ struct LoaderOptions {
   std::string label_column;
   // The label value mapped to 1; every other value maps to 0.
   std::string positive_label = "1";
-  // Quantile buckets for continuous columns.
+  // Quantile buckets for continuous columns: those whose every value is a
+  // finite number ("nan" and "inf" are not).
   int numeric_buckets = 4;
   // Numeric columns with at most this many distinct values stay categorical
   // (e.g. a 0/1 flag encoded as numbers).
   int categorical_numeric_limit = 10;
   // Upper bound on a categorical column's domain; beyond it the rarest
   // values are pooled into an "<other>" value to keep the lattice tractable.
+  // Must be at least 1 (kInvalidArgument otherwise).
   int max_categories = 24;
   BadRowPolicy on_bad_row = BadRowPolicy::kFail;
   // Circuit breaker for kQuarantine: when more than this fraction of the

@@ -16,6 +16,15 @@ namespace remedy {
 // what the reweighting baselines rely on — and are deterministic given their
 // seed.
 //
+// Prediction has one per-row entry (PredictProba) and one block entry
+// (PredictProbaAll). A learner overrides the block entry when it can score
+// a whole dataset faster than row by row — the forest walks one tree over
+// every row at a time, LR and NN score one EncodedMatrix — and must return
+// exactly PredictProba's bits for every row. Hard predictions compare each
+// probability with ThresholdFor(row), 0.5 unless a wrapper moves it, so
+// PredictAll and PredictAllEncoded take the block path and still honor the
+// cost-sensitive and threshold-postprocessing decision rules.
+//
 // The Encoded variants accept a pre-built EncodedMatrix so the one-hot
 // representation is computed once per split and shared across models and
 // metrics. They are contractually bit-identical to the Dataset forms: a
@@ -36,20 +45,9 @@ class Classifier {
   // P(y = 1 | x) for row `row` of `data`. Requires a prior Fit.
   virtual double PredictProba(const Dataset& data, int row) const = 0;
 
-  // Hard prediction at the 0.5 threshold.
-  virtual int Predict(const Dataset& data, int row) const {
-    return PredictProba(data, row) >= 0.5 ? 1 : 0;
-  }
-
-  // Hard predictions for every row.
-  std::vector<int> PredictAll(const Dataset& data) const {
-    std::vector<int> predictions(data.NumRows());
-    for (int r = 0; r < data.NumRows(); ++r) predictions[r] = Predict(data, r);
-    return predictions;
-  }
-
-  // Probabilities for every row.
-  std::vector<double> PredictProbaAll(const Dataset& data) const {
+  // Probabilities for every row; entry r equals PredictProba(data, r).
+  // Default loops over PredictProba.
+  virtual std::vector<double> PredictProbaAll(const Dataset& data) const {
     std::vector<double> probabilities(data.NumRows());
     for (int r = 0; r < data.NumRows(); ++r) {
       probabilities[r] = PredictProba(data, r);
@@ -65,14 +63,35 @@ class Classifier {
     return PredictProbaAll(data.data());
   }
 
-  // Hard predictions at the fixed 0.5 threshold via PredictProbaAllEncoded.
-  // Learners with a custom decision rule (cost-sensitive wrapper, threshold
-  // post-processing) must be driven through PredictAll instead.
+  // Decision threshold for row `row`: a row is predicted positive when its
+  // probability is >= this. 0.5 unless the learner has its own rule.
+  virtual double ThresholdFor(const Dataset& /*data*/, int /*row*/) const {
+    return 0.5;
+  }
+
+  // Hard prediction of one row.
+  int Predict(const Dataset& data, int row) const {
+    return PredictProba(data, row) >= ThresholdFor(data, row) ? 1 : 0;
+  }
+
+  // Hard predictions for every row, through the block entry.
+  std::vector<int> PredictAll(const Dataset& data) const {
+    return Decide(data, PredictProbaAll(data));
+  }
+
+  // Hard predictions for every row of the dataset behind `data`, through
+  // PredictProbaAllEncoded.
   std::vector<int> PredictAllEncoded(const EncodedMatrix& data) const {
-    std::vector<double> probabilities = PredictProbaAllEncoded(data);
+    return Decide(data.data(), PredictProbaAllEncoded(data));
+  }
+
+ private:
+  std::vector<int> Decide(const Dataset& data,
+                          const std::vector<double>& probabilities) const {
     std::vector<int> predictions(probabilities.size());
     for (size_t r = 0; r < probabilities.size(); ++r) {
-      predictions[r] = probabilities[r] >= 0.5 ? 1 : 0;
+      const int row = static_cast<int>(r);
+      predictions[r] = probabilities[r] >= ThresholdFor(data, row) ? 1 : 0;
     }
     return predictions;
   }

@@ -23,8 +23,14 @@ double CostSensitiveClassifier::PredictProba(const Dataset& data,
   return base_->PredictProba(data, row);
 }
 
-int CostSensitiveClassifier::Predict(const Dataset& data, int row) const {
-  return PredictProba(data, row) >= threshold_ ? 1 : 0;
+std::vector<double> CostSensitiveClassifier::PredictProbaAll(
+    const Dataset& data) const {
+  return base_->PredictProbaAll(data);
+}
+
+std::vector<double> CostSensitiveClassifier::PredictProbaAllEncoded(
+    const EncodedMatrix& data) const {
+  return base_->PredictProbaAllEncoded(data);
 }
 
 }  // namespace remedy

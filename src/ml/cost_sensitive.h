@@ -2,6 +2,7 @@
 #define REMEDY_ML_COST_SENSITIVE_H_
 
 #include <memory>
+#include <vector>
 
 #include "ml/classifier.h"
 
@@ -28,8 +29,13 @@ class CostSensitiveClassifier : public Classifier {
 
   void Fit(const Dataset& train) override;
   double PredictProba(const Dataset& data, int row) const override;
+  std::vector<double> PredictProbaAll(const Dataset& data) const override;
+  std::vector<double> PredictProbaAllEncoded(
+      const EncodedMatrix& data) const override;
   // Thresholds at c_fp / (c_fp + c_fn) instead of 0.5.
-  int Predict(const Dataset& data, int row) const override;
+  double ThresholdFor(const Dataset& /*data*/, int /*row*/) const override {
+    return threshold_;
+  }
 
   double Threshold() const { return threshold_; }
 

@@ -156,8 +156,7 @@ int DecisionTree::BuildNode(const Dataset& data,
   return node_index;
 }
 
-double DecisionTree::PredictProba(const Dataset& data, int row) const {
-  REMEDY_CHECK(!nodes_.empty()) << "DecisionTree::Fit has not been called";
+double DecisionTree::Walk(const Dataset& data, int row) const {
   const Node* node = &nodes_[0];
   while (node->attribute >= 0) {
     const int value = data.Value(row, node->attribute);
@@ -168,6 +167,11 @@ double DecisionTree::PredictProba(const Dataset& data, int row) const {
     node = &nodes_[child];
   }
   return node->positive_fraction;
+}
+
+double DecisionTree::PredictProba(const Dataset& data, int row) const {
+  REMEDY_CHECK(!nodes_.empty()) << "DecisionTree::Fit has not been called";
+  return Walk(data, row);
 }
 
 }  // namespace remedy

@@ -48,6 +48,11 @@ class DecisionTree : public Classifier {
     double positive_fraction = 0.5;
   };
 
+  // The positive fraction of the node row `row` reaches: its leaf, or the
+  // deepest node whose split has no child for the row's value. Requires a
+  // prior Fit; the forest calls it once per tree and row.
+  double Walk(const Dataset& data, int row) const;
+
   // Fit on the rows `rows` of `train`, row r weighted by weights[r] (indexed
   // by train row) instead of train.Weight(r). The forest's bootstrap entry
   // point: each distinct drawn row once, weighted by its draw count.

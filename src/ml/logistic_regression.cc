@@ -134,6 +134,11 @@ double LogisticRegression::PredictProba(const Dataset& data, int row) const {
   return Sigmoid(z);
 }
 
+std::vector<double> LogisticRegression::PredictProbaAll(
+    const Dataset& data) const {
+  return PredictProbaAllEncoded(EncodedMatrix(data));
+}
+
 std::vector<double> LogisticRegression::PredictProbaAllEncoded(
     const EncodedMatrix& data) const {
   REMEDY_CHECK(encoder_ != nullptr)

@@ -30,6 +30,7 @@ class LogisticRegression : public Classifier {
   void Fit(const Dataset& train) override;
   void FitEncoded(const EncodedMatrix& train) override;
   double PredictProba(const Dataset& data, int row) const override;
+  std::vector<double> PredictProbaAll(const Dataset& data) const override;
   std::vector<double> PredictProbaAllEncoded(
       const EncodedMatrix& data) const override;
 

@@ -12,6 +12,44 @@
 #include "common/trace.h"
 
 namespace remedy {
+namespace {
+
+// How far the guided draw scans forward before it falls back to the
+// binary search: two cache lines of cumulative weights.
+constexpr size_t kScanRows = 16;
+
+// The row a bootstrap draw in [0, total) lands on: the first index whose
+// cumulative weight exceeds `draw` (std::upper_bound), clamped to the last
+// row. `draw * rows_per_weight` guesses the index as if every weight were
+// equal. No entry before the guess exceeds `draw` unless the guess
+// overshot, so a short forward scan from it finds the same index; an
+// overshoot or a long scan falls back to the binary search. Zero-weight
+// rows tie with their predecessor and are skipped exactly as upper_bound
+// skips them.
+size_t DrawRow(const std::vector<double>& cumulative, double draw,
+               double rows_per_weight) {
+  const size_t n = cumulative.size();
+  // Any start in range gives the exact row, so a guess that a degenerate
+  // total makes NaN or infinite starts at the last row instead of being
+  // cast.
+  const double guess = draw * rows_per_weight;
+  size_t i = guess < static_cast<double>(n - 1) ? static_cast<size_t>(guess)
+                                                : n - 1;
+  if (i > 0 && cumulative[i - 1] > draw) {
+    i = std::upper_bound(cumulative.begin(), cumulative.begin() + i, draw) -
+        cumulative.begin();
+  } else {
+    const size_t stop = std::min(n, i + kScanRows);
+    while (i < stop && cumulative[i] <= draw) ++i;
+    if (i == stop && i < n) {
+      i = std::upper_bound(cumulative.begin() + i, cumulative.end(), draw) -
+          cumulative.begin();
+    }
+  }
+  return std::min(i, n - 1);
+}
+
+}  // namespace
 
 RandomForest::RandomForest(RandomForestParams params) : params_(params) {
   REMEDY_CHECK(params_.num_trees > 0);
@@ -31,8 +69,8 @@ void RandomForest::Fit(const Dataset& train) {
   }
 
   // Weighted bootstrap: draw rows with probability proportional to weight,
-  // via binary search over the cumulative weights (O(log n) per draw). The
-  // prefix sums are shared read-only across the tree builders.
+  // by a guided search of the cumulative weights (DrawRow). The prefix
+  // sums are shared read-only across the tree builders.
   std::vector<double> cumulative(train.NumRows());
   double total = 0.0;
   for (int r = 0; r < train.NumRows(); ++r) {
@@ -40,6 +78,7 @@ void RandomForest::Fit(const Dataset& train) {
     cumulative[r] = total;
   }
   REMEDY_CHECK(total > 0.0) << "all training weights are zero";
+  const double rows_per_weight = train.NumRows() / total;
 
   // Tree t consumes only its own keyed stream and writes only slot t, so
   // the forest is identical no matter how trees are scheduled.
@@ -52,11 +91,8 @@ void RandomForest::Fit(const Dataset& train) {
     Rng rng(StreamSeed(params_.seed, static_cast<uint64_t>(t)));
     std::vector<double> draws(train.NumRows(), 0.0);
     for (int i = 0; i < train.NumRows(); ++i) {
-      double draw = rng.Uniform() * total;
-      auto it =
-          std::upper_bound(cumulative.begin(), cumulative.end(), draw);
-      draws[std::min<size_t>(it - cumulative.begin(),
-                             cumulative.size() - 1)] += 1.0;
+      const double draw = rng.Uniform() * total;
+      draws[DrawRow(cumulative, draw, rows_per_weight)] += 1.0;
     }
     std::vector<int> rows;
     for (int r = 0; r < train.NumRows(); ++r) {
@@ -86,10 +122,21 @@ void RandomForest::Fit(const Dataset& train) {
 double RandomForest::PredictProba(const Dataset& data, int row) const {
   REMEDY_CHECK(!trees_.empty()) << "RandomForest::Fit has not been called";
   double sum = 0.0;
-  for (const DecisionTree& tree : trees_) {
-    sum += tree.PredictProba(data, row);
-  }
+  for (const DecisionTree& tree : trees_) sum += tree.Walk(data, row);
   return sum / trees_.size();
+}
+
+std::vector<double> RandomForest::PredictProbaAll(const Dataset& data) const {
+  REMEDY_CHECK(!trees_.empty()) << "RandomForest::Fit has not been called";
+  // Tree-major: one tree's nodes stay in cache while it walks every row.
+  // Each row still sums its trees in forest order, so every entry is
+  // PredictProba's value.
+  std::vector<double> sums(data.NumRows(), 0.0);
+  for (const DecisionTree& tree : trees_) {
+    for (int r = 0; r < data.NumRows(); ++r) sums[r] += tree.Walk(data, r);
+  }
+  for (double& sum : sums) sum /= trees_.size();
+  return sums;
 }
 
 }  // namespace remedy

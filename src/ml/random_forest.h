@@ -29,6 +29,7 @@ class RandomForest : public Classifier {
 
   void Fit(const Dataset& train) override;
   double PredictProba(const Dataset& data, int row) const override;
+  std::vector<double> PredictProbaAll(const Dataset& data) const override;
 
   int NumTrees() const { return static_cast<int>(trees_.size()); }
 

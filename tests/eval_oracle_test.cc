@@ -7,10 +7,16 @@
 //     (Select, then unit weights) by a tree with a children vector per node
 //     and per-value row partitions, against the draw-count fit on the
 //     original rows;
+//   - random forest: the bootstrap draw by std::upper_bound, against the
+//     guided draw, on unit, fractional, zero-edged, heavily skewed and
+//     one-row training sets;
 //   - neural network: unit-major hidden weights (h * width + j), against
-//     the input-major layout;
+//     the input-major layout and its lane-chunked unit loops;
 //   - logistic regression: the unpadded serial block reduction, against
-//     the cache-line-padded slots at several thread counts.
+//     the cache-line-padded slots at several thread counts;
+//   - every learner and both decision-rule wrappers: per-row PredictProba
+//     and Predict, against the block entries PredictProbaAll,
+//     PredictProbaAllEncoded, PredictAll and PredictAllEncoded.
 //
 // Every comparison is exact: the replacements promise the same bits, not
 // the same value within a tolerance.
@@ -19,19 +25,24 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "baselines/threshold_postprocess.h"
 #include "common/rng.h"
 #include "core/hierarchy.h"
 #include "data/encoding.h"
 #include "fairness/divergence.h"
 #include "fairness/fairness_index.h"
 #include "fairness/significance.h"
+#include "ml/cost_sensitive.h"
 #include "ml/decision_tree.h"
 #include "ml/logistic_regression.h"
+#include "ml/model_factory.h"
 #include "ml/neural_network.h"
 #include "ml/random_forest.h"
 
@@ -487,12 +498,47 @@ TEST(EvalOracleTest, DecisionTreeMatchesPartitionTree) {
   }
 }
 
+// Zero weight on the first and last rows and on a run in the middle, whose
+// cumulative weights tie: a draw may never land on any of them.
+void ZeroEdgeWeights(Dataset& data) {
+  const int n = data.NumRows();
+  for (int r = 0; r < n; ++r) {
+    const bool zero = r == 0 || r == n - 1 || (r >= n / 2 && r < n / 2 + 9);
+    data.SetWeight(r, zero ? 0.0 : 1.0 + (r % 3));
+  }
+}
+
+// Heavy first and last tenths, a light middle with rare spikes: the
+// equal-weight guess of the guided draw overshoots in the first half and
+// falls far short in the second, so both of its fall-backs to the binary
+// search run, along with its short forward scans.
+void HeavySkewWeights(Dataset& data) {
+  const int n = data.NumRows();
+  for (int r = 0; r < n; ++r) {
+    const bool heavy = r < n / 10 || r >= n - n / 10;
+    double weight = heavy ? 40.0 + r % 5 : 0.003 * (1 + r % 4);
+    if (r % 211 == 7) weight = 900.0;
+    data.SetWeight(r, weight);
+  }
+}
+
 TEST(EvalOracleTest, RandomForestMatchesCopiedBootstrap) {
   Dataset unit = WideData(2, kRows, 51);
   Dataset weighted = WideData(2, kRows, 52);
   SkewWeights(weighted);
+  Dataset zero_edges = WideData(2, kRows, 54);
+  ZeroEdgeWeights(zero_edges);
+  Dataset skewed = WideData(2, kRows, 55);
+  HeavySkewWeights(skewed);
+  const Dataset one_row = WideData(2, 1, 56);
   const Dataset probe = WideData(2, 600, 53);
-  for (const Dataset* train : {&unit, &weighted}) {
+  const std::pair<const char*, const Dataset*> cases[] = {
+      {"unit", &unit},
+      {"weighted", &weighted},
+      {"zero_edges", &zero_edges},
+      {"skewed", &skewed},
+      {"one_row", &one_row}};
+  for (const auto& [name, train] : cases) {
     RandomForestParams params;
     params.num_trees = 8;
     params.seed = 91;
@@ -502,10 +548,13 @@ TEST(EvalOracleTest, RandomForestMatchesCopiedBootstrap) {
       params.threads = threads;
       RandomForest forest(params);
       forest.Fit(*train);
+      const std::vector<double> block = forest.PredictProbaAll(probe);
+      ASSERT_EQ(block.size(), expected.size());
       for (int r = 0; r < probe.NumRows(); ++r) {
         ASSERT_EQ(forest.PredictProba(probe, r), expected[r])
-            << "weighted=" << (train == &weighted) << " threads=" << threads
-            << " row=" << r;
+            << name << " threads=" << threads << " row=" << r;
+        ASSERT_EQ(block[r], expected[r])
+            << name << " threads=" << threads << " row=" << r;
       }
     }
   }
@@ -644,6 +693,31 @@ TEST(EvalOracleTest, NeuralNetworkMatchesUnitMajorNetwork) {
   }
 }
 
+TEST(EvalOracleTest, NeuralNetworkMatchesUnitMajorNetworkOnOddWidths) {
+  // Hidden widths that leave a scalar tail after the whole lane chunks.
+  Dataset train = WideData(2, kRows / 2, 63);
+  SkewWeights(train);
+  const Dataset probe = WideData(2, 300, 64);
+  const EncodedMatrix encoded_train(train);
+  const EncodedMatrix encoded_probe(probe);
+  std::vector<double> hidden;
+  for (int units : {1, 7, 18}) {
+    NeuralNetworkParams params;
+    params.epochs = 2;
+    params.hidden_units = units;
+    const OracleNetwork oracle = OracleFitNetwork(encoded_train, params);
+    NeuralNetwork network(params);
+    network.FitEncoded(encoded_train);
+    const std::vector<double> probabilities = network.PredictProbaAll(probe);
+    for (int r = 0; r < probe.NumRows(); ++r) {
+      ASSERT_EQ(probabilities[r],
+                oracle.Forward(encoded_probe.ActiveRow(r), probe.NumColumns(),
+                               &hidden))
+          << "units=" << units << " row=" << r;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Oracle: logistic regression with one unpadded gradient array per block,
 // reduced serially.
@@ -700,6 +774,57 @@ TEST(EvalOracleTest, LogisticRegressionMatchesUnpaddedReduction) {
     for (int j = 0; j < width; ++j) {
       ASSERT_EQ(model.coefficients()[j], coefficients[j])
           << "threads=" << threads << " coefficient=" << j;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Oracle: per-row prediction, against every learner's block entry.
+
+TEST(EvalOracleTest, BlockPredictionMatchesPerRow) {
+  Dataset train = WideData(2, kRows, 81);
+  SkewWeights(train);
+  const Dataset probe = WideData(2, 500, 82);
+  const EncodedMatrix encoded_probe(probe);
+
+  std::vector<std::pair<std::string, ClassifierPtr>> models;
+  for (ModelType type :
+       {ModelType::kDecisionTree, ModelType::kRandomForest,
+        ModelType::kLogisticRegression, ModelType::kNeuralNetwork,
+        ModelType::kNaiveBayes, ModelType::kGradientBoosting}) {
+    models.emplace_back(ModelName(type), MakeClassifier(type, 5, 2));
+  }
+  models.emplace_back(
+      "cost_sensitive(RF)",
+      std::make_unique<CostSensitiveClassifier>(
+          MakeClassifier(ModelType::kRandomForest, 5), CostMatrix{1.0, 3.0}));
+  ThresholdPostprocessParams post;
+  post.min_group_size = 10;
+  models.emplace_back(
+      "threshold_postprocess(LR)",
+      std::make_unique<ThresholdPostprocessor>(
+          MakeClassifier(ModelType::kLogisticRegression), post));
+
+  for (const auto& [name, model] : models) {
+    model->Fit(train);
+    const std::vector<double> proba = model->PredictProbaAll(probe);
+    const std::vector<double> proba_encoded =
+        model->PredictProbaAllEncoded(encoded_probe);
+    const std::vector<int> predictions = model->PredictAll(probe);
+    const std::vector<int> predictions_encoded =
+        model->PredictAllEncoded(encoded_probe);
+    ASSERT_EQ(proba.size(), static_cast<size_t>(probe.NumRows())) << name;
+    ASSERT_EQ(proba_encoded.size(), proba.size()) << name;
+    ASSERT_EQ(predictions.size(), proba.size()) << name;
+    ASSERT_EQ(predictions_encoded.size(), proba.size()) << name;
+    for (int r = 0; r < probe.NumRows(); ++r) {
+      const double expected = model->PredictProba(probe, r);
+      EXPECT_EQ(proba[r], expected) << name << " row=" << r;
+      EXPECT_EQ(proba_encoded[r], expected) << name << " row=" << r;
+      EXPECT_EQ(predictions[r], model->Predict(probe, r))
+          << name << " row=" << r;
+      EXPECT_EQ(predictions_encoded[r], predictions[r])
+          << name << " row=" << r;
     }
   }
 }

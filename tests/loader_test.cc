@@ -80,6 +80,32 @@ TEST(LoaderTest, SmallNumericDomainStaysCategorical) {
   EXPECT_FALSE(dataset.schema().attribute(0).ordinal());
 }
 
+TEST(LoaderTest, NonFiniteNumbersKeepColumnCategorical) {
+  // 36 finite values (12 distinct, above the categorical limit) plus four
+  // non-finite fields. strtod reads "nan" and "inf" as numbers, but a NaN
+  // among the quantile cut points would be sorted with undefined results,
+  // so the column must stay categorical with the field as its own value.
+  for (const std::string odd : {"nan", "inf", "-inf", "1e999"}) {
+    std::string csv = "score,label\n";
+    for (int i = 0; i < 40; ++i) {
+      const std::string value = i % 10 == 3 ? odd : std::to_string(i % 12);
+      csv += value + "," + std::to_string(i % 2) + "\n";
+    }
+    LoaderOptions options;
+    options.numeric_buckets = 4;
+    LoaderReport report;
+    Dataset dataset = BuildDataset(MakeTable(csv), options, &report).value();
+    EXPECT_EQ(report.numeric_columns, 0) << odd;
+    EXPECT_EQ(report.categorical_columns, 1) << odd;
+    const AttributeSchema& score = dataset.schema().attribute(0);
+    EXPECT_FALSE(score.ordinal()) << odd;
+    EXPECT_EQ(score.Cardinality(), 13) << odd;
+    ASSERT_GE(score.ValueIndex(odd), 0) << odd;
+    EXPECT_EQ(dataset.Value(3, 0), score.ValueIndex(odd)) << odd;
+    EXPECT_NE(dataset.Value(0, 0), score.ValueIndex(odd)) << odd;
+  }
+}
+
 TEST(LoaderTest, DropsRowsWithMissingValues) {
   CsvTable table = MakeTable(
       "a,label\n"
@@ -152,6 +178,25 @@ TEST(LoaderTest, RejectsHeaderlessTable) {
   StatusOr<Dataset> built = BuildDataset(CsvTable(), LoaderOptions());
   ASSERT_FALSE(built.ok());
   EXPECT_EQ(built.status().code(), StatusCode::kDataCorruption);
+}
+
+TEST(LoaderTest, RejectsNonPositiveMaxCategories) {
+  CsvTable table = MakeTable(
+      "a,label\n"
+      "x,1\n"
+      "y,0\n");
+  for (int max_categories : {0, -3}) {
+    LoaderOptions options;
+    options.max_categories = max_categories;
+    StatusOr<Dataset> built = BuildDataset(table, options);
+    ASSERT_FALSE(built.ok());
+    EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+  }
+  LoaderOptions one;
+  one.max_categories = 1;  // everything pools into "<other>"
+  Dataset dataset = BuildDataset(table, one).value();
+  EXPECT_EQ(dataset.schema().attribute(0).values(),
+            std::vector<std::string>{"<other>"});
 }
 
 TEST(LoaderTest, RoundTripsThroughDatasetCsv) {
