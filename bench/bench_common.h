@@ -5,8 +5,11 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
+#include "core/hierarchy.h"
 #include "data/dataset.h"
 #include "data/encoding.h"
+#include "datagen/synthetic_spec.h"
 #include "fairness/divergence.h"
 #include "ml/model_factory.h"
 
@@ -58,6 +61,21 @@ std::string JsonPathFromArgs(int argc, char** argv);
 // True when `flag` (e.g. "--smoke"), alone or as `--flag=value`, appears
 // among the arguments.
 bool HasFlag(int argc, char** argv, const std::string& flag);
+
+// The serving lattice of serve_steady and BM_IncrementalIdentify: |X| = 8
+// protected attributes of cardinality 4 — 65,536 leaf combinations and
+// 5^8 = 390,625 regions across the 256-node lattice, the regime where a
+// full per-epoch sweep is real work and a small batch touches a sliver of
+// it — over `rows` rows.
+SyntheticSpec ServingSpec(int rows);
+
+// One small ingest batch: `rows` label observations spread over `leaves`
+// distinct existing subgroups of `leaf_table`, pre-aggregated per key as
+// Hierarchy::ApplyDeltas requires — the steady-state shape where a delta
+// batch touches a handful of regions of a huge lattice.
+std::vector<Hierarchy::LeafDelta> IngestBatch(const NodeTable& leaf_table,
+                                              int rows, int leaves,
+                                              Rng& rng);
 
 // Peak resident set size of this process so far, in bytes (getrusage
 // ru_maxrss). High-water mark, not current usage — record it right after

@@ -1,8 +1,8 @@
 // Google-benchmark micro benchmarks for the core operations: region
 // counting, hierarchy node materialization, neighbor-count computation
-// (naive vs optimized), the whole-lattice identify sweep, and full IBS
-// identification. These quantify the constant factors behind the Fig. 9
-// curves.
+// (naive vs optimized), the whole-lattice identify sweep, the serving
+// daemon's incremental identify epoch, and full IBS identification. These
+// quantify the constant factors behind the Fig. 9 curves.
 
 #include <benchmark/benchmark.h>
 
@@ -11,10 +11,12 @@
 #include <utility>
 #include <vector>
 
+#include "bench_common.h"
 #include "common/check.h"
-
+#include "common/rng.h"
 #include "core/hierarchy.h"
 #include "core/ibs_identify.h"
+#include "core/ibs_incremental.h"
 #include "core/imbalance.h"
 #include "data/columnar.h"
 #include "datagen/adult.h"
@@ -180,7 +182,7 @@ void BM_FullSweep(benchmark::State& state) {
   for (uint32_t mask : masks) {
     entries += static_cast<int64_t>(hierarchy->NodeCounts(mask).size());
   }
-  std::vector<std::pair<uint64_t, BiasedRegion>> biased;
+  std::vector<BiasedRegion> biased;
   for (auto _ : state) {
     biased.clear();
     NodeSweep sweep(*hierarchy, params);
@@ -192,6 +194,42 @@ void BM_FullSweep(benchmark::State& state) {
   state.counters["entries"] = static_cast<double>(entries);
 }
 BENCHMARK(BM_FullSweep)->Unit(benchmark::kMillisecond);
+
+// One identify epoch of the serving daemon: serve_steady's 1.2M-row
+// |X| = 8 lattice, an untimed 1k-row ingest batch over 8 leaves, then one
+// timed IncrementalIbsState::Identify — the dirty keys' frontier gathered,
+// re-scored and merged with the cached verdicts, and the output copied.
+void BM_IncrementalIdentify(benchmark::State& state) {
+  static Hierarchy* hierarchy = [] {
+    static const ColumnarShardStore* store = new ColumnarShardStore(
+        GenerateSyntheticStore(bench::ServingSpec(1200000), 17));
+    auto* built = new Hierarchy(*store);
+    REMEDY_CHECK(built->EagerBuild(1).ok());
+    return built;
+  }();
+  IbsParams params;
+  params.imbalance_threshold = 0.5;
+  params.distance_threshold = 1.0;
+  params.min_region_size = 30;
+  IncrementalIbsState incremental;
+  (void)incremental.Identify(*hierarchy, params);  // the cold full pass
+  const NodeTable& leaves = hierarchy->NodeCounts(hierarchy->LeafMask());
+  Rng rng(0xba7c4);
+  int64_t rescored = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    hierarchy->ApplyDeltas(bench::IngestBatch(leaves, 1000, 8, rng),
+                           /*insert_missing=*/true);
+    state.ResumeTiming();
+    const std::vector<BiasedRegion> ibs =
+        incremental.Identify(*hierarchy, params);
+    benchmark::DoNotOptimize(ibs.data());
+    rescored += incremental.last_stats().rescored_regions;
+  }
+  state.counters["rescored"] = benchmark::Counter(
+      static_cast<double>(rescored), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_IncrementalIdentify)->Unit(benchmark::kMillisecond);
 
 void BM_IdentifyIbs(benchmark::State& state) {
   const Dataset& data = CompasData();

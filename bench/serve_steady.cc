@@ -39,68 +39,9 @@
 namespace remedy {
 namespace {
 
+using bench::IngestBatch;
 using bench::JsonResultWriter;
-
-// |X| = 8 protected attributes of cardinality 4: 65,536 leaf combinations
-// and 5^8 = 390,625 regions across the 256-node lattice — the serving
-// regime where a full per-epoch sweep is real work and a small batch
-// touches a sliver of it.
-SyntheticSpec ServingSpec(int rows) {
-  SyntheticSpec spec;
-  spec.name = "serve_steady";
-  for (int i = 0; i < 8; ++i) {
-    const std::string name = "x" + std::to_string(i);
-    spec.attributes.push_back(IndependentAttribute(
-        AttributeSchema(name, {name + "_0", name + "_1", name + "_2",
-                               name + "_3"}),
-        {4.0, 3.0, 2.0, 1.0}));
-    spec.protected_indices.push_back(i);
-  }
-  spec.attributes.push_back(IndependentAttribute(
-      AttributeSchema("f", {"f0", "f1"}), {1.0, 1.0}));
-  spec.num_rows = rows;
-  spec.base_logit = -0.4;
-  spec.label_terms = {{0, 0, 0.8}, {1, 3, -0.6}, {2, 1, 0.4}};
-  spec.injections = {{{0, 1, -1, -1, -1, -1, -1, -1, -1}, 1.2},
-                     {{-1, -1, 2, 3, -1, -1, -1, -1, -1}, -1.0}};
-  spec.Validate();
-  return spec;
-}
-
-// One small ingest batch: `rows` label observations spread over `leaves`
-// distinct existing subgroups — the steady-state shape where a delta batch
-// touches a handful of regions of a huge lattice.
-std::vector<Hierarchy::LeafDelta> IngestBatch(const NodeTable& leaf_table,
-                                              int rows, int leaves,
-                                              Rng& rng) {
-  std::vector<Hierarchy::LeafDelta> deltas;
-  const int distinct = std::max(1, leaves);
-  const int per_leaf = std::max(1, rows / distinct);
-  for (int i = 0; i < distinct; ++i) {
-    const uint64_t key =
-        std::next(leaf_table.begin(),
-                  rng.UniformInt(static_cast<int>(leaf_table.size())))
-            ->first;
-    const int positives = rng.UniformInt(per_leaf + 1);
-    deltas.push_back({key, static_cast<int64_t>(positives),
-                      static_cast<int64_t>(per_leaf - positives)});
-  }
-  // Pre-aggregate duplicates (ApplyDeltas' contract).
-  std::sort(deltas.begin(), deltas.end(),
-            [](const Hierarchy::LeafDelta& a, const Hierarchy::LeafDelta& b) {
-              return a.leaf_key < b.leaf_key;
-            });
-  std::vector<Hierarchy::LeafDelta> merged;
-  for (const Hierarchy::LeafDelta& delta : deltas) {
-    if (!merged.empty() && merged.back().leaf_key == delta.leaf_key) {
-      merged.back().delta_positives += delta.delta_positives;
-      merged.back().delta_negatives += delta.delta_negatives;
-    } else {
-      merged.push_back(delta);
-    }
-  }
-  return merged;
-}
+using bench::ServingSpec;
 
 double Percentile(std::vector<double> values, double p) {
   if (values.empty()) return 0.0;

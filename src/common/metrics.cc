@@ -331,8 +331,11 @@ std::string MetricsToJson(const std::vector<MetricSnapshot>& snapshots) {
         for (const auto& [le, n] : snap.buckets) {
           if (!first_bucket) out.append(", ");
           first_bucket = false;
-          out.append("[" + std::to_string(le) + ", " + std::to_string(n) +
-                     "]");
+          out.append("[")
+              .append(std::to_string(le))
+              .append(", ")
+              .append(std::to_string(n))
+              .append("]");
         }
         out.push_back(']');
         break;

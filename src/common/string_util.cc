@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
+#include <utility>
 
 namespace remedy {
 
@@ -56,17 +57,29 @@ bool StartsWith(std::string_view text, std::string_view prefix) {
          text.substr(0, prefix.size()) == prefix;
 }
 
+namespace {
+
+// "'<text>'<what>", appended in place: GCC's -O3 -Wrestrict misfires on
+// the operator+ chain of a quote literal and a temporary string.
+Status NumberError(std::string_view text, std::string_view what) {
+  std::string message;
+  message.reserve(text.size() + what.size() + 2);
+  message.append("'").append(text).append("'").append(what);
+  return InvalidArgumentError(std::move(message));
+}
+
+}  // namespace
+
 template <typename T>
 StatusOr<T> ParseNumber(std::string_view text) {
   T value{};
   const char* end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, value);
   if (ec == std::errc::result_out_of_range) {
-    return InvalidArgumentError("'" + std::string(text) + "' is out of range");
+    return NumberError(text, " is out of range");
   }
   if (ec != std::errc() || ptr != end) {
-    return InvalidArgumentError("'" + std::string(text) +
-                                "' is not a number");
+    return NumberError(text, " is not a number");
   }
   return value;
 }

@@ -35,7 +35,7 @@ RegionVerdict JudgeRegion(const RegionCounter& counter, uint32_t mask,
   if (std::abs(ratio - neighbor_ratio) <= params.imbalance_threshold) {
     return RegionVerdict::kUnbiased;
   }
-  *out = {counter.PatternFor(key, mask), counts, neighbor_counts, ratio,
+  *out = {counter.PatternFor(key, mask), key, counts, neighbor_counts, ratio,
           neighbor_ratio};
   return RegionVerdict::kBiased;
 }
@@ -45,65 +45,81 @@ NodeSweep::NodeSweep(Hierarchy& hierarchy, const IbsParams& params)
       params_(params),
       neighborhood_(hierarchy, params.distance_threshold) {}
 
-int64_t NodeSweep::Sweep(
-    uint32_t mask, std::vector<std::pair<uint64_t, BiasedRegion>>* biased) {
-  const bool use_optimized = params_.algorithm == IbsAlgorithm::kOptimized &&
-                             neighborhood_.SupportsOptimized(mask);
+int64_t NodeSweep::Sweep(uint32_t mask, std::vector<BiasedRegion>* biased) {
   // NodeTable iteration is already in ascending key order, so the sweep is
   // deterministic without re-sorting, and each entry carries its counts —
   // no second lookup per region.
-  const NodeTable& node = hierarchy_.NodeCounts(mask);
   const size_t first_biased = biased->size();
-  int64_t scored = 0;
-  if (use_optimized && !neighborhood_.WholeNodeNeighborhood(mask)) {
-    scored = SweepParentSums(mask, node, biased);
-  } else {
-    NodeTableParents parents(hierarchy_, mask);
-    for (const auto& [key, counts] : node) {
-      BiasedRegion region;
-      const RegionVerdict verdict =
-          ScoreRegion(hierarchy_, neighborhood_, use_optimized, mask, key,
-                      counts, params_, parents, &region);
-      if (verdict == RegionVerdict::kSkipped) continue;
-      ++scored;
-      if (verdict == RegionVerdict::kBiased) {
-        biased->emplace_back(key, std::move(region));
-      }
-    }
-  }
+  const int64_t scored = SweepRun(
+      mask, hierarchy_.NodeCounts(mask).entries(),
+      [this](uint32_t parent_mask) -> std::span<const NodeTable::Entry> {
+        return hierarchy_.NodeCounts(parent_mask).entries();
+      },
+      biased);
   // Tallied per node, so the inner sweep costs no atomics.
   const PipelineMetrics& metrics = PipelineMetrics::Get();
   metrics.ibs_nodes_visited->Increment();
   metrics.ibs_hits->Increment(
       static_cast<int64_t>(biased->size() - first_biased));
   if (scored > 0) {
-    (use_optimized ? metrics.ibs_neighbor_reuse : metrics.ibs_neighbor_naive)
+    (UsesOptimized(mask) ? metrics.ibs_neighbor_reuse
+                         : metrics.ibs_neighbor_naive)
         ->Increment(scored);
   }
   return scored;
 }
 
-int64_t NodeSweep::SweepParentSums(
-    uint32_t mask, const NodeTable& node,
-    std::vector<std::pair<uint64_t, BiasedRegion>>* biased) {
+int64_t NodeSweep::SweepRun(uint32_t mask,
+                            std::span<const NodeTable::Entry> run,
+                            const ParentRun& parent_run,
+                            std::vector<BiasedRegion>* biased) {
+  const bool use_optimized = UsesOptimized(mask);
+  if (use_optimized && !neighborhood_.WholeNodeNeighborhood(mask)) {
+    return SweepParentSums(mask, run, parent_run, biased);
+  }
+  // Region by region: the naive enumeration, or r_n = totals - r in the
+  // T >= diameter regime. Neither reads a parent.
+  NodeTableParents parents(hierarchy_, mask);
+  int64_t scored = 0;
+  for (const auto& [key, counts] : run) {
+    if (counts.Total() <= params_.min_region_size) continue;
+    ++scored;
+    const RegionCounts neighbor_counts =
+        use_optimized
+            ? neighborhood_.OptimizedNeighborCounts(
+                  mask, key, counts, parents)
+            : neighborhood_.NaiveNeighborCounts(
+                  hierarchy_.counter().PatternFor(key, mask));
+    BiasedRegion region;
+    if (JudgeRegion(hierarchy_.counter(), mask, key, counts, neighbor_counts,
+                    params_, &region) == RegionVerdict::kBiased) {
+      biased->push_back(region);
+    }
+  }
+  return scored;
+}
+
+int64_t NodeSweep::SweepParentSums(uint32_t mask,
+                                   std::span<const NodeTable::Entry> run,
+                                   const ParentRun& parent_run,
+                                   std::vector<BiasedRegion>* biased) {
   // |r_n| = sum over the dominating regions R_d (one deterministic element
   // removed) - |R_d| * |r|. Every parent is a real node: a level-1 nominal
   // node's diameter is one unit step, within any budget SupportsOptimized
   // accepts, so it is always swept whole.
   const RegionCounter& counter = hierarchy_.counter();
-  sums_.assign(node.size(), RegionCounts{});
+  sums_.assign(run.size(), RegionCounts{});
   int64_t num_dominating = 0;
   for (uint32_t bits = mask; bits != 0; bits &= bits - 1) {
     const uint32_t parent_mask = mask & ~(bits & (~bits + 1));
     ++num_dominating;
     REMEDY_DCHECK(parent_mask != 0) << "a level-1 node is swept whole";
-    counter.AddParentCounts(node, mask, hierarchy_.NodeCounts(parent_mask),
-                            parent_mask, sums_.data());
+    counter.AddParentCounts(run, mask, parent_run(parent_mask), parent_mask,
+                            sums_.data());
   }
   int64_t scored = 0;
-  const std::vector<NodeTable::Entry>& entries = node.entries();
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const auto& [key, counts] = entries[i];
+  for (size_t i = 0; i < run.size(); ++i) {
+    const auto& [key, counts] = run[i];
     if (counts.Total() <= params_.min_region_size) continue;
     ++scored;
     const RegionCounts neighbor_counts{
@@ -112,41 +128,29 @@ int64_t NodeSweep::SweepParentSums(
     BiasedRegion region;
     if (JudgeRegion(counter, mask, key, counts, neighbor_counts, params_,
                     &region) == RegionVerdict::kBiased) {
-      biased->emplace_back(key, std::move(region));
+      biased->push_back(region);
     }
   }
   return scored;
 }
 
-namespace {
-
-std::vector<BiasedRegion> WithoutKeys(
-    std::vector<std::pair<uint64_t, BiasedRegion>> keyed) {
-  std::vector<BiasedRegion> regions;
-  regions.reserve(keyed.size());
-  for (auto& [key, region] : keyed) regions.push_back(std::move(region));
-  return regions;
-}
-
-}  // namespace
-
 std::vector<BiasedRegion> IdentifyIbsInNode(Hierarchy& hierarchy,
                                             uint32_t mask,
                                             const IbsParams& params) {
-  std::vector<std::pair<uint64_t, BiasedRegion>> keyed;
-  NodeSweep(hierarchy, params).Sweep(mask, &keyed);
-  return WithoutKeys(std::move(keyed));
+  std::vector<BiasedRegion> biased;
+  NodeSweep(hierarchy, params).Sweep(mask, &biased);
+  return biased;
 }
 
 std::vector<BiasedRegion> IdentifyIbsInScope(Hierarchy& hierarchy,
                                              const IbsParams& params) {
   NodeSweep sweep(hierarchy, params);
-  std::vector<std::pair<uint64_t, BiasedRegion>> keyed;
+  std::vector<BiasedRegion> biased;
   for (uint32_t mask : ScopeMasks(hierarchy, params.scope)) {
     REMEDY_TRACE_SPAN_ARG("ibs/node", mask);
-    sweep.Sweep(mask, &keyed);
+    sweep.Sweep(mask, &biased);
   }
-  return WithoutKeys(std::move(keyed));
+  return biased;
 }
 
 namespace {

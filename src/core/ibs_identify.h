@@ -2,7 +2,9 @@
 #define REMEDY_CORE_IBS_IDENTIFY_H_
 
 #include <cstdint>
-#include <utility>
+#include <functional>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/status.h"
@@ -37,13 +39,19 @@ struct IbsParams {
 };
 
 // One region of the Implicit Biased Set, with the evidence that put it there.
+// Its node is pattern.DeterministicMask() and `key` its region key within
+// that node (RegionCounter::KeyFor), so a consumer routing regions by node
+// table needs no re-packing.
 struct BiasedRegion {
   Pattern pattern;
+  uint64_t key = 0;              // RegionCounter::KeyFor(pattern, node mask)
   RegionCounts counts;           // |r+|, |r-|
   RegionCounts neighbor_counts;  // |r_n+|, |r_n-|
   double ratio = 0.0;            // ratio_r
   double neighbor_ratio = 0.0;   // ratio_rn
 };
+// An identified set copies as one block and frees as one allocation.
+static_assert(std::is_trivially_copyable_v<BiasedRegion>);
 
 // Identifies the IBS of `data` (Algorithm 1): every region with more than
 // `min_region_size` instances whose imbalance score differs from its
@@ -86,72 +94,68 @@ RegionVerdict JudgeRegion(const RegionCounter& counter, uint32_t mask,
                           const RegionCounts& neighbor_counts,
                           const IbsParams& params, BiasedRegion* out);
 
-// Scores the region at `key` of node `mask` region by region: the route of
-// the incremental identify path's gathered sets, and of NodeSweep for the
-// naive ablation and the T >= diameter regime. Its neighbor counts are the
-// exact integers NodeSweep's parent-sum walk produces, and both judge with
-// JudgeRegion, so the full and incremental paths are bit-identical.
-// `use_optimized` must be `params.algorithm == kOptimized &&
-// neighborhood.SupportsOptimized(mask)`, i.e. the caller resolves the
-// strategy once per node. `parent_counts` is the dominating-region source
-// of NeighborhoodCalculator::OptimizedNeighborCounts (unused by naive).
-template <typename ParentCounts>
-RegionVerdict ScoreRegion(Hierarchy& hierarchy,
-                          NeighborhoodCalculator& neighborhood,
-                          bool use_optimized, uint32_t mask, uint64_t key,
-                          const RegionCounts& counts, const IbsParams& params,
-                          ParentCounts&& parent_counts, BiasedRegion* out) {
-  if (counts.Total() <= params.min_region_size) return RegionVerdict::kSkipped;
-  const RegionCounts neighbor_counts =
-      use_optimized
-          ? neighborhood.OptimizedNeighborCounts(mask, key, counts,
-                                                 parent_counts)
-          : neighborhood.NaiveNeighborCounts(
-                hierarchy.counter().PatternFor(key, mask));
-  return JudgeRegion(hierarchy.counter(), mask, key, counts, neighbor_counts,
-                     params, out);
-}
-
-// The whole-node sweep of one identify pass: scores every region of a
-// node's table in ascending key order and emits (key, region) for each
-// biased verdict. Every full identify runs it — IdentifyIbs, the remedy
-// loops, the incremental path's full pass and whole-node re-scores. Build
-// one per pass and sweep each node with it: its NeighborhoodCalculator
-// walks every value pair of every protected attribute when built. Counts
-// may change between sweeps (the remedy loops apply deltas per node).
+// The sweep of one identify pass: scores the regions of a node — its whole
+// table, or an ascending run of its entries — and appends each biased one,
+// ascending by key. Every identify runs it: IdentifyIbs, the remedy loops,
+// the incremental path's full pass, its whole-node re-scores and its
+// gathered re-evaluation sets. Build one per pass and sweep each node with
+// it: its NeighborhoodCalculator walks every value pair of every protected
+// attribute when built. Counts may change between sweeps (the remedy loops
+// apply deltas per node).
 //
 // Under T = 1 on nominal attributes (SupportsOptimized and not
-// WholeNodeNeighborhood) the node's dominating-region sums come from one
+// WholeNodeNeighborhood) the run's dominating-region sums come from one
 // galloping merge-walk per parent node (RegionCounter::AddParentCounts)
 // into a per-entry array; each region then costs a subtraction and
 // JudgeRegion, with no parent key packed or searched per region. The
-// naive ablation and the T >= diameter regime score region by region
-// (ScoreRegion). The sums are the exact integers of the per-region
-// dominating-region sum, so the output is bit-identical to it.
+// naive ablation and the T >= diameter regime, which read no parent,
+// score region by region. The sums are the exact integers of the
+// per-region dominating-region sum, so every run of a region scores it
+// bit-identically to a sweep of its whole node.
 class NodeSweep {
  public:
+  // Ascending entries of parent node `parent_mask` that hold the
+  // projection of every key of the run being swept: the parent's table or
+  // an ascending subset of it.
+  using ParentRun =
+      std::function<std::span<const NodeTable::Entry>(uint32_t parent_mask)>;
+
   // `hierarchy` must outlive the sweep.
   NodeSweep(Hierarchy& hierarchy, const IbsParams& params);
 
-  // Sweeps node `mask`: appends (region key, region) of each biased region
-  // to `biased`, ascending by key, and returns how many regions it scored
-  // (those with more than min_region_size instances). Publishes the
-  // ibs/* node counters.
-  int64_t Sweep(uint32_t mask,
-                std::vector<std::pair<uint64_t, BiasedRegion>>* biased);
+  // Sweeps node `mask`'s whole table, reading its parents' tables: appends
+  // each biased region to `biased`, ascending by key, and returns how many
+  // regions it scored (those with more than min_region_size instances).
+  // Publishes the ibs/* node counters.
+  int64_t Sweep(uint32_t mask, std::vector<BiasedRegion>* biased);
+
+  // Sweeps `run`, ascending entries of node `mask`'s table, summing each
+  // parent from parent_run(parent mask) — called at most once per parent,
+  // and only when the parent sums apply. Appends and returns as Sweep
+  // does; publishes no counter.
+  int64_t SweepRun(uint32_t mask, std::span<const NodeTable::Entry> run,
+                   const ParentRun& parent_run,
+                   std::vector<BiasedRegion>* biased);
+
+  // True when node `mask` is scored with the optimized neighbor counts
+  // (the ibs/neighbor_reuse counter), false for the naive enumeration.
+  bool UsesOptimized(uint32_t mask) const {
+    return params_.algorithm == IbsAlgorithm::kOptimized &&
+           neighborhood_.SupportsOptimized(mask);
+  }
 
   NeighborhoodCalculator& neighborhood() { return neighborhood_; }
 
  private:
-  // The T = 1 parent-sum sweep of `node` (node `mask`'s table).
-  int64_t SweepParentSums(
-      uint32_t mask, const NodeTable& node,
-      std::vector<std::pair<uint64_t, BiasedRegion>>* biased);
+  // The T = 1 parent-sum sweep of `run`.
+  int64_t SweepParentSums(uint32_t mask, std::span<const NodeTable::Entry> run,
+                          const ParentRun& parent_run,
+                          std::vector<BiasedRegion>* biased);
 
   Hierarchy& hierarchy_;
   IbsParams params_;
   NeighborhoodCalculator neighborhood_;
-  std::vector<RegionCounts> sums_;  // per entry of the node being swept
+  std::vector<RegionCounts> sums_;  // per entry of the run being swept
 };
 
 // Node masks visited under `scope`, in traversal order.

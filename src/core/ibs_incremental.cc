@@ -1,8 +1,8 @@
 #include "core/ibs_incremental.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
+#include <span>
 
 #include "common/check.h"
 #include "common/clock.h"
@@ -31,88 +31,63 @@ struct NodeWork {
   };
   uint32_t mask = 0;
   Kind kind = Kind::kClean;
-  // kKeys: the re-evaluation keys that have a table entry, ascending, with
-  // their counts.
+  // kKeys: whether the re-evaluation set holds the dirty keys' distance-T
+  // frontier too (the node's neighborhoods are proper subsets of it).
+  bool frontier = false;
+  // kKeys: the re-evaluation keys, ascending.
+  std::vector<uint64_t> keys;
+  // kKeys: the entries at `keys` with more than min_region_size instances,
+  // ascending — the regions the re-score judges. A region at or under the
+  // floor is never judged, and every parent of a judged one is above it
+  // (a parent contains its child), so a parent's run loses no projection
+  // a child's run needs.
   std::vector<NodeTable::Entry> gathered;
 };
-
-// The last of the `n` (>= 1) ascending entries at `first` whose key is <=
-// `key`, or `first` when none is. Branch-free: the loop count depends only
-// on `n`, so no comparison mispredicts — on the small, cache-resident
-// gathered runs of phase 2 that halves the cost of a lookup. (On a large
-// NodeTable the branchy std::lower_bound wins: its speculated loads
-// overlap the cache misses that these dependent ones serialize.)
-const NodeTable::Entry* FloorEntry(const NodeTable::Entry* first, size_t n,
-                                   uint64_t key) {
-  for (; n > 1; n -= n / 2) {
-    first = first[n / 2].first <= key ? first + n / 2 : first;
-  }
-  return first;
-}
 
 // The entries of `node` at `keys` (ascending, unique); keys without an
 // entry are regions the full sweep never visits, so they are dropped.
 std::vector<NodeTable::Entry> GatherEntries(const NodeTable& node,
                                             const std::vector<uint64_t>& keys) {
+  const std::vector<NodeTable::Entry>& entries = node.entries();
   std::vector<NodeTable::Entry> gathered;
   gathered.reserve(keys.size());
-  auto it = node.begin();
+  size_t at = 0;
   for (uint64_t key : keys) {
-    // Keys ascend, so each search starts where the previous one ended.
-    it = std::lower_bound(it, node.end(), key,
-                          [](const NodeTable::Entry& entry, uint64_t k) {
-                            return entry.first < k;
-                          });
-    if (it == node.end()) break;
-    if (it->first == key) gathered.push_back(*it);
+    // Keys ascend, so each search gallops on from the previous match.
+    at = GallopTo(entries, at, key);
+    if (at == entries.size()) break;
+    if (entries[at].first == key) gathered.push_back(entries[at]);
   }
   return gathered;
 }
 
-// Parent-count source of phase 2 for a gathered node: a dominating
-// region's counts from the parent node's gathered set when it is there —
-// under T = 1 on nominal attributes every parent of a re-scored region is
-// dirty or on the frontier — or from the table of a parent re-scored
-// whole, which holds every key, searched the same branch-free way; else
-// from the parent's NodeTable (Leaf/Top scopes, whole-node parents under
-// steady totals). All hold the same counts.
-class GatheredParents {
- public:
-  GatheredParents(Hierarchy& hierarchy, uint32_t mask,
-                  const std::unordered_map<uint32_t, const NodeWork*>& work)
-      : tables_(hierarchy, mask), mask_(mask) {
-    for (uint32_t bits = mask; bits != 0; bits &= bits - 1) {
-      const uint32_t parent_mask = mask & ~(bits & (~bits + 1));
-      auto it = work.find(parent_mask);
-      if (it == work.end()) continue;
-      const std::vector<NodeTable::Entry>*& run =
-          gathered_[std::countr_zero(mask ^ parent_mask)];
-      if (it->second->kind == NodeWork::Kind::kKeys) {
-        run = &it->second->gathered;
-      } else if (it->second->kind == NodeWork::Kind::kWhole) {
-        run = &hierarchy.NodeCounts(parent_mask).entries();
-      }
+// A gathered node's verdicts after its re-score: the verdicts `rescored`
+// for the re-evaluation `keys` merged, ascending by key, with the cached
+// verdicts of every key outside them, copied run by run. Adds the cached
+// verdicts kept to `*kept`.
+std::vector<BiasedRegion> MergeVerdicts(
+    const std::vector<BiasedRegion>& cached,
+    const std::vector<uint64_t>& keys,
+    const std::vector<BiasedRegion>& rescored, int64_t* kept) {
+  std::vector<BiasedRegion> merged;
+  merged.reserve(cached.size() + rescored.size());
+  size_t c = 0;  // the first cached verdict not yet placed
+  size_t r = 0;
+  for (uint64_t key : keys) {
+    size_t end = c;
+    while (end < cached.size() && cached[end].key < key) ++end;
+    merged.insert(merged.end(), cached.begin() + c, cached.begin() + end);
+    *kept += static_cast<int64_t>(end - c);
+    c = end;
+    if (c < cached.size() && cached[c].key == key) ++c;  // re-scored
+    if (r < rescored.size() && rescored[r].key == key) {
+      merged.push_back(rescored[r++]);
     }
   }
-
-  const RegionCounts& operator()(uint32_t parent_mask, uint64_t parent_key) {
-    // A parent drops one position of its child's mask, so the index is
-    // below 32; the `& 31` tells GCC's -Warray-bounds as much.
-    const std::vector<NodeTable::Entry>* gathered =
-        gathered_[std::countr_zero(mask_ ^ parent_mask) & 31];
-    if (gathered != nullptr && !gathered->empty()) {
-      const NodeTable::Entry* entry =
-          FloorEntry(gathered->data(), gathered->size(), parent_key);
-      if (entry->first == parent_key) return entry->second;
-    }
-    return tables_(parent_mask, parent_key);
-  }
-
- private:
-  NodeTableParents tables_;
-  uint32_t mask_;
-  const std::vector<NodeTable::Entry>* gathered_[32] = {};
-};
+  merged.insert(merged.end(), cached.begin() + c, cached.end());
+  *kept += static_cast<int64_t>(cached.size() - c);
+  return merged;
+}
 
 }  // namespace
 
@@ -143,7 +118,7 @@ std::vector<BiasedRegion> IncrementalIbsState::FullPass(
     // held across the pass read about 20 MB more peak RSS in the serving
     // daemon (heap layout; the live data is the same).
     NodeSweep(hierarchy, params).Sweep(mask, &cached.biased);
-    for (const auto& [key, region] : cached.biased) out.push_back(region);
+    out.insert(out.end(), cached.biased.begin(), cached.biased.end());
   }
   have_cache_ = true;
   pending_reason_.clear();
@@ -242,15 +217,22 @@ std::vector<BiasedRegion> IncrementalIbsState::Identify(
       node_work.kind = NodeWork::Kind::kWhole;
     } else {
       node_work.kind = NodeWork::Kind::kKeys;
+      node_work.frontier = !whole_node;
+      std::erase_if(node_work.gathered, [&](const NodeTable::Entry& entry) {
+        return entry.second.Total() <= params.min_region_size;
+      });
+      node_work.keys = std::move(reeval);
     }
   }
 
-  // Phase 2: score each node's re-evaluation set with key arithmetic,
-  // merged with its cached verdicts in one ascending-key walk — the
-  // NodeTable iteration order of the full sweep.
+  // Phase 2: score each node's re-evaluation set the way the full sweep
+  // scores a table — over the gathered run instead of the whole table —
+  // and merge it with the node's cached verdicts in ascending key order,
+  // the NodeTable iteration order of the full sweep.
   int64_t reuse = 0;
   int64_t naive = 0;
   size_t out_size = 0;
+  std::vector<BiasedRegion> rescored;
   for (const NodeWork& node_work : work) {
     const uint32_t mask = node_work.mask;
     NodeCache& cached = cache_[mask];
@@ -259,56 +241,43 @@ std::vector<BiasedRegion> IncrementalIbsState::Identify(
       out_size += cached.biased.size();
       continue;
     }
-    const bool use_optimized = params.algorithm == IbsAlgorithm::kOptimized &&
-                               neighborhood.SupportsOptimized(mask);
-    std::vector<std::pair<uint64_t, BiasedRegion>> fresh;
-    auto score = [&](uint64_t key, const RegionCounts& counts,
-                     auto& parents) {
-      BiasedRegion region;
-      const RegionVerdict verdict =
-          ScoreRegion(hierarchy, neighborhood, use_optimized, mask, key,
-                      counts, params, parents, &region);
-      if (verdict == RegionVerdict::kSkipped) return;
-      ++stats_.rescored_regions;
-      use_optimized ? ++reuse : ++naive;
-      if (verdict == RegionVerdict::kBiased) {
-        fresh.emplace_back(key, std::move(region));
-      }
-    };
+    int64_t scored = 0;
     if (node_work.kind == NodeWork::Kind::kWhole) {
-      // The full sweep of this node: a parent's gathered set would miss
-      // for most of its keys, so the sweep walks the parents' tables.
-      stats_.rescored_regions += sweep.Sweep(mask, &fresh);
+      cached.biased.clear();
+      scored = sweep.Sweep(mask, &cached.biased);
     } else {
-      GatheredParents parents(hierarchy, mask, work_by_mask);
-      fresh.reserve(cached.biased.size());
-      size_t ci = 0;
-      for (const auto& [key, counts] : node_work.gathered) {
-        for (; ci < cached.biased.size() && cached.biased[ci].first < key;
-             ++ci) {
-          fresh.push_back(std::move(cached.biased[ci]));
-          ++stats_.cached_regions;
+      // A parent's gathered run holds the projection of every gathered key
+      // here only when its own set took the frontier in: under T = 1 on
+      // nominal attributes a key's projection is then dirty or on the
+      // parent's frontier. Every other parent — one with a whole-node
+      // neighborhood (its set holds only its dirty keys under steady
+      // totals), one re-scored whole, one outside the scope — is read
+      // from its table.
+      const NodeSweep::ParentRun parent_run =
+          [&](uint32_t parent_mask) -> std::span<const NodeTable::Entry> {
+        auto it = work_by_mask.find(parent_mask);
+        if (it != work_by_mask.end() &&
+            it->second->kind == NodeWork::Kind::kKeys &&
+            it->second->frontier) {
+          return it->second->gathered;
         }
-        if (ci < cached.biased.size() && cached.biased[ci].first == key) {
-          ++ci;  // superseded by the re-score below
-        }
-        score(key, counts, parents);
-      }
-      for (; ci < cached.biased.size(); ++ci) {
-        fresh.push_back(std::move(cached.biased[ci]));
-        ++stats_.cached_regions;
-      }
+        return hierarchy.NodeCounts(parent_mask).entries();
+      };
+      rescored.clear();
+      scored = sweep.SweepRun(mask, node_work.gathered, parent_run, &rescored);
+      (sweep.UsesOptimized(mask) ? reuse : naive) += scored;
+      cached.biased = MergeVerdicts(cached.biased, node_work.keys, rescored,
+                                    &stats_.cached_regions);
     }
-    cached.biased = std::move(fresh);
+    stats_.rescored_regions += scored;
     out_size += cached.biased.size();
   }
   // The pass's one copy of the verdicts: the caller owns its output.
   std::vector<BiasedRegion> out;
   out.reserve(out_size);
   for (uint32_t mask : masks) {
-    for (const auto& [key, region] : cache_[mask].biased) {
-      out.push_back(region);
-    }
+    const std::vector<BiasedRegion>& biased = cache_[mask].biased;
+    out.insert(out.end(), biased.begin(), biased.end());
   }
   hierarchy.ClearDirtySet();
   cached_generation_ = hierarchy.mutation_generation();

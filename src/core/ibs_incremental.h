@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/hierarchy.h"
@@ -34,30 +33,37 @@ struct IncrementalIdentifyStats {
 //
 //  1. Gather: for every scoped node, the sorted re-evaluation keys — dirty
 //     keys plus their distance-T frontier, enumerated on key digits — with
-//     their counts, one binary search each into the node's table. A node
-//     whose set could cover it — dirty keys x NeighborhoodCalculator::
-//     FrontierBound (1 + sum (c_i - 1) at T = 1 on nominal attributes)
-//     reaches its entry count, as on a wide batch or the seed batch — is
-//     not expanded, sorted or gathered at all: phase 2 sweeps its NodeTable
-//     directly with the full identify's NodeSweep (a "wide node
-//     re-score"), so a pass never costs more than a full sweep plus the
-//     narrow nodes' sets, and no lattice-sized transient is ever held.
-//  2. Score: each gathered region runs ScoreRegion with parent keys
-//     re-packed from its digits (KeyDigits/PackDigits); a dominating
-//     region's counts come from the parent node's gathered set — under T = 1
-//     on nominal attributes every parent of a re-scored region is itself
-//     dirty or on the frontier — else from the parent's NodeTable (Leaf/Top
-//     scopes, whole-node parents under steady totals). A node swept whole
-//     runs NodeSweep, which walks its parents' tables. A Pattern is decoded
-//     only for a biased verdict, and untouched cached verdicts are moved,
-//     not copied, through the per-node merge.
+//     their counts, each galloping on from the previous match in the
+//     node's table. A node whose set could cover it — dirty keys x
+//     NeighborhoodCalculator::FrontierBound (1 + sum (c_i - 1) at T = 1
+//     on nominal attributes) reaches its entry count, as on a wide batch
+//     or the seed batch — is not expanded, sorted or gathered at all:
+//     phase 2 sweeps its NodeTable directly with the full identify's
+//     NodeSweep (a "wide node re-score"), so a pass never costs more than
+//     a full sweep plus the narrow nodes' sets, and no lattice-sized
+//     transient is ever held.
+//  2. Score: each gathered set runs the full identify's sweep
+//     (NodeSweep::SweepRun) over its run of entries instead of the whole
+//     table: under T = 1 on nominal attributes one galloping merge-walk per
+//     parent node (RegionCounter::AddParentCounts) sums the dominating
+//     regions of every gathered region into a per-entry array, and each
+//     region is judged as the full sweep judges it. A parent is walked
+//     over its own gathered run when that set took the distance-T frontier
+//     in — every parent of a re-scored region is then dirty or on the
+//     parent's frontier — and over its NodeTable otherwise (whole-node
+//     parents under steady totals, parents re-scored whole, parents
+//     outside the Leaf/Top scopes). A node swept whole runs NodeSweep::
+//     Sweep. A Pattern is decoded only for a biased verdict, and each
+//     node's re-scored verdicts are merged with its cached ones in one
+//     ascending-key walk.
 //
-// So a pass costs O(re-evaluated regions x (|X| small-run searches)),
-// with each node's share capped at one sweep of its table, plus one copy
-// of the verdicts into the output — the caller owns that copy
-// (the daemon moves it into its epoch snapshot). The output is
-// bit-identical to a from-scratch sweep of IdentifyIbsInNode over
-// ScopeMasks — same regions, same floats, same order — because:
+// So a pass costs O(re-evaluated regions x (|X| galloping steps)), with
+// each node's share capped at one sweep of its table, plus one copy of the
+// verdicts into the output — a block copy, BiasedRegion being trivially
+// copyable; the caller owns it (the daemon moves it into its epoch
+// snapshot). The output is bit-identical to a from-scratch sweep of
+// IdentifyIbsInNode over ScopeMasks — same regions, same floats, same
+// order — because:
 //
 //  * every re-scored region gets the neighbor counts the full sweep
 //    computes — exact integer sums of the same dominating regions (or the
@@ -106,7 +112,7 @@ class IncrementalIbsState {
  private:
   struct NodeCache {
     // Biased verdicts of one node, ascending by region key.
-    std::vector<std::pair<uint64_t, BiasedRegion>> biased;
+    std::vector<BiasedRegion> biased;
   };
 
   // Non-empty reason iff the cache cannot serve `hierarchy` + `params`.

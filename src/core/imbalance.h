@@ -50,14 +50,13 @@ class NeighborhoodCalculator {
   RegionCounts NaiveNeighborCounts(const Pattern& pattern);
 
   // Optimized neighbor counts of region `key` of node `mask`, region by
-  // region — the incremental pass's gathered sets and the Pattern form
-  // below use it; whole-node sweeps sum the same parents by merge-walk
+  // region — the Pattern form below and the sweep's T >= diameter regime
+  // use it; sweeps at T = 1 sum the same parents by merge-walk
   // (NodeSweep). `parent_counts(parent_mask, parent_key)` returns the
   // counts of one dominating region one level up (never called for level
-  // 0, whose counts are TotalCounts()): from the parent node's gathered
-  // re-evaluation set or from the parents' NodeTables (NodeTableParents).
-  // Each parent key is re-packed from the region's digits, no Pattern
-  // involved. Requires SupportsOptimized(mask).
+  // 0, whose counts are TotalCounts()), e.g. from the parents' NodeTables
+  // (NodeTableParents). Each parent key is re-packed from the region's
+  // digits, no Pattern involved. Requires SupportsOptimized(mask).
   template <typename ParentCounts>
   RegionCounts OptimizedNeighborCounts(uint32_t mask, uint64_t key,
                                        const RegionCounts& region_counts,
@@ -139,8 +138,7 @@ class NeighborhoodCalculator {
 // Parent-count source of the per-region dominating-region sum that
 // binary-searches the parents' NodeTables, resolving each parent node once,
 // on first use (so a caller builds lazily exactly the parents it reads).
-// Serves the Pattern form of OptimizedNeighborCounts and the incremental
-// pass's parents that have no gathered set; whole-node sweeps walk the
+// Serves the Pattern form of OptimizedNeighborCounts; sweeps walk the
 // parents instead (RegionCounter::AddParentCounts). Dies, in every build
 // type, on a missing parent region: a parent contains its child, so it
 // exists whenever the child does.

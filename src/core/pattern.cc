@@ -1,24 +1,40 @@
 #include "core/pattern.h"
 
+#include <algorithm>
 #include <cmath>
-
-#include "common/check.h"
 
 namespace remedy {
 
-int Pattern::NumDeterministic() const {
-  int count = 0;
-  for (int v : values_) count += (v != kWildcard);
-  return count;
+Pattern::Pattern(int arity) {
+  REMEDY_CHECK(arity >= 0 && arity <= kMaxArity)
+      << "pattern arity " << arity << " outside [0, " << kMaxArity << "]";
+  arity_ = static_cast<uint8_t>(arity);
+  std::fill(values_, values_ + arity, static_cast<int16_t>(kWildcard));
 }
 
-uint32_t Pattern::DeterministicMask() const {
-  REMEDY_DCHECK(Arity() <= 32);
-  uint32_t mask = 0;
-  for (int i = 0; i < Arity(); ++i) {
-    if (values_[i] != kWildcard) mask |= (1u << i);
-  }
-  return mask;
+Pattern::Pattern(const std::vector<int>& values)
+    : Pattern(static_cast<int>(values.size())) {
+  for (int i = 0; i < arity_; ++i) SetValue(i, values[i]);
+}
+
+void Pattern::SetValue(int position, int value) {
+  REMEDY_DCHECK(position >= 0 && position < arity_);
+  REMEDY_CHECK(value >= kWildcard && value <= kMaxValue)
+      << "pattern value " << value << " outside [" << kWildcard << ", "
+      << kMaxValue << "]";
+  values_[position] = static_cast<int16_t>(value);
+  const uint32_t bit = 1u << position;
+  mask_ = value == kWildcard ? mask_ & ~bit : mask_ | bit;
+}
+
+bool operator==(const Pattern& a, const Pattern& b) {
+  return a.arity_ == b.arity_ &&
+         std::equal(a.values_, a.values_ + a.arity_, b.values_);
+}
+
+bool operator<(const Pattern& a, const Pattern& b) {
+  return std::lexicographical_compare(a.values_, a.values_ + a.arity_,
+                                      b.values_, b.values_ + b.arity_);
 }
 
 bool Pattern::Matches(const Dataset& data, int row) const {

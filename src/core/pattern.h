@@ -1,10 +1,12 @@
 #ifndef REMEDY_CORE_PATTERN_H_
 #define REMEDY_CORE_PATTERN_H_
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "data/dataset.h"
 #include "data/schema.h"
 
@@ -17,31 +19,44 @@ namespace remedy {
 // Positions are aligned with DataSchema::protected_indices(); a value of
 // Pattern::kWildcard marks a non-deterministic element. A pattern denotes the
 // region/subgroup of instances matching all deterministic elements (Sec. II).
+//
+// The values live inline — an int16_t per position, for at most kMaxArity
+// positions — next to the arity and the deterministic mask, which every
+// mutation keeps in step. A Pattern is therefore trivially copyable and owns
+// no heap memory: an identified subgroup set copies and frees as one block,
+// and DeterministicMask() is a field read. The limits are RegionCounter's:
+// at most 32 protected attributes (one mask bit each), each with at most
+// kMaxValue + 1 values. Constructing or setting past them dies.
 class Pattern {
  public:
   static constexpr int kWildcard = -1;
+  static constexpr int kMaxArity = 32;
+  static constexpr int kMaxValue = INT16_MAX;
 
   Pattern() = default;
 
   // All-wildcard pattern of the given arity (the level-0 "entire dataset").
-  explicit Pattern(int arity) : values_(arity, kWildcard) {}
+  explicit Pattern(int arity);
 
   // Pattern with explicit values; use kWildcard for non-deterministic slots.
-  explicit Pattern(std::vector<int> values) : values_(std::move(values)) {}
+  explicit Pattern(const std::vector<int>& values);
 
-  int Arity() const { return static_cast<int>(values_.size()); }
-  int Value(int position) const { return values_[position]; }
-  void SetValue(int position, int value) { values_[position] = value; }
+  int Arity() const { return arity_; }
+  int Value(int position) const {
+    REMEDY_DCHECK(position >= 0 && position < arity_);
+    return values_[position];
+  }
+  void SetValue(int position, int value);
   bool IsDeterministic(int position) const {
-    return values_[position] != kWildcard;
+    return Value(position) != kWildcard;
   }
 
   // d: number of deterministic elements (the pattern's level).
-  int NumDeterministic() const;
+  int NumDeterministic() const { return std::popcount(mask_); }
 
   // Bitmask with bit i set iff position i is deterministic. Identifies the
-  // hierarchy node the pattern belongs to. Arity must be <= 32.
-  uint32_t DeterministicMask() const;
+  // hierarchy node the pattern belongs to.
+  uint32_t DeterministicMask() const { return mask_; }
 
   // True if `row` of `data` matches every deterministic element. Positions
   // map through data.schema().protected_indices().
@@ -67,17 +82,17 @@ class Pattern {
   // omitted as in the paper.
   std::string ToString(const DataSchema& schema) const;
 
-  friend bool operator==(const Pattern& a, const Pattern& b) {
-    return a.values_ == b.values_;
-  }
+  // Equal arity and equal values over it.
+  friend bool operator==(const Pattern& a, const Pattern& b);
 
-  // Lexicographic order for deterministic output.
-  friend bool operator<(const Pattern& a, const Pattern& b) {
-    return a.values_ < b.values_;
-  }
+  // Lexicographic order over the values, a proper prefix first — the order
+  // of the value sequences as std::vector<int>s; deterministic output.
+  friend bool operator<(const Pattern& a, const Pattern& b);
 
  private:
-  std::vector<int> values_;
+  int16_t values_[kMaxArity] = {};  // positions past arity_ stay 0
+  uint32_t mask_ = 0;
+  uint8_t arity_ = 0;
 };
 
 }  // namespace remedy

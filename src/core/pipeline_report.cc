@@ -177,9 +177,8 @@ StatusOr<PipelineReport> RunAuditedRemedy(const Dataset& train,
     entry.planned_flips = action.update.flips;
     entry.reachable = action.update.reachable;
 
-    const uint64_t key = after.counter().KeyFor(pattern, mask);
     const NodeTable& node = after.NodeCounts(mask);
-    auto it = node.find(key);
+    auto it = node.find(action.region.key);
     if (it != node.end()) {
       entry.positives_after = it->second.positives;
       entry.negatives_after = it->second.negatives;

@@ -149,11 +149,17 @@ RegionCounter::RegionCounter(const DataSchema& schema)
     : protected_cols_(schema.protected_indices()) {
   REMEDY_CHECK(!protected_cols_.empty())
       << "RegionCounter needs at least one protected attribute";
-  REMEDY_CHECK(protected_cols_.size() <= 32);
+  REMEDY_CHECK(protected_cols_.size() <= Pattern::kMaxArity);
   cardinalities_.reserve(protected_cols_.size());
   uint64_t capacity = 1;
   for (int col : protected_cols_) {
-    int cardinality = schema.attribute(col).Cardinality();
+    const AttributeSchema& attribute = schema.attribute(col);
+    int cardinality = attribute.Cardinality();
+    // Every value of a protected attribute must fit a Pattern position.
+    REMEDY_CHECK(cardinality <= Pattern::kMaxValue)
+        << "protected attribute " << attribute.name() << " has "
+        << cardinality << " values; a pattern holds at most "
+        << Pattern::kMaxValue;
     cardinalities_.push_back(cardinality);
     // Guard the mixed-radix packing against overflow; fairness workloads are
     // far below this bound (the paper uses at most 8 protected attributes).
@@ -316,11 +322,7 @@ NodeTable RegionCounter::RollUp(const NodeTable& child, uint32_t child_mask,
   return NodeTable(std::move(entries));
 }
 
-namespace {
-
-// The first index at or after `from` whose key is >= `key`, probing 1, 2,
-// 4, ... entries ahead before a binary search: O(log distance moved).
-size_t GallopTo(const std::vector<NodeTable::Entry>& entries, size_t from,
+size_t GallopTo(std::span<const NodeTable::Entry> entries, size_t from,
                 uint64_t key) {
   size_t probe = from;
   for (size_t step = 1; probe < entries.size() && entries[probe].first < key;
@@ -336,18 +338,21 @@ size_t GallopTo(const std::vector<NodeTable::Entry>& entries, size_t from,
          entries.begin();
 }
 
-// The rollup walk from each entry of `child` (in order) to the `parent`
-// entry its key projects to, calling visit(child index, parent index).
-// Child keys ascend by (high, v_p, low) and project to high * low_radix +
-// low, so the projections of one `high` block fill one contiguous parent
-// range and ascend within each v_p run: restart at the block's first
-// parent entry when a run ends, else gallop on from the last match. Dies
-// when `parent` lacks a projection.
+namespace {
+
+// The rollup walk from each entry of `down` (ascending child entries, in
+// order) to the entry of `up` (ascending parent entries) its key projects
+// to, calling visit(child index, parent index). Child keys ascend by (high,
+// v_p, low) and project to high * low_radix + low, so the projections of
+// one `high` block fill one contiguous range of `up` and ascend within each
+// v_p run: restart at the block's first parent entry when a run ends, else
+// gallop on from the last match. Either run may be a sparse subset of its
+// node; the walk only needs `up` to hold every projection, and dies when it
+// lacks one.
 template <typename Visit>
-void WalkRollUp(const NodeTable& child, const NodeTable& parent,
-                uint64_t low_radix, uint64_t card_p, Visit&& visit) {
-  const std::vector<NodeTable::Entry>& down = child.entries();
-  const std::vector<NodeTable::Entry>& up = parent.entries();
+void WalkRollUp(std::span<const NodeTable::Entry> down,
+                std::span<const NodeTable::Entry> up, uint64_t low_radix,
+                uint64_t card_p, Visit&& visit) {
   uint64_t block_high = UINT64_MAX;
   size_t block = 0;
   size_t cursor = 0;
@@ -380,22 +385,22 @@ std::vector<uint32_t> RegionCounter::RollUpSlots(const NodeTable& child,
   const auto [low_radix, card_p] = RollUpRadix(child_mask, parent_mask);
   std::vector<uint32_t> slots;
   slots.reserve(child.size());
-  WalkRollUp(child, parent, low_radix, card_p, [&](size_t, size_t slot) {
-    slots.push_back(static_cast<uint32_t>(slot));
-  });
+  WalkRollUp(child.entries(), parent.entries(), low_radix, card_p,
+             [&](size_t, size_t slot) {
+               slots.push_back(static_cast<uint32_t>(slot));
+             });
   return slots;
 }
 
-void RegionCounter::AddParentCounts(const NodeTable& child,
+void RegionCounter::AddParentCounts(std::span<const NodeTable::Entry> child,
                                     uint32_t child_mask,
-                                    const NodeTable& parent,
+                                    std::span<const NodeTable::Entry> parent,
                                     uint32_t parent_mask,
                                     RegionCounts* sums) const {
   const auto [low_radix, card_p] = RollUpRadix(child_mask, parent_mask);
-  const std::vector<NodeTable::Entry>& up = parent.entries();
   WalkRollUp(child, parent, low_radix, card_p, [&](size_t i, size_t slot) {
-    sums[i].positives += up[slot].second.positives;
-    sums[i].negatives += up[slot].second.negatives;
+    sums[i].positives += parent[slot].second.positives;
+    sums[i].negatives += parent[slot].second.negatives;
   });
 }
 

@@ -2,6 +2,7 @@
 #define REMEDY_CORE_REGION_COUNTER_H_
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -89,6 +90,13 @@ class NodeTable {
   std::vector<Entry> entries_;
 };
 
+// The first index at or after `from` of the ascending `entries` whose key is
+// >= `key` (entries.size() when none is), probing 1, 2, 4, ... entries ahead
+// before a binary search: O(log distance moved). The forward search of every
+// ascending-key merge over node entries.
+size_t GallopTo(std::span<const NodeTable::Entry> entries, size_t from,
+                uint64_t key);
+
 // Group-by engine over subsets of the protected attributes.
 //
 // A hierarchy node is identified by a bitmask over the protected-attribute
@@ -101,6 +109,9 @@ class NodeTable {
 // scans.
 class RegionCounter {
  public:
+  // Dies when `schema` has no protected attribute, more than
+  // Pattern::kMaxArity of them, one with more than Pattern::kMaxValue
+  // values, or a key space past 64 bits.
   explicit RegionCounter(const DataSchema& schema);
 
   int NumProtected() const {
@@ -150,14 +161,18 @@ class RegionCounter {
                                     const NodeTable& parent,
                                     uint32_t parent_mask) const;
 
-  // The same walk, adding instead of recording: sums[i] (one per entry of
-  // `child`) += the counts of the `parent` entry that child entry i
-  // projects to. One call per parent node gives the optimized identify's
-  // dominating-region sums for a whole node (see core/ibs_identify.h).
-  // Dies, in every build type, when `parent` lacks a projection.
-  void AddParentCounts(const NodeTable& child, uint32_t child_mask,
-                       const NodeTable& parent, uint32_t parent_mask,
-                       RegionCounts* sums) const;
+  // The same walk, adding instead of recording, over ascending entry runs:
+  // sums[i] (one per entry of `child`) += the counts of the `parent` entry
+  // that child entry i projects to. `child` is a node's table or any
+  // ascending subset of it; `parent` is the parent node's table or any
+  // ascending subset of it holding every projection of `child`. One call
+  // per parent node gives the optimized identify's dominating-region sums
+  // for a node's entries (see core/ibs_identify.h). Dies, in every build
+  // type, when `parent` lacks a projection.
+  void AddParentCounts(std::span<const NodeTable::Entry> child,
+                       uint32_t child_mask,
+                       std::span<const NodeTable::Entry> parent,
+                       uint32_t parent_mask, RegionCounts* sums) const;
 
   // Projects a node-`from_mask` region key onto node `to_mask` (a subset of
   // `from_mask`) by dropping the digits of the removed attributes — the

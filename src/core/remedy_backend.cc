@@ -598,7 +598,7 @@ StatusOr<RemedyDeltaPlan> CountPlanner::Plan(const NodeTable& census) {
   const int num_protected = schema_.NumProtected();
 
   NodeSweep sweep(hierarchy, params_.ibs);
-  std::vector<std::pair<uint64_t, BiasedRegion>> biased;
+  std::vector<BiasedRegion> biased;
   for (uint32_t mask : ScopeMasks(hierarchy, params_.ibs.scope)) {
     REMEDY_TRACE_SPAN_ARG("remedy/node", mask);
     biased.clear();
@@ -611,10 +611,11 @@ StatusOr<RemedyDeltaPlan> CountPlanner::Plan(const NodeTable& census) {
     for (size_t l = 0; l < keys_.size(); ++l) {
       const uint64_t key =
           counter_.PackDigits(&digits_[l * num_protected], mask);
-      auto it = std::lower_bound(
-          biased.begin(), biased.end(), key,
-          [](const auto& entry, uint64_t k) { return entry.first < k; });
-      if (it != biased.end() && it->first == key) {
+      auto it = std::lower_bound(biased.begin(), biased.end(), key,
+                                 [](const BiasedRegion& region, uint64_t k) {
+                                   return region.key < k;
+                                 });
+      if (it != biased.end() && it->key == key) {
         region_leaves[it - biased.begin()].push_back(static_cast<int>(l));
       }
     }
@@ -626,7 +627,7 @@ StatusOr<RemedyDeltaPlan> CountPlanner::Plan(const NodeTable& census) {
             : -1;
     std::vector<SlicePlan> plans(biased.size());
     for (size_t i = 0; i < biased.size(); ++i) {
-      const auto& [region_key, region] = biased[i];
+      const BiasedRegion& region = biased[i];
       const RegionUpdate update =
           ComputeUpdate(params_.technique, region.counts.positives,
                         region.counts.negatives, region.neighbor_ratio);
@@ -642,7 +643,7 @@ StatusOr<RemedyDeltaPlan> CountPlanner::Plan(const NodeTable& census) {
       REMEDY_DCHECK(positives.total == region.counts.positives &&
                     negatives.total == region.counts.negatives)
           << "runs diverged from the lattice counts";
-      Rng rng(RemedyRegionSeed(params_.seed, mask, region_key));
+      Rng rng(RemedyRegionSeed(params_.seed, mask, region.key));
       ASSIGN_OR_RETURN(plans[i], PlanRegion(update, positives, negatives, rng,
                                             add_cap));
     }

@@ -60,12 +60,15 @@ AttributeSchema Bucketizer::MakeSchema() const {
   if (cuts_.empty()) {
     names.push_back("all");
   } else {
-    names.push_back("<=" + FormatDouble(cuts_.front(), 0));
+    names.push_back(std::string("<=").append(FormatDouble(cuts_.front(), 0)));
     for (size_t i = 1; i < cuts_.size(); ++i) {
-      names.push_back("(" + FormatDouble(cuts_[i - 1], 0) + "-" +
-                      FormatDouble(cuts_[i], 0) + "]");
+      names.push_back(std::string("(")
+                          .append(FormatDouble(cuts_[i - 1], 0))
+                          .append("-")
+                          .append(FormatDouble(cuts_[i], 0))
+                          .append("]"));
     }
-    names.push_back(">" + FormatDouble(cuts_.back(), 0));
+    names.push_back(std::string(">").append(FormatDouble(cuts_.back(), 0)));
   }
   return AttributeSchema(attribute_name_, std::move(names), /*ordinal=*/true);
 }

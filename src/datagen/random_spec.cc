@@ -23,7 +23,10 @@ SyntheticSpec RandomSpec(Rng& rng, const RandomSpecOptions& options) {
     std::vector<std::string> values;
     std::vector<double> marginal;
     for (int v = 0; v < cardinality; ++v) {
-      values.push_back("a" + std::to_string(a) + "v" + std::to_string(v));
+      values.push_back(std::string("a")
+                           .append(std::to_string(a))
+                           .append("v")
+                           .append(std::to_string(v)));
       marginal.push_back(0.2 + rng.Uniform());  // bounded away from zero
     }
     spec.attributes.push_back(IndependentAttribute(

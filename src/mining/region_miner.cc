@@ -111,8 +111,8 @@ std::vector<BiasedRegion> IdentifyIbsWithMiner(const Dataset& data,
     // Candidates arrive key-sorted from MineFrequentRegions.
     const auto& node = hierarchy.NodeCounts(mask);
     for (const MinedRegion* candidate : it->second) {
-      const RegionCounts& counts =
-          node.at(counter.KeyFor(candidate->pattern, mask));
+      const uint64_t key = counter.KeyFor(candidate->pattern, mask);
+      const RegionCounts& counts = node.at(key);
       REMEDY_DCHECK(counts.Total() == candidate->size);
       RegionCounts neighbor_counts =
           use_optimized
@@ -122,8 +122,8 @@ std::vector<BiasedRegion> IdentifyIbsWithMiner(const Dataset& data,
       double ratio = ImbalanceScore(counts);
       double neighbor_ratio = ImbalanceScore(neighbor_counts);
       if (std::abs(ratio - neighbor_ratio) > params.imbalance_threshold) {
-        ibs.push_back({candidate->pattern, counts, neighbor_counts, ratio,
-                       neighbor_ratio});
+        ibs.push_back({candidate->pattern, key, counts, neighbor_counts,
+                       ratio, neighbor_ratio});
       }
     }
   }

@@ -590,8 +590,7 @@ void ServeDaemon::PublishSnapshot() {
       const uint32_t mask = region.pattern.DeterministicMask();
       uint8_t bytes[12];
       for (int i = 0; i < 4; ++i) bytes[i] = (mask >> (8 * i)) & 0xff;
-      const uint64_t key = counter_.KeyFor(region.pattern, mask);
-      for (int i = 0; i < 8; ++i) bytes[4 + i] = (key >> (8 * i)) & 0xff;
+      for (int i = 0; i < 8; ++i) bytes[4 + i] = (region.key >> (8 * i)) & 0xff;
       digest = Fnv1a64(bytes, sizeof(bytes), digest);
     }
     if (last_ibs_epoch_ != 0 && digest != last_ibs_digest_) {
@@ -628,12 +627,19 @@ void ServeDaemon::PublishSnapshot() {
     std::lock_guard<std::mutex> lock(mu_);
     snapshot->read_only = read_only_;
   }
+  // The evicted epoch may hold the last reference to its IBS: it is freed
+  // after the lock, so no Snapshot()/QueryIbs() reader waits on the free.
+  std::shared_ptr<const EpochSnapshot> evicted;
   {
     std::lock_guard<std::mutex> lock(snapshot_mu_);
     snapshot_ = snapshot;
     ring_.push_back(snapshot);
-    while (ring_.size() > kSnapshotRing) ring_.pop_front();
+    if (ring_.size() > kSnapshotRing) {
+      evicted = std::move(ring_.front());
+      ring_.pop_front();
+    }
   }
+  evicted.reset();
   metrics.serve_publish_ns->Observe(NowNanos() - start_ns);
 
   // The monitor policy hook: a freshly identified non-empty subgroup set

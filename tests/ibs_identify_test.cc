@@ -225,8 +225,6 @@ TEST(IbsIdentifyTest, AdultScalabilityNaiveEqualsOptimized) {
 // tests/oracle_test.cc.
 // ---------------------------------------------------------------------------
 
-using KeyedRegions = std::vector<std::pair<uint64_t, BiasedRegion>>;
-
 // A random nominal (or, with `ordinal`, partly ordinal) dataset whose
 // protected attributes have the given cardinalities. Values lean towards
 // low codes, so some regions pass a small size filter even when the key
@@ -262,12 +260,13 @@ Dataset RandomLatticeData(uint64_t seed, const std::vector<int>& cards,
 
 // The per-region oracle of node `mask`: each region's neighbor counts by
 // the Pattern route, judged by JudgeRegion.
-KeyedRegions PerRegionOracle(Hierarchy& hierarchy, uint32_t mask,
-                             const IbsParams& params) {
+std::vector<BiasedRegion> PerRegionOracle(Hierarchy& hierarchy,
+                                          uint32_t mask,
+                                          const IbsParams& params) {
   NeighborhoodCalculator neighborhood(hierarchy, params.distance_threshold);
   const bool optimized = params.algorithm == IbsAlgorithm::kOptimized &&
                          neighborhood.SupportsOptimized(mask);
-  KeyedRegions biased;
+  std::vector<BiasedRegion> biased;
   for (const auto& [key, counts] : hierarchy.NodeCounts(mask)) {
     if (counts.Total() <= params.min_region_size) continue;
     const Pattern pattern = hierarchy.counter().PatternFor(key, mask);
@@ -277,7 +276,7 @@ KeyedRegions PerRegionOracle(Hierarchy& hierarchy, uint32_t mask,
     BiasedRegion region;
     if (JudgeRegion(hierarchy.counter(), mask, key, counts, neighbor_counts,
                     params, &region) == RegionVerdict::kBiased) {
-      biased.emplace_back(key, region);
+      biased.push_back(region);
     }
   }
   return biased;
@@ -287,8 +286,10 @@ KeyedRegions PerRegionOracle(Hierarchy& hierarchy, uint32_t mask,
 // neighboring region's (every row of another same-node region within
 // distance T) by scanning the rows. "Within T" is the library's budget,
 // restated: squared distance at most T^2 + 1e-9.
-KeyedRegions BruteForceNode(const Dataset& data, const RegionCounter& counter,
-                            uint32_t mask, const IbsParams& params) {
+std::vector<BiasedRegion> BruteForceNode(const Dataset& data,
+                                         const RegionCounter& counter,
+                                         uint32_t mask,
+                                         const IbsParams& params) {
   const DataSchema& schema = data.schema();
   const int arity = schema.NumProtected();
   const double budget =
@@ -318,7 +319,7 @@ KeyedRegions BruteForceNode(const Dataset& data, const RegionCounter& counter,
     const Pattern pattern = row_pattern(r);
     regions.emplace(counter.KeyFor(pattern, mask), pattern);
   }
-  KeyedRegions biased;
+  std::vector<BiasedRegion> biased;
   for (const auto& [key, pattern] : regions) {
     RegionCounts counts;
     RegionCounts neighbor_counts;
@@ -335,22 +336,22 @@ KeyedRegions BruteForceNode(const Dataset& data, const RegionCounter& counter,
     const double ratio = ImbalanceScore(counts);
     const double neighbor_ratio = ImbalanceScore(neighbor_counts);
     if (std::abs(ratio - neighbor_ratio) > params.imbalance_threshold) {
-      biased.emplace_back(key, BiasedRegion{pattern, counts, neighbor_counts,
-                                            ratio, neighbor_ratio});
+      biased.push_back(BiasedRegion{pattern, key, counts, neighbor_counts,
+                                    ratio, neighbor_ratio});
     }
   }
   return biased;
 }
 
 // Field-for-field equality, ratios compared exactly.
-void ExpectSameRegions(const KeyedRegions& actual,
-                       const KeyedRegions& expected,
+void ExpectSameRegions(const std::vector<BiasedRegion>& actual,
+                       const std::vector<BiasedRegion>& expected,
                        const std::string& context) {
   ASSERT_EQ(actual.size(), expected.size()) << context;
   for (size_t i = 0; i < actual.size(); ++i) {
-    const BiasedRegion& a = actual[i].second;
-    const BiasedRegion& e = expected[i].second;
-    EXPECT_EQ(actual[i].first, expected[i].first) << context;
+    const BiasedRegion& a = actual[i];
+    const BiasedRegion& e = expected[i];
+    EXPECT_EQ(a.key, e.key) << context;
     EXPECT_EQ(a.pattern, e.pattern) << context;
     EXPECT_EQ(a.counts, e.counts) << context;
     EXPECT_EQ(a.neighbor_counts, e.neighbor_counts) << context;
@@ -375,7 +376,7 @@ size_t CheckSweep(Hierarchy& hierarchy, const std::vector<uint32_t>& masks,
   size_t found = 0;
   for (uint32_t mask : masks) {
     const std::string where = context + " mask " + std::to_string(mask);
-    KeyedRegions swept;
+    std::vector<BiasedRegion> swept;
     sweep.Sweep(mask, &swept);
     ExpectSameRegions(swept, PerRegionOracle(hierarchy, mask, params), where);
     if (data != nullptr) {
@@ -462,16 +463,16 @@ TEST(NodeSweepTest, SizeFilterBoundary) {
   for (int k : {249, 250}) {
     params.min_region_size = k;
     NodeSweep sweep(hierarchy, params);
-    KeyedRegions swept;
+    std::vector<BiasedRegion> swept;
     const int64_t scored = sweep.Sweep(leaf, &swept);
     ExpectSameRegions(swept, PerRegionOracle(hierarchy, leaf, params),
                       "k " + std::to_string(k));
     ExpectSameRegions(swept,
                       BruteForceNode(data, hierarchy.counter(), leaf, params),
                       "k " + std::to_string(k) + " (brute force)");
-    const bool kept =
-        std::any_of(swept.begin(), swept.end(),
-                    [&](const auto& entry) { return entry.first == key; });
+    const bool kept = std::any_of(
+        swept.begin(), swept.end(),
+        [&](const BiasedRegion& region) { return region.key == key; });
     EXPECT_EQ(kept, k == 249);
     EXPECT_EQ(scored, k == 249 ? 1 : 0);
   }
@@ -544,7 +545,7 @@ TEST(NodeSweepTest, LeafAndTopScopes) {
     EXPECT_GT(CheckSweep(hierarchy, masks, params, &data, "scope"), 0u);
     // IdentifyIbs runs the same sweep over the scope.
     Hierarchy fresh(data);
-    KeyedRegions expected;
+    std::vector<BiasedRegion> expected;
     for (uint32_t mask : masks) {
       for (auto& entry : PerRegionOracle(fresh, mask, params)) {
         expected.push_back(std::move(entry));
@@ -553,8 +554,8 @@ TEST(NodeSweepTest, LeafAndTopScopes) {
     const std::vector<BiasedRegion> ibs = IdentifyIbs(data, params).value();
     ASSERT_EQ(ibs.size(), expected.size());
     for (size_t i = 0; i < ibs.size(); ++i) {
-      EXPECT_EQ(ibs[i].pattern, expected[i].second.pattern);
-      EXPECT_EQ(ibs[i].neighbor_counts, expected[i].second.neighbor_counts);
+      EXPECT_EQ(ibs[i].pattern, expected[i].pattern);
+      EXPECT_EQ(ibs[i].neighbor_counts, expected[i].neighbor_counts);
     }
   }
 }
@@ -636,7 +637,8 @@ TEST(NodeSweepDeathTest, MissingParentProjectionDies) {
         RegionCounts{3, 1}}});
   std::vector<RegionCounts> sums(child.size());
   EXPECT_DEATH(
-      counter.AddParentCounts(child, 0b11, parent, 0b01, sums.data()),
+      counter.AddParentCounts(child.entries(), 0b11, parent.entries(), 0b01,
+                              sums.data()),
       "parent node lacks the projection");
 }
 

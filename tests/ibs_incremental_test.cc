@@ -456,6 +456,79 @@ TEST(IbsIncrementalTest, ZeroDriftBatchesAtUnitDistanceOnNominalSchema) {
   }
 }
 
+TEST(IbsIncrementalTest, GatheredChildBelowWholeNodeParentUnderSteadyTotals) {
+  // Five nominal attributes of four values, T = 1: the level-1 nodes are
+  // whole-node neighborhoods (diameter 1), so with steady totals their
+  // re-evaluation sets hold only their dirty keys. A level-2 node with two
+  // dirty keys gathers them plus their frontier (2 x 7 keys < 16 entries),
+  // and a frontier key's projection onto a level-1 parent is in general
+  // not dirty there: the gathered child must sum that parent over its
+  // table, not over the parent's gathered set.
+  std::vector<AttributeSchema> attributes;
+  std::vector<int> protected_indices;
+  for (int i = 0; i < 5; ++i) {
+    const std::string name = "p" + std::to_string(i);
+    attributes.emplace_back(
+        name, std::vector<std::string>{name + "a", name + "b", name + "c",
+                                       name + "d"});
+    protected_indices.push_back(i);
+  }
+  Dataset data(DataSchema(std::move(attributes), protected_indices));
+  Rng rows(0x9a7e);
+  for (int i = 0; i < 6000; ++i) {
+    std::vector<int> row(5);
+    for (int& value : row) value = rows.UniformInt(4);
+    const double p = 0.2 + 0.15 * row[0] + 0.1 * (row[2] == 1);
+    data.AddRow(row, rows.Bernoulli(p) ? 1 : 0);
+  }
+  Hierarchy hierarchy(data);
+  ASSERT_TRUE(hierarchy.EagerBuild(1).ok());
+  IbsParams params = TestParams();
+  params.imbalance_threshold = 0.1;
+  ASSERT_EQ(params.scope, IbsScope::kLattice);
+  ASSERT_EQ(params.distance_threshold, 1.0);
+  IncrementalIbsState state;
+  (void)state.Identify(hierarchy, params);  // warm the cache
+
+  const NodeTable& leaves = hierarchy.NodeCounts(hierarchy.LeafMask());
+  Rng rng(0x57ead);
+  for (int epoch = 0; epoch < kShortStreamEpochs; ++epoch) {
+    // One label's instances move between two populated leaves.
+    const auto& [from, from_counts] = *std::next(
+        leaves.begin(), rng.UniformInt(static_cast<int>(leaves.size())));
+    uint64_t to = std::next(leaves.begin(),
+                            rng.UniformInt(static_cast<int>(leaves.size())))
+                      ->first;
+    if (to == from) continue;
+    const bool positives = from_counts.positives > 0 &&
+                           (from_counts.negatives == 0 || rng.Bernoulli(0.5));
+    const int64_t available =
+        positives ? from_counts.positives : from_counts.negatives;
+    if (available == 0) continue;
+    const int64_t moved = rng.UniformRange(1, static_cast<int>(available));
+    std::vector<Hierarchy::LeafDelta> batch = {
+        {from, positives ? -moved : 0, positives ? 0 : -moved},
+        {to, positives ? moved : 0, positives ? 0 : moved}};
+    if (to < from) std::swap(batch[0], batch[1]);
+    hierarchy.ApplyDeltas(batch, /*insert_missing=*/true);
+    ASSERT_EQ(hierarchy.dirty_set().delta_positives, 0);
+    ASSERT_EQ(hierarchy.dirty_set().delta_negatives, 0);
+
+    const std::vector<BiasedRegion> incremental =
+        state.Identify(hierarchy, params);
+    const std::vector<BiasedRegion> full =
+        IdentifyIbsInScope(hierarchy, params);
+    ASSERT_EQ(IbsSetDigest(incremental), IbsSetDigest(full))
+        << "epoch " << epoch;
+    EXPECT_TRUE(state.last_stats().incremental);
+    EXPECT_EQ(state.last_stats().full_node_rescores, 0) << "epoch " << epoch;
+    // Every node was gathered, the deeper ones with their frontier: none
+    // is re-scored whole.
+    EXPECT_GT(state.last_stats().expanded_regions, 0) << "epoch " << epoch;
+    EXPECT_EQ(state.last_stats().wide_node_rescores, 0) << "epoch " << epoch;
+  }
+}
+
 TEST(IbsIncrementalTest, LeafAndTopScopesReadParentsOutsideTheScope) {
   // Leaf scope scores only the leaf node, whose dominating regions sit one
   // level up, outside the scope; top scope scores level 1, whose parent is

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <vector>
+
 #include "core/pattern.h"
 #include "test_util.h"
 
@@ -103,6 +107,86 @@ TEST(PatternTest, OrderingIsLexicographic) {
   EXPECT_TRUE(a < b);
   EXPECT_FALSE(b < a);
   EXPECT_TRUE(a == Pattern({0, 1}));
+}
+
+TEST(PatternTest, ArityZeroAndThirtyTwoRoundTrip) {
+  Pattern empty(0);
+  EXPECT_EQ(empty.Arity(), 0);
+  EXPECT_EQ(empty.NumDeterministic(), 0);
+  EXPECT_EQ(empty.DeterministicMask(), 0u);
+  EXPECT_TRUE(empty == Pattern(std::vector<int>{}));
+  EXPECT_TRUE(empty == Pattern());
+
+  std::vector<int> values(Pattern::kMaxArity);
+  for (int i = 0; i < Pattern::kMaxArity; ++i) {
+    values[i] = i % 3 == 0 ? Pattern::kWildcard : i * 1000;
+  }
+  values[31] = Pattern::kMaxValue;
+  const Pattern wide(values);
+  EXPECT_EQ(wide.Arity(), Pattern::kMaxArity);
+  uint32_t mask = 0;
+  for (int i = 0; i < Pattern::kMaxArity; ++i) {
+    EXPECT_EQ(wide.Value(i), values[i]) << i;
+    if (values[i] != Pattern::kWildcard) mask |= 1u << i;
+  }
+  EXPECT_EQ(wide.DeterministicMask(), mask);
+  EXPECT_EQ(wide.NumDeterministic(), std::popcount(mask));
+  const Pattern copy = wide;
+  EXPECT_TRUE(copy == wide);
+  EXPECT_TRUE(copy.Dominates(wide));
+}
+
+TEST(PatternTest, SetValueKeepsTheMaskInStep) {
+  Pattern pattern({2, Pattern::kWildcard, 0, 1});
+  ASSERT_EQ(pattern.DeterministicMask(), 0b1101u);
+  ASSERT_EQ(pattern.NumDeterministic(), 3);
+  // Setting a wildcard clears the position's bit.
+  pattern.SetValue(2, Pattern::kWildcard);
+  EXPECT_EQ(pattern.DeterministicMask(), 0b1001u);
+  EXPECT_EQ(pattern.NumDeterministic(), 2);
+  EXPECT_FALSE(pattern.IsDeterministic(2));
+  // Clearing a wildcard sets it.
+  pattern.SetValue(1, 3);
+  EXPECT_EQ(pattern.DeterministicMask(), 0b1011u);
+  EXPECT_EQ(pattern.NumDeterministic(), 3);
+  EXPECT_TRUE(pattern.IsDeterministic(1));
+  // Re-setting a deterministic value or a wildcard changes nothing else.
+  pattern.SetValue(0, 0);
+  pattern.SetValue(2, Pattern::kWildcard);
+  EXPECT_EQ(pattern.DeterministicMask(), 0b1011u);
+  EXPECT_TRUE(pattern == Pattern({0, 3, Pattern::kWildcard, 1}));
+}
+
+TEST(PatternTest, OrderAcrossAritiesMatchesVectorOrder) {
+  const std::vector<std::vector<int>> sequences = {
+      {},
+      {Pattern::kWildcard},
+      {0},
+      {0, Pattern::kWildcard},
+      {0, 0},
+      {0, 0, 0},
+      {0, 1},
+      {1},
+      {1, Pattern::kWildcard, 2},
+      {Pattern::kMaxValue},
+      {Pattern::kWildcard, Pattern::kMaxValue},
+  };
+  for (const std::vector<int>& a : sequences) {
+    for (const std::vector<int>& b : sequences) {
+      EXPECT_EQ(Pattern(a) == Pattern(b), a == b);
+      EXPECT_EQ(Pattern(a) < Pattern(b), a < b);
+    }
+  }
+}
+
+TEST(PatternDeathTest, LimitsDie) {
+  EXPECT_DEATH(Pattern(Pattern::kMaxArity + 1), "arity 33");
+  EXPECT_DEATH(Pattern(std::vector<int>(Pattern::kMaxArity + 1, 0)),
+               "arity 33");
+  EXPECT_DEATH(Pattern({0, Pattern::kMaxValue + 1}), "value 32768");
+  Pattern pattern(2);
+  EXPECT_DEATH(pattern.SetValue(1, Pattern::kMaxValue + 1), "value 32768");
+  EXPECT_DEATH(pattern.SetValue(1, -2), "value -2");
 }
 
 }  // namespace

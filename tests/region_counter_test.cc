@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <set>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -275,6 +277,132 @@ TEST(RegionCounterTest, DatasetCounts) {
   RegionCounts total = counter.DatasetCounts(data);
   EXPECT_EQ(total.positives, 2);
   EXPECT_EQ(total.negatives, 3);
+}
+
+// A schema whose one protected attribute has `cardinality` values.
+DataSchema OneAttributeSchema(int cardinality) {
+  std::vector<std::string> values;
+  values.reserve(cardinality);
+  for (int v = 0; v < cardinality; ++v) values.push_back(std::to_string(v));
+  std::vector<AttributeSchema> attributes = {
+      AttributeSchema("wide", std::move(values))};
+  return DataSchema(std::move(attributes), {0});
+}
+
+TEST(RegionCounterTest, AcceptsTheLargestDomainAPatternHolds) {
+  const RegionCounter counter(OneAttributeSchema(Pattern::kMaxValue));
+  EXPECT_EQ(counter.Cardinality(0), Pattern::kMaxValue);
+  const uint64_t last = Pattern::kMaxValue - 1;
+  const Pattern pattern = counter.PatternFor(last, 0b1);
+  EXPECT_EQ(pattern.Value(0), Pattern::kMaxValue - 1);
+  EXPECT_EQ(counter.KeyFor(pattern, 0b1), last);
+}
+
+TEST(RegionCounterDeathTest, RejectsADomainPastThePatternLimit) {
+  const DataSchema schema = OneAttributeSchema(Pattern::kMaxValue + 1);
+  EXPECT_DEATH(RegionCounter counter(schema),
+               "wide has 32768 values; a pattern holds at most 32767");
+}
+
+// The walk's parent-sum oracle: each child entry's projection found by
+// key in the parent node's table.
+std::vector<RegionCounts> FindSums(const RegionCounter& counter,
+                                   std::span<const NodeTable::Entry> child,
+                                   uint32_t child_mask, const NodeTable& parent,
+                                   uint32_t parent_mask) {
+  std::vector<RegionCounts> sums(child.size());
+  for (size_t i = 0; i < child.size(); ++i) {
+    sums[i] = parent.at(counter.ProjectKey(child[i].first, child_mask,
+                                           parent_mask));
+  }
+  return sums;
+}
+
+TEST(RegionCounterTest, AddParentCountsOverSparseRunsEqualsFindSums) {
+  // Dropping q or s from (p, q, s, t) leaves digits on both sides of the
+  // dropped one: the child keys fall into several high blocks, and inside
+  // a block each run of one dropped-digit value projects back below the
+  // previous run's last projection, so the walk restarts at the block.
+  const Dataset data = RandomWideDataset(0x5a17, 4000);
+  const RegionCounter counter(data.schema());
+  const uint32_t child_mask = 0b1111;
+  const NodeTable child = counter.CountNode(data, child_mask);
+  ASSERT_EQ(child.size(), counter.KeySpace(child_mask));
+  Rng rng(0x5b);
+  for (int position : {1, 2}) {
+    const uint32_t parent_mask = child_mask & ~(1u << position);
+    const NodeTable parent = counter.RollUp(child, child_mask, parent_mask);
+    // The key strides around the dropped digit: a block is one value of
+    // the digits before it.
+    const uint64_t low_radix =
+        counter.KeySpace(child_mask & ~((2u << position) - 1));
+    const uint64_t block_radix = low_radix * counter.Cardinality(position);
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<NodeTable::Entry> run;
+      for (const NodeTable::Entry& entry : child) {
+        if (rng.Bernoulli(0.35)) run.push_back(entry);
+      }
+      // The projections of the run plus a few unrelated parent entries,
+      // ascending: the sparse parent run a gathered node offers.
+      std::set<uint64_t> wanted;
+      for (const NodeTable::Entry& entry : run) {
+        wanted.insert(counter.ProjectKey(entry.first, child_mask, parent_mask));
+      }
+      std::vector<NodeTable::Entry> sparse_parent;
+      for (const NodeTable::Entry& entry : parent) {
+        if (wanted.count(entry.first) != 0 || rng.Bernoulli(0.2)) {
+          sparse_parent.push_back(entry);
+        }
+      }
+      int blocks = 0;
+      int restarts = 0;
+      for (size_t i = 0; i < run.size(); ++i) {
+        const uint64_t key =
+            counter.ProjectKey(run[i].first, child_mask, parent_mask);
+        if (i == 0 || run[i].first / block_radix !=
+                          run[i - 1].first / block_radix) {
+          ++blocks;
+        } else if (key < counter.ProjectKey(run[i - 1].first, child_mask,
+                                            parent_mask)) {
+          ++restarts;
+        }
+      }
+      EXPECT_GT(blocks, 1) << position;
+      EXPECT_GT(restarts, 0) << position;
+
+      const std::vector<RegionCounts> expected =
+          FindSums(counter, run, child_mask, parent, parent_mask);
+      for (const auto& parent_run :
+           {std::span<const NodeTable::Entry>(parent.entries()),
+            std::span<const NodeTable::Entry>(sparse_parent)}) {
+        std::vector<RegionCounts> sums(run.size());
+        counter.AddParentCounts(run, child_mask, parent_run, parent_mask,
+                                sums.data());
+        EXPECT_EQ(sums, expected) << "position " << position << " trial "
+                                  << trial;
+      }
+    }
+  }
+}
+
+TEST(RegionCounterDeathTest, AddParentCountsDiesOnAMissingProjection) {
+  const Dataset data = RandomWideDataset(0x5a18, 2000);
+  const RegionCounter counter(data.schema());
+  const NodeTable child = counter.CountNode(data, 0b1111);
+  const NodeTable parent = counter.RollUp(child, 0b1111, 0b1011);
+  // Every child entry but one projection's worth: drop the projection of
+  // the run's last entry from the parent run.
+  const std::vector<NodeTable::Entry> run(child.begin(), child.begin() + 40);
+  const uint64_t lost =
+      counter.ProjectKey(run.back().first, 0b1111, 0b1011);
+  std::vector<NodeTable::Entry> sparse_parent;
+  for (const NodeTable::Entry& entry : parent) {
+    if (entry.first != lost) sparse_parent.push_back(entry);
+  }
+  std::vector<RegionCounts> sums(run.size());
+  EXPECT_DEATH(counter.AddParentCounts(run, 0b1111, sparse_parent, 0b1011,
+                                       sums.data()),
+               "parent node lacks the projection");
 }
 
 }  // namespace

@@ -898,6 +898,16 @@ TEST(ServeDaemonTest, SnapshotRingPinsRecentEpochsOnly) {
   EXPECT_TRUE(daemon.value()->Stop().ok());
 }
 
+// The monitor_alerts counter of the daemon's health report.
+int64_t MonitorAlerts(const ServeDaemon& daemon) {
+  const std::string json = daemon.HealthJson();
+  const std::string field = "\"monitor_alerts\":";
+  const size_t at = json.find(field);
+  EXPECT_NE(at, std::string::npos) << json;
+  if (at == std::string::npos) return -1;
+  return std::stoll(json.substr(at + field.size()));
+}
+
 TEST(ServeDaemonTest, MonitorAlertsWhenTheIbsChanges) {
   const DataSchema schema = SmallSchema();
   ServeOptions options = SmallOptions(FreshDir("monitor"));
@@ -918,10 +928,37 @@ TEST(ServeDaemonTest, MonitorAlertsWhenTheIbsChanges) {
   ASSERT_TRUE(
       daemon.value()->IngestCsv("a,b,label,__count\na0,b0,1,200\n").ok());
   ASSERT_TRUE(daemon.value()->Flush().ok());
-  EXPECT_FALSE(daemon.value()->QueryIbs().empty());
-  EXPECT_EQ(daemon.value()->HealthJson().find("\"monitor_alerts\":0,"),
-            std::string::npos)
-      << "IBS changed but no monitor alert fired";
+  const std::vector<BiasedRegion> skewed = daemon.value()->QueryIbs();
+  EXPECT_FALSE(skewed.empty());
+  const int64_t alerts = MonitorAlerts(*daemon.value());
+  EXPECT_GT(alerts, 0) << "IBS changed but no monitor alert fired";
+
+  // Epoch 4: one more positive in (a0, b0) moves the counts of biased
+  // regions, but no region joins or leaves: the (mask, key) set the
+  // monitor digests is the same, so no alert fires.
+  ASSERT_TRUE(
+      daemon.value()->IngestCsv("a,b,label,__count\na0,b0,1,1\n").ok());
+  ASSERT_TRUE(daemon.value()->Flush().ok());
+  const std::vector<BiasedRegion> recounted = daemon.value()->QueryIbs();
+  ASSERT_EQ(recounted.size(), skewed.size());
+  bool counts_moved = false;
+  for (size_t i = 0; i < skewed.size(); ++i) {
+    EXPECT_EQ(recounted[i].pattern.DeterministicMask(),
+              skewed[i].pattern.DeterministicMask());
+    EXPECT_EQ(recounted[i].key, skewed[i].key);
+    counts_moved = counts_moved || !(recounted[i].counts == skewed[i].counts);
+  }
+  EXPECT_TRUE(counts_moved) << "the epoch must change an IBS region's counts";
+  EXPECT_EQ(MonitorAlerts(*daemon.value()), alerts)
+      << "counts moved within an unchanged subgroup set";
+
+  // Epoch 5: (a0, b0) balanced again — regions leave the IBS, and the
+  // monitor fires exactly once more.
+  ASSERT_TRUE(
+      daemon.value()->IngestCsv("a,b,label,__count\na0,b0,0,201\n").ok());
+  ASSERT_TRUE(daemon.value()->Flush().ok());
+  EXPECT_LT(daemon.value()->QueryIbs().size(), recounted.size());
+  EXPECT_EQ(MonitorAlerts(*daemon.value()), alerts + 1);
   EXPECT_TRUE(daemon.value()->Stop().ok());
 }
 
