@@ -1,18 +1,22 @@
 // Google-benchmark micro benchmarks for the core operations: region
 // counting, hierarchy node materialization, neighbor-count computation
 // (naive vs optimized), the whole-lattice identify sweep, the serving
-// daemon's incremental identify epoch, and full IBS identification. These
-// quantify the constant factors behind the Fig. 9 curves.
+// daemon's wide inserting apply and incremental identify epoch, and full
+// IBS identification. These quantify the constant factors behind the
+// Fig. 9 curves.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench_common.h"
 #include "common/check.h"
+#include "common/pipeline_metrics.h"
 #include "common/rng.h"
 #include "core/hierarchy.h"
 #include "core/ibs_identify.h"
@@ -195,15 +199,21 @@ void BM_FullSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_FullSweep)->Unit(benchmark::kMillisecond);
 
+// A 1.2M-row census of serve_steady's |X| = 8 spec (perfbench's
+// serve_narrow draws the same spec).
+const ColumnarShardStore& ServingStore() {
+  static const ColumnarShardStore* store = new ColumnarShardStore(
+      GenerateSyntheticStore(bench::ServingSpec(1200000), 17));
+  return *store;
+}
+
 // One identify epoch of the serving daemon: serve_steady's 1.2M-row
 // |X| = 8 lattice, an untimed 1k-row ingest batch over 8 leaves, then one
 // timed IncrementalIbsState::Identify — the dirty keys' frontier gathered,
 // re-scored and merged with the cached verdicts, and the output copied.
 void BM_IncrementalIdentify(benchmark::State& state) {
   static Hierarchy* hierarchy = [] {
-    static const ColumnarShardStore* store = new ColumnarShardStore(
-        GenerateSyntheticStore(bench::ServingSpec(1200000), 17));
-    auto* built = new Hierarchy(*store);
+    auto* built = new Hierarchy(ServingStore());
     REMEDY_CHECK(built->EagerBuild(1).ok());
     return built;
   }();
@@ -230,6 +240,81 @@ void BM_IncrementalIdentify(benchmark::State& state) {
       static_cast<double>(rescored), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_IncrementalIdentify)->Unit(benchmark::kMillisecond);
+
+// The daemon's wide inserting batch: the ServingStore lattice,
+// count-seeded from its leaf table and tracking dirty regions as
+// the daemon does, then one timed ApplyDeltas of a batch whose keyed work
+// (deltas x nodes) is state.range(0) percent of the lattice's entry count:
+// +1 at evenly spaced populated leaves plus one leaf the lattice lacks.
+// Arg 0 is the daemon's seed batch instead: every populated leaf into an
+// empty lattice. Counter `rollup` is 1 when the batch took the rollup path.
+void BM_WideInsertingApply(benchmark::State& state) {
+  static Hierarchy* census = [] {
+    auto* built = new Hierarchy(ServingStore());
+    REMEDY_CHECK(built->EagerBuild(1).ok());
+    return built;
+  }();
+  Hierarchy& counted = *census;
+  const NodeTable& leaves = counted.NodeCounts(counted.LeafMask());
+  const RegionCounts totals = counted.TotalCounts();
+  size_t entries = 0;
+  for (uint32_t mask = 1; mask <= counted.LeafMask(); ++mask) {
+    entries += counted.NodeCounts(mask).size();
+  }
+  const bool seed = state.range(0) == 0;
+  std::vector<Hierarchy::LeafDelta> batch;
+  if (seed) {
+    for (const auto& [key, counts] : leaves) {
+      batch.push_back({key, counts.positives, counts.negatives});
+    }
+  } else {
+    // The fewest deltas whose keyed work reaches the percentage.
+    const size_t nodes = counted.LeafMask();
+    const size_t width = std::max<size_t>(
+        2, (static_cast<size_t>(state.range(0)) * entries + 100 * nodes - 1) /
+               (100 * nodes));
+    const size_t stride = std::max<size_t>(1, leaves.size() / (width - 1));
+    uint64_t missing = 0;
+    while (leaves.count(missing) != 0) ++missing;
+    batch.push_back({missing, 1, 0});
+    for (size_t i = 0; i < leaves.size() && batch.size() < width;
+         i += stride) {
+      batch.push_back({leaves.entries()[i].first, 1, 0});
+    }
+    std::sort(batch.begin(), batch.end(),
+              [](const Hierarchy::LeafDelta& a, const Hierarchy::LeafDelta& b) {
+                return a.leaf_key < b.leaf_key;
+              });
+  }
+  const Counter& rollups = *PipelineMetrics::Get().lattice_rollup_applies;
+  int64_t rolled = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto lattice = std::make_unique<Hierarchy>(
+        counted.schema(), seed ? NodeTable() : leaves,
+        seed ? RegionCounts{} : totals);
+    REMEDY_CHECK(lattice->EagerBuild(1).ok());
+    lattice->EnableDirtyTracking();
+    const int64_t before = rollups.Value();
+    state.ResumeTiming();
+    lattice->ApplyDeltas(batch, /*insert_missing=*/true);
+    state.PauseTiming();
+    rolled = rollups.Value() - before;
+    lattice.reset();
+    state.ResumeTiming();
+  }
+  state.counters["deltas"] = static_cast<double>(batch.size());
+  state.counters["entries"] = static_cast<double>(entries);
+  state.counters["rollup"] = static_cast<double>(rolled);
+}
+BENCHMARK(BM_WideInsertingApply)
+    ->Arg(0)
+    ->Arg(50)
+    ->Arg(99)
+    ->Arg(100)
+    ->Arg(200)
+    ->Arg(400)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_IdentifyIbs(benchmark::State& state) {
   const Dataset& data = CompasData();

@@ -38,6 +38,8 @@ namespace remedy {
     "remedy engines)")                                                        \
   X(lattice_slot_map_builds, "lattice/slot_map_builds", "builds",             \
     "slot-map (re)builds of the lattice's ApplyDeltas up maps")               \
+  X(lattice_rollup_applies, "lattice/rollup_applies", "batches",              \
+    "wide inserting ApplyDeltas batches merged into the leaf and rolled up")  \
   X(lattice_shard_rows, "lattice/shard_rows", "rows",                         \
     "rows counted by the columnar store's key kernel")                        \
   X(lattice_radix_sort_keys, "lattice/radix_sort_keys", "keys",               \

@@ -1,5 +1,6 @@
 #include "core/hierarchy.h"
 
+#include <algorithm>
 #include <bit>
 #include <memory>
 
@@ -39,6 +40,25 @@ uint64_t FinalizeDigest(uint64_t sum, const RegionCounts& totals) {
   uint64_t h = Mix64(sum + kGolden);
   h = Mix64((h ^ static_cast<uint64_t>(totals.positives)) + kGolden);
   return Mix64((h ^ static_cast<uint64_t>(totals.negatives)) + kGolden);
+}
+
+// Lists `key` in a node's dirty key list (null while tracking is off),
+// skipping a repeat of the last key: sorted deltas project in runs onto
+// the nodes that keep their leading positions.
+void MarkKey(std::vector<uint64_t>* keys, uint64_t key) {
+  if (keys != nullptr && (keys->empty() || keys->back() != key)) {
+    keys->push_back(key);
+  }
+}
+
+// Sorts and dedups a node's dirty key list once it outnumbers twice the
+// node's `entries`. Every listed key names an entry, so each compaction at
+// least halves the list: amortized O(log) per key, and a list no identify
+// clears never outgrows twice its node.
+void CompactDirtyKeys(std::vector<uint64_t>* keys, size_t entries) {
+  if (keys == nullptr || keys->size() <= 2 * entries) return;
+  std::sort(keys->begin(), keys->end());
+  keys->erase(std::unique(keys->begin(), keys->end()), keys->end());
 }
 
 }  // namespace
@@ -126,11 +146,12 @@ Status Hierarchy::EagerBuild(int threads) {
     NodeCounts(LeafMask());  // the one dataset scan
     TotalCounts();
   }
-  if (NumProtected() == 1) {
-    fully_built_ = true;
-    return OkStatus();
-  }
+  RETURN_IF_ERROR(RollUpLevels(threads, /*rebuild=*/false));
+  fully_built_ = true;
+  return OkStatus();
+}
 
+Status Hierarchy::RollUpLevels(int threads, bool rebuild) {
   // The pool is spun up only for the first level wide enough to feed it, so
   // a single-core host (or a narrow lattice) never pays thread start-up and
   // scheduling costs just to run the rollups inline anyway.
@@ -144,7 +165,7 @@ Status Hierarchy::EagerBuild(int threads) {
     std::vector<std::pair<uint32_t, NodeTable*>> work;
     for (uint32_t mask : MasksAtLevel(level)) {
       auto [it, inserted] = node_cache_.try_emplace(mask);
-      if (inserted) work.emplace_back(mask, &it->second);
+      if (inserted || rebuild) work.emplace_back(mask, &it->second);
     }
     metrics.lattice_nodes_built->Increment(static_cast<int64_t>(work.size()));
     metrics.lattice_rollups->Increment(static_cast<int64_t>(work.size()));
@@ -172,7 +193,6 @@ Status Hierarchy::EagerBuild(int threads) {
       }
     }
   }
-  fully_built_ = true;
   return OkStatus();
 }
 
@@ -190,20 +210,23 @@ void Hierarchy::ApplyDeltas(const std::vector<LeafDelta>& deltas,
   // refold a stale sum costs at its next read.
   if (digest_fresh_) digest_fresh_ = work <= entries;
   // The slot path once the keyed work it would save has paid for building
-  // the maps; a batch that inserts a leaf shifts indices, so it takes the
-  // keyed path and drops them.
-  bool slotted = false;
+  // the maps. A batch that inserts a leaf shifts indices: a wide one takes
+  // the rollup, a narrower one the keyed path, and both drop the maps.
+  bool keyed = true;
   if (!slot_maps_.empty() || keyed_work_ + work >= entries) {
     std::vector<uint32_t> leaf_slots;
     if (LeafSlots(deltas, insert_missing, &leaf_slots)) {
       if (slot_maps_.empty()) BuildSlotMaps();
       ApplySlotted(deltas, leaf_slots);
-      slotted = true;
+      keyed = false;
+    } else if (work >= entries) {
+      ApplyRolledUp(deltas);
+      keyed = false;
     } else {
       slot_maps_.clear();
     }
   }
-  if (!slotted) {
+  if (keyed) {
     ApplyKeyed(deltas, insert_missing);
     keyed_work_ += work;
   }
@@ -246,13 +269,12 @@ void Hierarchy::ApplyKeyed(const std::vector<LeafDelta>& deltas,
                        digits.data() + i * stride);
   }
   for (auto& [mask, table] : node_cache_) {
-    std::unordered_set<uint64_t>* touched =
-        dirty_tracking_ ? &dirty_.touched[mask] : nullptr;
+    std::vector<uint64_t>* touched = DirtyKeys(mask);
     for (size_t i = 0; i < deltas.size(); ++i) {
       const LeafDelta& delta = deltas[i];
       const uint64_t key =
           counter_.PackDigits(digits.data() + i * stride, mask);
-      if (touched != nullptr) touched->insert(key);
+      MarkKey(touched, key);
       bool inserted = false;
       const RegionCounts after =
           insert_missing
@@ -262,6 +284,7 @@ void Hierarchy::ApplyKeyed(const std::vector<LeafDelta>& deltas,
                                  delta.delta_negatives);
       if (digest_fresh_) RecordEntry(mask, key, after, delta, inserted);
     }
+    CompactDirtyKeys(touched, table.size());
   }
 }
 
@@ -308,10 +331,10 @@ void Hierarchy::ApplySlotted(const std::vector<LeafDelta>& deltas,
                              const std::vector<uint32_t>& leaf_slots) {
   const size_t num_nodes = slot_maps_.size();
   std::vector<NodeTable*> tables(num_nodes);
-  std::vector<std::unordered_set<uint64_t>*> touched(num_nodes, nullptr);
+  std::vector<std::vector<uint64_t>*> touched(num_nodes);
   for (size_t n = 0; n < num_nodes; ++n) {
     tables[n] = &node_cache_.at(slot_maps_[n].mask);
-    if (dirty_tracking_) touched[n] = &dirty_.touched[slot_maps_[n].mask];
+    touched[n] = DirtyKeys(slot_maps_[n].mask);
   }
   std::vector<uint32_t> slots(num_nodes);
   for (size_t i = 0; i < deltas.size(); ++i) {
@@ -321,10 +344,68 @@ void Hierarchy::ApplySlotted(const std::vector<LeafDelta>& deltas,
                         : slot_maps_[n].up[slots[slot_maps_[n].child]];
       const auto& [key, after] = tables[n]->ApplyDeltaAt(
           slots[n], delta.delta_positives, delta.delta_negatives);
-      if (touched[n] != nullptr) touched[n]->insert(key);
+      MarkKey(touched[n], key);
       if (digest_fresh_) {
         RecordEntry(slot_maps_[n].mask, key, after, delta, /*inserted=*/false);
       }
+    }
+  }
+  for (size_t n = 0; n < num_nodes; ++n) {
+    CompactDirtyKeys(touched[n], tables[n]->size());
+  }
+}
+
+void Hierarchy::ApplyRolledUp(const std::vector<LeafDelta>& deltas) {
+  PipelineMetrics::Get().lattice_rollup_applies->Increment();
+  const auto by_key = [](const LeafDelta& a, const LeafDelta& b) {
+    return a.leaf_key < b.leaf_key;
+  };
+  std::vector<LeafDelta> sorted;
+  if (!std::is_sorted(deltas.begin(), deltas.end(), by_key)) {
+    sorted = deltas;
+    // Stable: repeats of one key apply in the caller's order, so a count
+    // dips below zero here exactly when it does on the keyed path.
+    std::stable_sort(sorted.begin(), sorted.end(), by_key);
+  }
+  // One merge of the ascending leaf entries with the ascending deltas: a
+  // missing key is inserted (a (0,0) delta too, as UpsertDelta does).
+  const std::vector<NodeTable::Entry>& leaf =
+      node_cache_.at(LeafMask()).entries();
+  std::vector<uint64_t>* dirty_leaves = DirtyKeys(LeafMask());
+  std::vector<NodeTable::Entry> merged;
+  merged.reserve(leaf.size() + deltas.size());
+  size_t next = 0;  // the first leaf entry not yet merged
+  for (const LeafDelta& delta : sorted.empty() ? deltas : sorted) {
+    if (merged.empty() || merged.back().first != delta.leaf_key) {
+      const size_t at = GallopTo(leaf, next, delta.leaf_key);
+      merged.insert(merged.end(), leaf.begin() + next, leaf.begin() + at);
+      next = at;
+      if (next < leaf.size() && leaf[next].first == delta.leaf_key) {
+        merged.push_back(leaf[next++]);
+      } else {
+        merged.push_back({delta.leaf_key, RegionCounts{}});
+      }
+      MarkKey(dirty_leaves, delta.leaf_key);
+    }
+    RegionCounts& counts = merged.back().second;
+    counts.positives += delta.delta_positives;
+    counts.negatives += delta.delta_negatives;
+    REMEDY_CHECK(counts.positives >= 0 && counts.negatives >= 0)
+        << "delta drove region key " << delta.leaf_key << " negative";
+  }
+  merged.insert(merged.end(), leaf.begin() + next, leaf.end());
+  CompactDirtyKeys(dirty_leaves, merged.size());
+  node_cache_[LeafMask()] = NodeTable(std::move(merged));
+  // Serial, on the caller's thread: four threads roughly halve this on an
+  // idle host, but ApplyDeltas starts no pool, as the daemon's own lattice
+  // build (build_threads = 1) does not.
+  REMEDY_CHECK(RollUpLevels(/*threads=*/1, /*rebuild=*/true).ok());
+  digest_fresh_ = false;
+  slot_maps_.clear();
+  keyed_work_ = 0;
+  if (dirty_tracking_) {
+    for (const auto& [mask, table] : node_cache_) {
+      dirty_.nodes[mask].whole = true;
     }
   }
 }

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -30,26 +29,39 @@ namespace remedy {
 // whole lattice level by level, optionally fanning the independent nodes of
 // a level out over a thread pool. `Invalidate()` drops the memo after the
 // underlying dataset changes.
-// The region keys ApplyDeltas touched since the set was last cleared — the
-// seed of the incremental identify path (see core/ibs_incremental.h). Every
-// leaf delta projects into exactly one region of every node, and ApplyDeltas
-// computes those projections anyway, so recording them here is free of extra
-// key arithmetic. The set accumulates across epochs until a consumer clears
-// it, so an identify that runs every N epochs still sees every touched key.
+// The regions ApplyDeltas changed since the set was last cleared — the seed
+// of the incremental identify path (see core/ibs_incremental.h). Every leaf
+// delta projects into exactly one region of every node, and the keyed and
+// slot paths compute those projections anyway, so recording them here is
+// free of extra key arithmetic; the rollup path rebuilds whole nodes and
+// marks them so instead. The set accumulates across epochs until a consumer
+// clears it, so an identify that runs every N epochs still sees every
+// change.
 struct DirtySet {
-  // Per node mask: the region keys some applied delta projected into.
-  std::unordered_map<uint32_t, std::unordered_set<uint64_t>> touched;
+  struct Node {
+    // Every region of the node may have changed (a rollup rebuilt it).
+    bool whole = false;
+    // Region keys some applied delta projected into, in apply order; a
+    // key is not listed twice in a row, but may repeat. A consumer sorts
+    // and dedups them. The leaf node lists its keys even when whole, so
+    // the distinct dirty leaves stay countable. ApplyDeltas sorts and
+    // dedups a list once it outnumbers twice the node's entries, which
+    // bounds the set by the lattice.
+    std::vector<uint64_t> keys;
+  };
+  // Per node mask: that node's marks.
+  std::unordered_map<uint32_t, Node> nodes;
   // Net drift of the level-0 totals since the set was last cleared.
   int64_t delta_positives = 0;
   int64_t delta_negatives = 0;
 
-  // True iff no delta was applied since the last Clear (a delta touches
-  // every node, so `touched` is empty exactly when nothing changed).
+  // True iff no delta was applied since the last Clear (a delta marks
+  // every node, so `nodes` is empty exactly when nothing changed).
   bool empty() const {
-    return touched.empty() && delta_positives == 0 && delta_negatives == 0;
+    return nodes.empty() && delta_positives == 0 && delta_negatives == 0;
   }
   void Clear() {
-    touched.clear();
+    nodes.clear();
     delta_positives = 0;
     delta_negatives = 0;
   }
@@ -144,19 +156,33 @@ class Hierarchy {
   // Also keeps the maintained counts digest current (see below). A delta
   // that takes a count below zero dies (a CHECK in every build type).
   //
-  // Two paths, same result. The keyed path re-packs each delta's key for
-  // every node and binary-searches it there. The slot path searches only
-  // the leaf table: each non-leaf node keeps an up map (4 B per entry of
-  // its fixed EagerBuild child, the lowest-missing-position one) from the
-  // child's entry index to its own, so a delta then costs one array read
-  // and one add per node. The maps are built lazily, in one O(entries)
-  // pass (RegionCounter::RollUpSlots) — never by EagerBuild, so callers
-  // that never apply deltas never pay — once the keyed work since they
-  // were last valid (deltas x nodes, this batch's included) reaches the
-  // lattice's entry count: the digest's amortization rule, so a wide
-  // batch builds them at once and narrow streams after a while. A batch
-  // with a leaf key the lattice lacks (insert_missing) shifts indices: it
-  // takes the keyed path and drops the maps; Invalidate drops them too.
+  // Three paths, one result: every node equals a rebuild from the leaf
+  // table the batch leaves behind, and the maintained digest its fold.
+  //  * Keyed: re-packs each delta's key for every node and binary-searches
+  //    it there (inserting with `insert_missing`).
+  //  * Slot: searches only the leaf table. Each non-leaf node keeps an up
+  //    map (4 B per entry of its fixed EagerBuild child, the
+  //    lowest-missing-position one) from the child's entry index to its
+  //    own, so a delta then costs one array read and one add per node. The
+  //    maps are built lazily, in one O(entries) pass
+  //    (RegionCounter::RollUpSlots) — never by EagerBuild, so callers that
+  //    never apply deltas never pay — once the keyed work since they were
+  //    last valid (deltas x nodes, this batch's included) reaches the
+  //    lattice's entry count: the digest's amortization rule, so a wide
+  //    batch builds them at once and narrow streams after a while.
+  //  * Rollup: a batch with a leaf key the lattice lacks (insert_missing)
+  //    shifts indices, so it cannot take the slot path. When its own keyed
+  //    work also reaches the entry count (always, on an empty lattice: the
+  //    daemon's seed batch), it merges its deltas, by ascending leaf key,
+  //    into the leaf table in one pass and rebuilds every coarser node with
+  //    EagerBuild's rollups. It marks the digest stale, drops the maps and
+  //    marks every node whole-dirty. Its cost is about flat in the batch
+  //    width: on serve_narrow's 383k-entry lattice (BM_WideInsertingApply
+  //    in BENCH_micro.json) it took 24-26 ms at and past the threshold,
+  //    where the keyed path took 30 ms just below it, so the threshold
+  //    needs no extra factor.
+  // A narrower inserting batch takes the keyed path and drops the maps;
+  // Invalidate drops them too.
   void ApplyDeltas(const std::vector<LeafDelta>& deltas,
                    bool insert_missing = false);
   void ApplyDelta(const LeafDelta& delta);
@@ -222,14 +248,24 @@ class Hierarchy {
   // or a rollup of a (possibly recursively built) child one level below.
   NodeTable BuildNode(uint32_t mask);
 
+  // EagerBuild's level loop: every node of levels |X| - 1 .. 1 rolled up
+  // from its fixed child one level below (`rebuild`: the memoized ones
+  // too). Levels are barriers; see EagerBuild.
+  Status RollUpLevels(int threads, bool rebuild);
+
   // The unfinalized counts digest: the hash sum over every entry.
   uint64_t FoldEntryHashes() const;
 
-  // The two ApplyDeltas paths (see there). RecordEntry keeps the fresh
+  // The three ApplyDeltas paths (see there). RecordEntry keeps the fresh
   // digest sum current for one updated entry.
   void ApplyKeyed(const std::vector<LeafDelta>& deltas, bool insert_missing);
   void ApplySlotted(const std::vector<LeafDelta>& deltas,
                     const std::vector<uint32_t>& leaf_slots);
+  void ApplyRolledUp(const std::vector<LeafDelta>& deltas);
+  // Node `mask`'s dirty key list, or null while tracking is off.
+  std::vector<uint64_t>* DirtyKeys(uint32_t mask) {
+    return dirty_tracking_ ? &dirty_.nodes[mask].keys : nullptr;
+  }
   void RecordEntry(uint32_t mask, uint64_t key, const RegionCounts& after,
                    const LeafDelta& delta, bool inserted);
   // Each delta's leaf-table index into `slots`; false when some leaf key is

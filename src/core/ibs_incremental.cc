@@ -44,6 +44,13 @@ struct NodeWork {
   std::vector<NodeTable::Entry> gathered;
 };
 
+// `keys` ascending, each once.
+std::vector<uint64_t> SortedUnique(std::vector<uint64_t> keys) {
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  return keys;
+}
+
 // The entries of `node` at `keys` (ascending, unique); keys without an
 // entry are regions the full sweep never visits, so they are dropped.
 std::vector<NodeTable::Entry> GatherEntries(const NodeTable& node,
@@ -145,9 +152,10 @@ std::vector<BiasedRegion> IncrementalIbsState::Identify(
   const bool totals_drifted =
       dirty.delta_positives != 0 || dirty.delta_negatives != 0;
   {
-    auto leaf_it = dirty.touched.find(hierarchy.LeafMask());
-    if (leaf_it != dirty.touched.end()) {
-      stats_.dirty_leaves = static_cast<int64_t>(leaf_it->second.size());
+    auto leaf_it = dirty.nodes.find(hierarchy.LeafMask());
+    if (leaf_it != dirty.nodes.end()) {
+      stats_.dirty_leaves =
+          static_cast<int64_t>(SortedUnique(leaf_it->second.keys).size());
     }
   }
 
@@ -169,15 +177,23 @@ std::vector<BiasedRegion> IncrementalIbsState::Identify(
     const uint32_t mask = masks[n];
     node_work.mask = mask;
     work_by_mask.emplace(mask, &node_work);
-    auto dirty_it = dirty.touched.find(mask);
+    auto dirty_it = dirty.nodes.find(mask);
+    const DirtySet::Node* marks =
+        dirty_it != dirty.nodes.end() ? &dirty_it->second : nullptr;
     const bool node_dirty =
-        dirty_it != dirty.touched.end() && !dirty_it->second.empty();
+        marks != nullptr && (marks->whole || !marks->keys.empty());
     const bool whole_node = neighborhood.WholeNodeNeighborhood(mask);
     if (!node_dirty && !(whole_node && totals_drifted)) continue;  // kClean
 
     const NodeTable& node = hierarchy.NodeCounts(mask);
-    if (node_dirty) {
-      stats_.dirty_regions += static_cast<int64_t>(dirty_it->second.size());
+    // The re-evaluation set starts as the dirty keys, ascending and unique;
+    // a whole-dirty node counts every entry as dirty.
+    std::vector<uint64_t> reeval;
+    if (node_dirty && marks->whole) {
+      stats_.dirty_regions += static_cast<int64_t>(node.size());
+    } else if (node_dirty) {
+      reeval = SortedUnique(marks->keys);
+      stats_.dirty_regions += static_cast<int64_t>(reeval.size());
     }
     if (whole_node && totals_drifted) {
       ++stats_.full_node_rescores;
@@ -187,26 +203,23 @@ std::vector<BiasedRegion> IncrementalIbsState::Identify(
     // Each dirty key re-scores itself and, when neighborhoods are proper
     // subsets of the node, at most FrontierBound - 1 frontier keys. Once
     // that reaches the node's entry count, scoring the whole table costs
-    // no more than the set would and skips the expansion, sort and gather
-    // (the seed batch, where every region is dirty, is one such node).
-    const int64_t num_dirty = static_cast<int64_t>(dirty_it->second.size());
+    // no more than the set would and skips the expansion, sort and gather.
+    // A node a rollup rebuilt (the seed batch's) is whole-dirty outright.
+    const int64_t num_dirty = static_cast<int64_t>(reeval.size());
     const int64_t per_key =
         whole_node ? 1 : neighborhood.FrontierBound(mask);
-    if (num_dirty * per_key >= static_cast<int64_t>(node.size())) {
+    if (marks->whole ||
+        num_dirty * per_key >= static_cast<int64_t>(node.size())) {
       ++stats_.wide_node_rescores;
       node_work.kind = NodeWork::Kind::kWhole;
       continue;
     }
-    std::vector<uint64_t> reeval(dirty_it->second.begin(),
-                                 dirty_it->second.end());
     if (!whole_node) {
       for (int64_t i = 0; i < num_dirty; ++i) {
         neighborhood.AppendNeighborKeys(mask, reeval[i], &reeval);
       }
-    }
-    std::sort(reeval.begin(), reeval.end());
-    reeval.erase(std::unique(reeval.begin(), reeval.end()), reeval.end());
-    if (!whole_node) {
+      std::sort(reeval.begin(), reeval.end());
+      reeval.erase(std::unique(reeval.begin(), reeval.end()), reeval.end());
       stats_.expanded_regions +=
           static_cast<int64_t>(reeval.size()) - num_dirty;
     }

@@ -15,13 +15,16 @@ namespace remedy {
 struct IncrementalIdentifyStats {
   bool incremental = false;      // false: the pass fell back to a full sweep
   int64_t dirty_leaves = 0;      // leaf region keys the epoch's deltas touched
-  int64_t dirty_regions = 0;     // touched keys summed over every node
+  // Touched keys summed over every node; a whole-dirty node (rebuilt by
+  // a rollup) counts all its entries.
+  int64_t dirty_regions = 0;
   int64_t rescored_regions = 0;  // regions re-scored this pass
   int64_t expanded_regions = 0;  // neighborhood-frontier keys added to dirty
   int64_t cached_regions = 0;    // biased verdicts reused from the cache
   int64_t full_node_rescores = 0;  // whole nodes re-swept (T >= diameter)
-  // Whole nodes re-scored because dirty keys x frontier bound reached the
-  // node's entry count (wide batches, the seed batch).
+  // Whole nodes re-scored because a rollup rebuilt them (the seed batch,
+  // wide inserting batches) or dirty keys x frontier bound reached the
+  // node's entry count (other wide batches).
   int64_t wide_node_rescores = 0;
 };
 

@@ -93,6 +93,10 @@ NodeTable::NodeTable(std::vector<Entry> entries)
     }
   }
   entries_.resize(out);
+  // A rollup reserves one entry per child entry and merges most of them
+  // away; a lattice rebuilt by rollups would otherwise hold its child's
+  // capacity at every node (about 20 MB on serve_narrow's lattice).
+  entries_.shrink_to_fit();
 }
 
 NodeTable::const_iterator NodeTable::find(uint64_t key) const {

@@ -542,19 +542,71 @@ std::vector<Hierarchy::LeafDelta> WideBatch(Hierarchy& hierarchy, Rng& rng) {
   return batch;
 }
 
+// ApplyDeltas' path rule, modeled apart from Hierarchy. The slot maps are
+// built once the keyed work since they were last valid (deltas x nodes,
+// this batch included) reaches the lattice's entry count. A batch that
+// inserts a leaf drops them: when its own keyed work reaches the entry
+// count it takes the rollup, which also zeroes the keyed work.
+struct PathRule {
+  enum class Path { kNone, kKeyed, kSlotted, kRolledUp };
+  bool maps_valid = false;
+  size_t keyed_work = 0;
+
+  // The path of a batch of `deltas` deltas; sets `*build` when it builds
+  // the maps.
+  Path Next(size_t deltas, bool inserts, size_t nodes, size_t entries,
+            bool* build) {
+    *build = false;
+    if (deltas == 0) return Path::kNone;
+    const size_t work = deltas * nodes;
+    if (maps_valid || keyed_work + work >= entries) {
+      if (!inserts) {
+        if (!maps_valid) {
+          *build = true;
+          maps_valid = true;
+          keyed_work = 0;
+        }
+        return Path::kSlotted;
+      }
+      maps_valid = false;
+      if (work >= entries) {
+        keyed_work = 0;
+        return Path::kRolledUp;
+      }
+    }
+    keyed_work += work;
+    return Path::kKeyed;
+  }
+};
+
+size_t LatticeEntries(Hierarchy& hierarchy) {
+  size_t entries = 0;
+  for (uint32_t mask = 1; mask <= hierarchy.LeafMask(); ++mask) {
+    entries += hierarchy.NodeCounts(mask).size();
+  }
+  return entries;
+}
+
+bool InsertsALeaf(Hierarchy& hierarchy,
+                  const std::vector<Hierarchy::LeafDelta>& batch) {
+  const NodeTable& leaves = hierarchy.NodeCounts(hierarchy.LeafMask());
+  for (const Hierarchy::LeafDelta& delta : batch) {
+    if (leaves.count(delta.leaf_key) == 0) return true;
+  }
+  return false;
+}
+
 // Mixes narrow, wide and inserting batches. After each one, every node
 // must equal the node of a lattice freshly seeded from the leaf table, the
-// maintained digest must equal the fold, and lattice/slot_map_builds must
-// move exactly as ApplyDeltas' rule says: build once the keyed work since
-// the maps were valid (deltas x nodes, this batch included) reaches the
-// lattice's entry count; a batch that inserts a leaf drops them.
+// maintained digest must equal the fold, and lattice/slot_map_builds and
+// lattice/rollup_applies must move exactly as PathRule says.
 void RunSlotMapStream(Hierarchy& hierarchy, uint64_t seed, int batches,
                       const std::string& where) {
   const Counter& builds = *PipelineMetrics::Get().lattice_slot_map_builds;
+  const Counter& rollups = *PipelineMetrics::Get().lattice_rollup_applies;
   const uint32_t leaf = hierarchy.LeafMask();
   const uint64_t key_space = hierarchy.counter().KeySpace(leaf);
-  bool maps_valid = false;
-  size_t keyed_work = 0;
+  PathRule rule;
   int wide = 0, inserting = 0, built = 0;
   Rng rng(seed);
   for (int b = 0; b < batches; ++b) {
@@ -573,39 +625,25 @@ void RunSlotMapStream(Hierarchy& hierarchy, uint64_t seed, int batches,
       while (leaves.count(key) != 0) key = (key + 1) % key_space;
       batch.push_back({key, 1, rng.UniformInt(2)});
     }
-    bool inserts = false;
-    for (const Hierarchy::LeafDelta& delta : batch) {
-      inserts = inserts || leaves.count(delta.leaf_key) == 0;
-    }
-    size_t entries = 0;
-    for (uint32_t mask = 1; mask <= leaf; ++mask) {
-      entries += hierarchy.NodeCounts(mask).size();
-    }
-    const size_t work = batch.size() * leaf;  // leaf == the node count
+    const bool inserts = InsertsALeaf(hierarchy, batch);
+    const size_t entries = LatticeEntries(hierarchy);
     bool expect_build = false;
-    if (!batch.empty()) {
-      if (maps_valid || keyed_work + work >= entries) {
-        if (inserts) {
-          maps_valid = false;
-          keyed_work += work;
-        } else if (!maps_valid) {
-          expect_build = true;
-          maps_valid = true;
-          keyed_work = 0;
-        }
-      } else {
-        keyed_work += work;
-      }
-    }
+    // leaf == the node count
+    const PathRule::Path path =
+        rule.Next(batch.size(), inserts, leaf, entries, &expect_build);
     wide += kind == 0 && batch.size() * leaf >= entries;
     inserting += inserts;
     built += expect_build;
 
     const int64_t builds_before = builds.Value();
+    const int64_t rollups_before = rollups.Value();
     hierarchy.ApplyDeltas(batch, /*insert_missing=*/true);
     ASSERT_EQ(builds.Value() - builds_before, expect_build ? 1 : 0)
         << where << " batch " << b << " (" << batch.size() << " deltas, "
         << (inserts ? "inserting" : "no inserts") << ")";
+    ASSERT_EQ(rollups.Value() - rollups_before,
+              path == PathRule::Path::kRolledUp ? 1 : 0)
+        << where << " batch " << b;
     ASSERT_EQ(hierarchy.MaintainedCountsDigest(), hierarchy.CountsDigest())
         << where << " batch " << b;
     Hierarchy reseeded(hierarchy.schema(), hierarchy.NodeCounts(leaf),
@@ -667,6 +705,337 @@ TEST(HierarchySlotMapTest, RollUpSlotsIndexTheProjectedParentEntry) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Rollup ApplyDeltas: wide inserting batches merged into the leaf table and
+// rolled up, against the keyed path's arithmetic
+// ---------------------------------------------------------------------------
+
+// The keyed path's result, computed apart from Hierarchy: each delta of
+// `batch`, in order, upserted at its key's projection in every node.
+std::vector<NodeTable> KeyedOracle(
+    Hierarchy& hierarchy, const std::vector<Hierarchy::LeafDelta>& batch) {
+  const uint32_t leaf = hierarchy.LeafMask();
+  std::vector<NodeTable> nodes(leaf + 1);
+  for (uint32_t mask = 1; mask <= leaf; ++mask) {
+    nodes[mask] = hierarchy.NodeCounts(mask);
+    for (const Hierarchy::LeafDelta& delta : batch) {
+      nodes[mask].UpsertDelta(
+          hierarchy.counter().ProjectKey(delta.leaf_key, leaf, mask),
+          delta.delta_positives, delta.delta_negatives);
+    }
+  }
+  return nodes;
+}
+
+// Applies `batch` under dirty tracking and checks what every batch must
+// show, whichever path it took: each node equals the keyed oracle and a
+// lattice reseeded from the leaf table, the maintained digest equals the
+// fold, and the slot-map and rollup counters move as `rule` says. Returns
+// the path taken.
+PathRule::Path ApplyAndCheck(Hierarchy& hierarchy, PathRule& rule,
+                             const std::vector<Hierarchy::LeafDelta>& batch,
+                             const std::string& where) {
+  const PipelineMetrics& metrics = PipelineMetrics::Get();
+  const uint32_t leaf = hierarchy.LeafMask();
+  const std::vector<NodeTable> oracle = KeyedOracle(hierarchy, batch);
+  bool expect_build = false;
+  const PathRule::Path path =
+      rule.Next(batch.size(), InsertsALeaf(hierarchy, batch), leaf,
+                LatticeEntries(hierarchy), &expect_build);
+  hierarchy.EnableDirtyTracking();
+  hierarchy.ClearDirtySet();
+  const int64_t builds_before = metrics.lattice_slot_map_builds->Value();
+  const int64_t rollups_before = metrics.lattice_rollup_applies->Value();
+  hierarchy.ApplyDeltas(batch, /*insert_missing=*/true);
+  EXPECT_EQ(metrics.lattice_slot_map_builds->Value() - builds_before,
+            expect_build ? 1 : 0)
+      << where;
+  EXPECT_EQ(metrics.lattice_rollup_applies->Value() - rollups_before,
+            path == PathRule::Path::kRolledUp ? 1 : 0)
+      << where;
+  EXPECT_EQ(hierarchy.MaintainedCountsDigest(), hierarchy.CountsDigest())
+      << where;
+  Hierarchy reseeded(hierarchy.schema(), hierarchy.NodeCounts(leaf),
+                     hierarchy.TotalCounts());
+  EXPECT_TRUE(reseeded.EagerBuild(1).ok());
+  for (uint32_t mask = 1; mask <= leaf; ++mask) {
+    EXPECT_TRUE(hierarchy.NodeCounts(mask) == oracle[mask])
+        << where << ": mask " << mask << " differs from the keyed path";
+    EXPECT_TRUE(hierarchy.NodeCounts(mask) == reseeded.NodeCounts(mask))
+        << where << ": mask " << mask << " differs from a reseeded lattice";
+  }
+  return path;
+}
+
+std::vector<uint64_t> SortedUnique(std::vector<uint64_t> keys) {
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  return keys;
+}
+
+// A batch the rollup path took leaves every node whole-dirty, lists the
+// batch's distinct leaf keys (ascending) at the leaf and no key elsewhere,
+// and the totals' drift.
+void ExpectRolledUpMarks(const Hierarchy& hierarchy,
+                         const std::vector<Hierarchy::LeafDelta>& batch,
+                         const std::string& where) {
+  std::vector<uint64_t> leaf_keys;
+  RegionCounts drift;
+  for (const Hierarchy::LeafDelta& delta : batch) {
+    leaf_keys.push_back(delta.leaf_key);
+    drift.positives += delta.delta_positives;
+    drift.negatives += delta.delta_negatives;
+  }
+  leaf_keys = SortedUnique(std::move(leaf_keys));
+  const DirtySet& dirty = hierarchy.dirty_set();
+  EXPECT_EQ(dirty.nodes.size(), static_cast<size_t>(hierarchy.LeafMask()))
+      << where;
+  for (const auto& [mask, marks] : dirty.nodes) {
+    EXPECT_TRUE(marks.whole) << where << ": mask " << mask;
+    if (mask == hierarchy.LeafMask()) {
+      EXPECT_EQ(marks.keys, leaf_keys) << where;
+    } else {
+      EXPECT_TRUE(marks.keys.empty()) << where << ": mask " << mask;
+    }
+  }
+  EXPECT_EQ(dirty.delta_positives, drift.positives) << where;
+  EXPECT_EQ(dirty.delta_negatives, drift.negatives) << where;
+}
+
+// A keyed batch marks no node whole and lists, per node, the projection of
+// every delta's key in batch order, a repeat of the previous key dropped;
+// or compacted (sorted, each key once) where the list outgrew twice the
+// node's entries.
+void ExpectKeyedMarks(Hierarchy& hierarchy,
+                      const std::vector<Hierarchy::LeafDelta>& batch,
+                      const std::string& where) {
+  const uint32_t leaf = hierarchy.LeafMask();
+  for (uint32_t mask = 1; mask <= leaf; ++mask) {
+    std::vector<uint64_t> expected;
+    for (const Hierarchy::LeafDelta& delta : batch) {
+      const uint64_t key =
+          hierarchy.counter().ProjectKey(delta.leaf_key, leaf, mask);
+      if (expected.empty() || expected.back() != key) expected.push_back(key);
+    }
+    const auto it = hierarchy.dirty_set().nodes.find(mask);
+    ASSERT_NE(it, hierarchy.dirty_set().nodes.end()) << where;
+    const std::vector<uint64_t>& keys = it->second.keys;
+    EXPECT_FALSE(it->second.whole) << where << ": mask " << mask;
+    if (expected.size() <= 2 * hierarchy.NodeCounts(mask).size()) {
+      EXPECT_EQ(keys, expected) << where << ": mask " << mask;
+    } else {
+      EXPECT_EQ(keys, SortedUnique(expected)) << where << ": mask " << mask;
+    }
+  }
+}
+
+// Leaf keys the lattice lacks, ascending, at most `limit` of them.
+std::vector<uint64_t> MissingLeaves(Hierarchy& hierarchy, size_t limit) {
+  const NodeTable& leaves = hierarchy.NodeCounts(hierarchy.LeafMask());
+  std::vector<uint64_t> missing;
+  for (uint64_t key = 0;
+       key < hierarchy.counter().KeySpace(hierarchy.LeafMask()) &&
+       missing.size() < limit;
+       ++key) {
+    if (leaves.count(key) == 0) missing.push_back(key);
+  }
+  return missing;
+}
+
+// The five wide inserting batches, each checked on both paths' terms, and
+// keyed and wide batches around the last that show the rollup dropped the
+// maps and zeroed the keyed work. `seed_rows` seeds the (empty) lattice
+// first.
+void RunRollUpCases(Hierarchy& hierarchy, const NodeTable& seed_rows,
+                    uint64_t seed, const std::string& where) {
+  using Path = PathRule::Path;
+  PathRule rule;
+  Rng rng(seed);
+
+  // A seed into the empty lattice: every populated leaf at once.
+  ASSERT_EQ(LatticeEntries(hierarchy), 0u) << where;
+  std::vector<Hierarchy::LeafDelta> batch;
+  for (const auto& [key, counts] : seed_rows) {
+    batch.push_back({key, counts.positives, counts.negatives});
+  }
+  ASSERT_EQ(ApplyAndCheck(hierarchy, rule, batch, where + " seed"),
+            Path::kRolledUp);
+  ExpectRolledUpMarks(hierarchy, batch, where + " seed");
+
+  // A wide batch over the populated lattice plus leaves it lacks.
+  batch = WideBatch(hierarchy, rng);
+  for (uint64_t key : MissingLeaves(hierarchy, 3)) {
+    batch.push_back({key, 2, 1});
+  }
+  std::sort(batch.begin(), batch.end(),
+            [](const Hierarchy::LeafDelta& a, const Hierarchy::LeafDelta& b) {
+              return a.leaf_key < b.leaf_key;
+            });
+  ASSERT_EQ(ApplyAndCheck(hierarchy, rule, batch, where + " wide"),
+            Path::kRolledUp);
+  ExpectRolledUpMarks(hierarchy, batch, where + " wide");
+
+  // Retractions that drive every other populated leaf to zero (the entry
+  // stays), alongside new leaves.
+  batch.clear();
+  const std::vector<uint64_t> fresh = MissingLeaves(hierarchy, 2);
+  size_t f = 0;
+  int i = 0;
+  for (const auto& [key, counts] :
+       hierarchy.NodeCounts(hierarchy.LeafMask())) {
+    while (f < fresh.size() && fresh[f] < key) {
+      batch.push_back({fresh[f++], 1, 0});
+    }
+    if (i++ % 2 == 0 && counts.Total() > 0) {
+      batch.push_back({key, -counts.positives, -counts.negatives});
+    } else {
+      batch.push_back({key, 0, 1});
+    }
+  }
+  while (f < fresh.size()) batch.push_back({fresh[f++], 1, 0});
+  ASSERT_EQ(ApplyAndCheck(hierarchy, rule, batch, where + " retractions"),
+            Path::kRolledUp);
+  ExpectRolledUpMarks(hierarchy, batch, where + " retractions");
+
+  // Unsorted input, with one key repeated (its deltas apply in order).
+  batch = WideBatch(hierarchy, rng);
+  for (uint64_t key : MissingLeaves(hierarchy, 2)) {
+    batch.push_back({key, 0, 2});
+  }
+  ASSERT_GE(batch.size(), 2u);
+  batch.push_back({batch.front().leaf_key, 1, 1});
+  std::reverse(batch.begin(), batch.end());
+  ASSERT_EQ(ApplyAndCheck(hierarchy, rule, batch, where + " unsorted"),
+            Path::kRolledUp);
+  ExpectRolledUpMarks(hierarchy, batch, where + " unsorted");
+
+  // Inserting batches on either side of the threshold: the widest whose
+  // keyed work stays below the entry count is keyed, the narrowest that
+  // reaches it rolls up.
+  const auto inserting = [&hierarchy](bool reach) {
+    const size_t entries = LatticeEntries(hierarchy);
+    const size_t nodes = hierarchy.LeafMask();
+    const size_t deltas =
+        reach ? (entries + nodes - 1) / nodes : (entries - 1) / nodes;
+    std::vector<Hierarchy::LeafDelta> inserts = {
+        {MissingLeaves(hierarchy, 1).at(0), 1, 0}};
+    for (const auto& [key, counts] :
+         hierarchy.NodeCounts(hierarchy.LeafMask())) {
+      if (inserts.size() == deltas) break;
+      inserts.push_back({key, 0, 1});
+    }
+    return inserts;
+  };
+  batch = inserting(/*reach=*/false);
+  ASSERT_EQ(ApplyAndCheck(hierarchy, rule, batch, where + " below"),
+            Path::kKeyed);
+  ExpectKeyedMarks(hierarchy, batch, where + " below");
+  batch = inserting(/*reach=*/true);
+  ASSERT_EQ(ApplyAndCheck(hierarchy, rule, batch, where + " at threshold"),
+            Path::kRolledUp);
+  ExpectRolledUpMarks(hierarchy, batch, where + " at threshold");
+
+  // A keyed batch just under the threshold, so the keyed work the next
+  // rollup must zero is nearly the entry count.
+  const auto near_threshold = [&hierarchy] {
+    const size_t deltas =
+        (LatticeEntries(hierarchy) - 1) / hierarchy.LeafMask();
+    std::vector<Hierarchy::LeafDelta> keyed;
+    for (const auto& [key, counts] :
+         hierarchy.NodeCounts(hierarchy.LeafMask())) {
+      if (keyed.size() == deltas) break;
+      keyed.push_back({key, 1, 0});
+    }
+    return keyed;
+  };
+  batch = near_threshold();
+  ASSERT_FALSE(batch.empty()) << where;
+  ASSERT_EQ(ApplyAndCheck(hierarchy, rule, batch, where + " keyed"),
+            Path::kKeyed);
+  ExpectKeyedMarks(hierarchy, batch, where + " keyed");
+
+  // A (0,0) delta for a missing leaf inserts a zero-count entry.
+  const std::vector<uint64_t> zero = MissingLeaves(hierarchy, 1);
+  ASSERT_EQ(zero.size(), 1u) << where << ": no leaf left to insert";
+  batch.clear();
+  for (const auto& [key, counts] :
+       hierarchy.NodeCounts(hierarchy.LeafMask())) {
+    if (key > zero[0] && (batch.empty() || batch.back().leaf_key < zero[0])) {
+      batch.push_back({zero[0], 0, 0});
+    }
+    batch.push_back({key, 1, 0});
+  }
+  if (batch.back().leaf_key < zero[0]) batch.push_back({zero[0], 0, 0});
+  ASSERT_EQ(ApplyAndCheck(hierarchy, rule, batch, where + " zero insert"),
+            Path::kRolledUp);
+  ExpectRolledUpMarks(hierarchy, batch, where + " zero insert");
+  const NodeTable& leaves = hierarchy.NodeCounts(hierarchy.LeafMask());
+  ASSERT_NE(leaves.find(zero[0]), leaves.end()) << where;
+  EXPECT_EQ(leaves.at(zero[0]).Total(), 0) << where;
+
+  // The rollup dropped the maps and zeroed the keyed work: another batch
+  // just under the threshold stays keyed (with the earlier one's work
+  // still counted it would build the maps), and the next wide one builds
+  // them afresh.
+  batch = near_threshold();
+  ASSERT_EQ(ApplyAndCheck(hierarchy, rule, batch, where + " keyed again"),
+            Path::kKeyed);
+  ExpectKeyedMarks(hierarchy, batch, where + " keyed again");
+  batch = WideBatch(hierarchy, rng);
+  ASSERT_EQ(ApplyAndCheck(hierarchy, rule, batch, where + " wide, no inserts"),
+            Path::kSlotted);
+}
+
+TEST(HierarchySlotMapTest, WideInsertingBatchesRollUpLikeTheKeyedPath) {
+  Dataset data = RandomFourAttrDataset(61, 60);  // leaves left to insert
+  Hierarchy counted(data);
+  const NodeTable seed_rows = counted.NodeCounts(counted.LeafMask());
+  {
+    Hierarchy seeded(data.schema(), NodeTable(), RegionCounts{});
+    ASSERT_TRUE(seeded.EagerBuild(1).ok());
+    RunRollUpCases(seeded, seed_rows, 67, "count-seeded");
+  }
+  {
+    const ColumnarShardStore store =
+        ColumnarShardStore::FromDataset(Dataset(data.schema()));
+    Hierarchy from_store(store);
+    ASSERT_TRUE(from_store.EagerBuild(2).ok());
+    RunRollUpCases(from_store, seed_rows, 71, "store-backed");
+  }
+}
+
+TEST(HierarchyRollUpDeathTest, NegativeCountDiesOnTheRollupPath) {
+  // Every populated leaf +1 and one new leaf take the rollup path (deltas x
+  // nodes reach the entry count); one retraction past a leaf's count dies.
+  Dataset data = RandomFourAttrDataset(73, 60);
+  Hierarchy hierarchy(data);
+  ASSERT_TRUE(hierarchy.EagerBuild(1).ok());
+  const std::vector<uint64_t> missing = MissingLeaves(hierarchy, 1);
+  ASSERT_EQ(missing.size(), 1u);
+  std::vector<Hierarchy::LeafDelta> batch = {{missing[0], 1, 0}};
+  uint64_t victim = 0;
+  for (const auto& [key, counts] :
+       hierarchy.NodeCounts(hierarchy.LeafMask())) {
+    if (counts.positives > 0) victim = key;
+    batch.push_back({key, 0, 1});
+  }
+  const int64_t held =
+      hierarchy.NodeCounts(hierarchy.LeafMask()).at(victim).positives;
+  std::vector<Hierarchy::LeafDelta> reordered(batch.rbegin(), batch.rend());
+  batch.push_back({victim, -held - 1, 0});
+  ASSERT_GE(batch.size() * hierarchy.LeafMask(), LatticeEntries(hierarchy));
+  EXPECT_DEATH(hierarchy.ApplyDeltas(batch, /*insert_missing=*/true),
+               "delta drove region key " + std::to_string(victim) +
+                   " negative");
+  // Unsorted, with a later delta that would cover the retraction: the
+  // keyed path dies at the retraction, so the rollup must too.
+  reordered.push_back({victim, -held - 1, 0});
+  reordered.push_back({victim, held + 5, 0});
+  EXPECT_DEATH(hierarchy.ApplyDeltas(reordered, /*insert_missing=*/true),
+               "delta drove region key " + std::to_string(victim) +
+                   " negative");
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/fault_injection.h"
+#include "common/pipeline_metrics.h"
 #include "common/rng.h"
 #include "core/hierarchy.h"
 #include "core/ibs_identify.h"
@@ -589,6 +590,87 @@ TEST(IbsIncrementalTest, WideBatchesAtUnitDistanceBothAlgorithms) {
           << where;
       if (::testing::Test::HasFatalFailure()) return;
     }
+  }
+}
+
+// The daemon's seed and the wide inserting batches after it take
+// ApplyDeltas' rollup path, which marks every node whole-dirty instead of
+// listing keys. Each pass after the cold one stays incremental, re-scores
+// those nodes whole, and is bit-identical to IdentifyIbs over the same
+// counts.
+TEST(IbsIncrementalTest, WideInsertingBatchesRollUpAndStayIncremental) {
+  // The first random schema whose rows leave eight leaves to insert.
+  RandomSpecOptions options;
+  options.min_protected = 2;
+  Rng spec_rng(0x5eedb01u);
+  Dataset data(SmallSchema());
+  NodeTable leaves;
+  for (int tries = 0;; ++tries) {
+    ASSERT_LT(tries, 50) << "no random schema leaves leaves to insert";
+    SyntheticSpec spec = RandomSpec(spec_rng, options);
+    spec.num_rows = 400;
+    data = GenerateSynthetic(spec, 29);
+    Hierarchy counted(data);
+    leaves = counted.NodeCounts(counted.LeafMask());
+    if (leaves.size() + 8 <= counted.counter().KeySpace(counted.LeafMask())) {
+      break;
+    }
+  }
+  const IbsParams params = TestParams();
+  const Counter& rollups = *PipelineMetrics::Get().lattice_rollup_applies;
+
+  Hierarchy hierarchy(data.schema(), NodeTable(), RegionCounts{});
+  ASSERT_TRUE(hierarchy.EagerBuild(1).ok());
+  IncrementalIbsState state;
+  (void)state.Identify(hierarchy, params);  // the cold pass: empty lattice
+  std::vector<Hierarchy::LeafDelta> seed;
+  for (const auto& [key, counts] : leaves) {
+    seed.push_back({key, counts.positives, counts.negatives});
+  }
+  int64_t before = rollups.Value();
+  hierarchy.ApplyDeltas(seed, /*insert_missing=*/true);
+  ASSERT_EQ(rollups.Value() - before, 1);
+  std::vector<BiasedRegion> ibs = state.Identify(hierarchy, params);
+  EXPECT_TRUE(state.last_stats().incremental)
+      << state.last_fallback_reason();
+  EXPECT_EQ(state.last_stats().dirty_leaves,
+            static_cast<int64_t>(leaves.size()));
+  EXPECT_GT(state.last_stats().wide_node_rescores +
+                state.last_stats().full_node_rescores,
+            0);
+  ExpectSameIbs(ibs, IdentifyIbs(data, params).value(), "seed");
+
+  // Every leaf moves (ingest or a label flip) and one leaf is new, so the
+  // batch's deltas x nodes pass the lattice's entry count.
+  Rng rng(0xb01);
+  const uint64_t key_space =
+      hierarchy.counter().KeySpace(hierarchy.LeafMask());
+  for (int epoch = 0; epoch < 8; ++epoch) {
+    const NodeTable& now = hierarchy.NodeCounts(hierarchy.LeafMask());
+    ASSERT_LT(now.size(), key_space);
+    uint64_t fresh = static_cast<uint64_t>(
+        rng.UniformInt(static_cast<int>(key_space)));
+    while (now.count(fresh) != 0) fresh = (fresh + 1) % key_space;
+    std::vector<Hierarchy::LeafDelta> batch = {{fresh, 1, 1}};
+    for (const auto& [key, counts] : now) {
+      if (counts.positives > 0 && rng.Bernoulli(0.5)) {
+        batch.push_back({key, -1, 1});
+      } else {
+        batch.push_back({key, rng.UniformInt(3), 1});
+      }
+    }
+    before = rollups.Value();
+    hierarchy.ApplyDeltas(batch, /*insert_missing=*/true);
+    ASSERT_EQ(rollups.Value() - before, 1);
+    ibs = state.Identify(hierarchy, params);
+    const std::string where = "epoch " + std::to_string(epoch);
+    EXPECT_TRUE(state.last_stats().incremental) << where;
+    Hierarchy reseeded(hierarchy.schema(),
+                       hierarchy.NodeCounts(hierarchy.LeafMask()),
+                       hierarchy.TotalCounts());
+    ASSERT_TRUE(reseeded.EagerBuild(1).ok());
+    ExpectSameIbs(ibs, IdentifyIbsInScope(reseeded, params), where);
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 

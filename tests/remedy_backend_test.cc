@@ -156,7 +156,9 @@ TEST(DiffLeafCountsTest, BeforePlusDiffEqualsAfter) {
   // Untouched keys must not appear; deltas come out ascending by key.
   for (size_t i = 0; i < diff.size(); ++i) {
     EXPECT_TRUE(diff[i].delta_positives != 0 || diff[i].delta_negatives != 0);
-    if (i > 0) EXPECT_LT(diff[i - 1].leaf_key, diff[i].leaf_key);
+    if (i > 0) {
+      EXPECT_LT(diff[i - 1].leaf_key, diff[i].leaf_key);
+    }
   }
   EXPECT_EQ(diff.size(), 3u);
 }

@@ -16,12 +16,14 @@
 #include <array>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/fault_injection.h"
+#include "common/pipeline_metrics.h"
 #include "core/hierarchy.h"
 #include "data/shard_file.h"
 #include "serve/daemon.h"
@@ -341,12 +343,40 @@ TEST(WalCheckpointTest, FailedWriteLeavesNoTmpAndOldCheckpointIntact) {
 // digest of an uninterrupted run over however many records stayed durable.
 // ---------------------------------------------------------------------------
 
-TEST(WalKillPointMatrixTest, TruncationAtEveryOffsetRecoversValidPrefix) {
+// The digest of a lattice reseeded from the summed leaf counts of the
+// first `records` batches: an oracle independent of ApplyDeltas' paths.
+uint64_t ReseededDigest(
+    const DataSchema& schema,
+    const std::vector<std::vector<Hierarchy::LeafDelta>>& batches,
+    size_t records) {
+  std::map<uint64_t, RegionCounts> leaves;
+  RegionCounts totals;
+  for (size_t r = 0; r < records; ++r) {
+    for (const Hierarchy::LeafDelta& delta : batches[r]) {
+      leaves[delta.leaf_key].positives += delta.delta_positives;
+      leaves[delta.leaf_key].negatives += delta.delta_negatives;
+      totals.positives += delta.delta_positives;
+      totals.negatives += delta.delta_negatives;
+    }
+  }
+  Hierarchy reseeded(schema,
+                     NodeTable(std::vector<NodeTable::Entry>(leaves.begin(),
+                                                             leaves.end())),
+                     totals);
+  EXPECT_TRUE(reseeded.EagerBuild(1).ok());
+  return reseeded.CountsDigest();
+}
+
+// Logs `batches` one record each, truncates the log at every byte offset,
+// and requires each recovery to land on the digest of an uninterrupted run
+// over the records that stayed durable, which must equal the reseeded one.
+void RunKillPointMatrix(
+    const std::vector<std::vector<Hierarchy::LeafDelta>>& batches,
+    const std::string& name) {
   const DataSchema schema = SmallSchema();
   const uint64_t digest = SchemaDigest(schema);
-  const std::string clean_path = TempPath("wal_matrix_clean.wal");
+  const std::string clean_path = TempPath(name + "_clean.wal");
   std::remove(clean_path.c_str());
-  const auto batches = TestBatches();
   {
     StatusOr<std::unique_ptr<DeltaWal>> wal =
         DeltaWal::Open(clean_path, digest, 1);
@@ -372,9 +402,13 @@ TEST(WalKillPointMatrixTest, TruncationAtEveryOffsetRecoversValidPrefix) {
       expected_digest.push_back(hierarchy->CountsDigest());
     }
   }
+  for (size_t k = 0; k < expected_digest.size(); ++k) {
+    ASSERT_EQ(expected_digest[k], ReseededDigest(schema, batches, k))
+        << k << " records";
+  }
   ASSERT_EQ(boundary.back(), static_cast<int64_t>(bytes.size()));
 
-  const std::string path = TempPath("wal_matrix_cut.wal");
+  const std::string path = TempPath(name + "_cut.wal");
   for (size_t cut = 0; cut <= bytes.size(); ++cut) {
     std::remove(path.c_str());
     WriteBytes(path, bytes.data(), cut);
@@ -426,6 +460,28 @@ TEST(WalKillPointMatrixTest, TruncationAtEveryOffsetRecoversValidPrefix) {
       EXPECT_FALSE(again.value().tail_repaired) << "cut at byte " << cut;
     }
   }
+}
+
+TEST(WalKillPointMatrixTest, TruncationAtEveryOffsetRecoversValidPrefix) {
+  RunKillPointMatrix(TestBatches(), "wal_matrix");
+}
+
+// The daemon's first record is its whole census, which replay applies to
+// the empty lattice by ApplyDeltas' rollup path; narrow records follow.
+TEST(WalKillPointMatrixTest, WideSeedRecordRecoversAtEveryOffset) {
+  std::vector<std::vector<Hierarchy::LeafDelta>> batches = {{}};
+  for (int a = 0; a < 3; ++a) {
+    for (int b = 0; b < 2; ++b) {
+      batches[0].push_back(Delta(a, b, 10 + a, 12 - b));
+    }
+  }
+  for (const auto& batch : TestBatches()) batches.push_back(batch);
+  const Counter& rollups = *PipelineMetrics::Get().lattice_rollup_applies;
+  const int64_t before = rollups.Value();
+  EmptyHierarchy(SmallSchema())->ApplyDeltas(batches[0],
+                                             /*insert_missing=*/true);
+  ASSERT_EQ(rollups.Value() - before, 1) << "the seed record is not wide";
+  RunKillPointMatrix(batches, "wal_matrix_seed");
 }
 
 // A bit flip inside a committed record's payload is caught by the payload

@@ -64,7 +64,9 @@ std::vector<uint8_t> ReadBytes(const std::string& path) {
 void WriteBytes(const std::string& path, const uint8_t* data, size_t size) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
-  if (size > 0) ASSERT_EQ(std::fwrite(data, 1, size, f), size);
+  if (size > 0) {
+    ASSERT_EQ(std::fwrite(data, 1, size, f), size);
+  }
   std::fclose(f);
 }
 
